@@ -9,6 +9,7 @@ either lag-window samples (autoregressive mode) or feature-aligned samples
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -84,7 +85,7 @@ def load_csv(path: str, schema: CsvSchema) -> TimeSeriesFrame:
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}: row {lineno}: bad number ({exc})") from None
             for value in (target, *feats):
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ParseError(f"{path}: row {lineno}: non-finite value {value!r}")
             rows.append((ts, target, feats))
 

@@ -18,8 +18,9 @@ HIDDEN_ACTIVATIONS = ("relu", "tanh", "sigmoid")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -27,30 +28,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the activation; pass out=z to overwrite z instead of allocating."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if kind == "sigmoid":
-        return _sigmoid(z)
+        return _sigmoid(z, out)
     if kind == "identity":
         return z
     raise InvalidArchitectureError(f"unknown activation {kind!r}")
-
-
-def _activate_inplace(z: np.ndarray, kind: str) -> np.ndarray:
-    """Like _activate but overwrites z where the op allows it.
-
-    Values are bitwise identical to _activate; only the allocation
-    behavior differs, which matters when predicting large batches in a
-    loop.
-    """
-    if kind == "relu":
-        return np.maximum(z, 0.0, out=z)
-    if kind == "tanh":
-        return np.tanh(z, out=z)
-    return _activate(z, kind)
 
 
 def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
@@ -166,31 +154,24 @@ def forward(net: Network, x: np.ndarray, *, want_cache: bool = False):
             f"batch has {x.shape[1]} features, network expects {net.architecture.n_inputs}"
         )
     last = net.n_layers - 1
-    if not want_cache:
-        a = x
-        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = a @ w.T
-            z += b
-            kind = (
-                net.architecture.output_activation
-                if k == last
-                else net.architecture.hidden_activation
-            )
-            a = _activate_inplace(z, kind)
-        return a
-    acts = [x]
     zs = []
+    acts = [x]
     a = x
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         kind = (
             net.architecture.output_activation
             if k == last
             else net.architecture.hidden_activation
         )
-        a = _activate(z, kind)
-        zs.append(z)
-        acts.append(a)
+        # without a cache nothing else holds z, so it can take the output
+        a = _activate(z, kind, None if want_cache else z)
+        if want_cache:
+            zs.append(z)
+            acts.append(a)
+    if not want_cache:
+        return a
     return a, {"zs": zs, "acts": acts, "n": x.shape[0]}
 
 
@@ -229,8 +210,13 @@ def backward(net: Network, cache: dict, dloss_dpred: np.ndarray) -> list[np.ndar
     return grads
 
 
-def mse_loss(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over every entry and its gradient w.r.t. pred."""
+def mse_loss(
+    pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True
+) -> tuple[float, np.ndarray | None]:
+    """Mean squared error over every entry and its gradient w.r.t. pred.
+
+    With want_grad=False the gradient is not built and None stands in.
+    """
     pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
     if pred.shape != y.shape:
@@ -239,16 +225,24 @@ def mse_loss(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         raise EmptyDataError("loss of zero samples is undefined")
     diff = pred - y
     loss = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
+    if not want_grad:
+        return loss, None
+    diff *= 2.0
+    diff /= diff.size
+    return loss, diff
 
 
-def pinball_loss(pred: np.ndarray, y: np.ndarray, levels) -> tuple[float, np.ndarray]:
+def pinball_loss(
+    pred: np.ndarray, y: np.ndarray, levels, *, want_grad: bool = True
+) -> tuple[float, np.ndarray | None]:
     """Mean pinball loss across samples and quantile levels.
 
     Column j of pred targets quantile levels[j]. Where y >= pred the
     penalty is q * (y - pred), otherwise (1 - q) * (pred - y); the ties
-    fall in the first branch, so the gradient there is -q.
+    fall in the first branch, so the gradient there is -q. Both come from
+    one weight w = q or q - 1 per entry: the loss is mean(w * (y - pred))
+    and the gradient -w / size. With want_grad=False the gradient is not
+    built and None stands in.
     """
     pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -262,10 +256,14 @@ def pinball_loss(pred: np.ndarray, y: np.ndarray, levels) -> tuple[float, np.nda
     if pred.size == 0:
         raise EmptyDataError("loss of zero samples is undefined")
     diff = y[:, None] - pred
-    under = diff >= 0.0
-    loss = float(np.mean(np.where(under, q * diff, (q - 1.0) * diff)))
-    grad = np.where(under, -q, 1.0 - q) / diff.size
-    return loss, grad
+    w = np.where(diff >= 0.0, q, q - 1.0)
+    diff *= w
+    loss = float(np.mean(diff))
+    if not want_grad:
+        return loss, None
+    # -(q - 1) rounds exactly like 1 - q, so this is where(diff >= 0, -q, 1 - q) / size
+    w /= -diff.size
+    return loss, w
 
 
 @dataclass(frozen=True)
@@ -292,22 +290,25 @@ class Loss:
     def n_outputs(self) -> int:
         return len(self.levels) if self.kind == "pinball" else 1
 
-    def value_and_grad(self, pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_grad(
+        self, pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True
+    ) -> tuple[float, np.ndarray | None]:
         """Loss value plus its gradient w.r.t. the (n, k) prediction batch.
 
         y is a length-n vector; for mse the single prediction column is
-        compared against it directly.
+        compared against it directly. With want_grad=False the gradient
+        is not built and None stands in.
         """
         pred = np.asarray(pred, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.kind == "pinball":
-            return pinball_loss(pred, y, self.levels)
+            return pinball_loss(pred, y, self.levels, want_grad=want_grad)
         if pred.ndim == 2 and pred.shape[1] == 1 and y.ndim == 1:
             y = y[:, None]
-        return mse_loss(pred, y)
+        return mse_loss(pred, y, want_grad=want_grad)
 
     def value(self, pred: np.ndarray, y: np.ndarray) -> float:
-        return self.value_and_grad(pred, y)[0]
+        return self.value_and_grad(pred, y, want_grad=False)[0]
 
 
 def compute_loss(pred: np.ndarray, y: np.ndarray, loss: Loss) -> float:

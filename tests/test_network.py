@@ -143,6 +143,27 @@ class TestForward:
         np.testing.assert_array_equal(cache["acts"][0], x)
         np.testing.assert_array_equal(cache["acts"][-1], pred)
 
+    def test_cache_matches_written_out_layers_bitwise(self):
+        def sigmoid(z):
+            e = np.exp(-np.abs(z))
+            return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+        funcs = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh,
+                 "sigmoid": sigmoid, "identity": lambda z: z}
+        x = np.random.default_rng(8).normal(size=(40, 3))
+        for hidden, out in (("relu", "identity"), ("tanh", "sigmoid"), ("sigmoid", "identity")):
+            arch = Architecture((3, 5, 4, 2), hidden_activation=hidden, output_activation=out)
+            net = init_network(arch, seed=21)
+            zs, acts = [], [x]
+            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+                zs.append(acts[-1] @ w.T + b)
+                acts.append(funcs[out if k == net.n_layers - 1 else hidden](zs[-1]))
+            pred, cache = forward(net, x, want_cache=True)
+            for got, want in zip(cache["zs"] + cache["acts"], zs + acts):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(pred, acts[-1])
+            np.testing.assert_array_equal(forward(net, x), acts[-1])
+
 
 class TestBackward:
     def test_matches_finite_differences_smooth(self):
@@ -249,6 +270,41 @@ class TestLosses:
             mse_loss(np.zeros((0, 1)), np.zeros((0, 1)))
         with pytest.raises(EmptyDataError):
             pinball_loss(np.zeros((0, 2)), np.zeros(0), (0.4, 0.6))
+
+    def test_value_is_value_and_grad_value_bitwise(self):
+        rng = np.random.default_rng(14)
+        pred, y = rng.normal(size=(301, 5)), rng.normal(size=301)
+        pinball = Loss(kind="pinball", levels=(0.05, 0.3, 0.5, 0.7, 0.95))
+        assert pinball.value(pred, y) == pinball.value_and_grad(pred, y)[0]
+        mse = Loss(kind="mse")
+        assert mse.value(pred[:, :1], y) == mse.value_and_grad(pred[:, :1], y)[0]
+
+    def test_fused_pinball_matches_two_masks_bitwise(self):
+        rng = np.random.default_rng(15)
+        levels = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95)
+        q = np.array(levels)
+        pred = rng.normal(size=(200, 7))
+        y = rng.normal(size=200)
+        pred[::3, 2] = y[::3]  # exact ties take the y >= pred branch
+        pred[1::5, :] = y[1::5, None]
+        pred_before, y_before = pred.copy(), y.copy()
+        value, grad = pinball_loss(pred, y, levels)
+        diff = y[:, None] - pred
+        under = diff >= 0.0
+        assert value == float(np.mean(np.where(under, q * diff, (q - 1.0) * diff)))
+        np.testing.assert_array_equal(grad, np.where(under, -q, 1.0 - q) / diff.size)
+        np.testing.assert_array_equal(pred, pred_before)
+        np.testing.assert_array_equal(y, y_before)
+
+    def test_mse_leaves_inputs_untouched(self):
+        rng = np.random.default_rng(16)
+        pred, y = rng.normal(size=(50, 1)), rng.normal(size=(50, 1))
+        pred_before, y_before = pred.copy(), y.copy()
+        value, grad = mse_loss(pred, y)
+        assert value == float(np.mean((pred - y) * (pred - y)))
+        np.testing.assert_array_equal(grad, 2.0 * (pred - y) / pred.size)
+        np.testing.assert_array_equal(pred, pred_before)
+        np.testing.assert_array_equal(y, y_before)
 
     def test_loss_object_dispatch(self):
         pred = np.array([[1.0], [2.0]])

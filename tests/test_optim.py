@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import windcast.optim
 from windcast.data import SupervisedSet
 from windcast.errors import (
     DivergenceError,
@@ -13,7 +14,7 @@ from windcast.errors import (
     SchemaError,
     ShapeError,
 )
-from windcast.network import Architecture, Loss, forward, init_network
+from windcast.network import Architecture, Loss, Network, backward, forward, init_network
 from windcast.optim import (
     OPTIMIZER_KINDS,
     Optimizer,
@@ -421,3 +422,136 @@ class TestTrainLoop:
             epochs=4, batch_size=16,
         )
         assert len(trace) == 4
+
+
+def _two_pass_train(net, train_set, val_set, opt_config, strategies, loss, epochs,
+                    batch_size=None, early_stop_patience=None):
+    """Reference loop that evaluates the training set in a separate forward
+    pass after every epoch's updates; returns the trace rows."""
+    params = net.parameters()
+    optimizer = Optimizer(opt_config, strategies, params)
+    n = len(train_set)
+    step = batch_size if batch_size else n
+    rows, best_val, best_params, waited = [], math.inf, None, 0
+    for epoch in range(1, epochs + 1):
+        lr = optimizer.learning_rate(epoch)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in range(0, n, step):
+                    pred, cache = forward(net, train_set.x[lo:lo + step], want_cache=True)
+                    _, dpred = loss.value_and_grad(pred, train_set.y[lo:lo + step])
+                    optimizer.step(params, backward(net, cache, dpred), epoch)
+                train_loss = loss.value(forward(net, train_set.x), train_set.y)
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch}: {exc}") from None
+        if not math.isfinite(train_loss):
+            raise DivergenceError(f"epoch {epoch}: training loss is {train_loss}")
+        val_loss = None if val_set is None else loss.value(forward(net, val_set.x), val_set.y)
+        rows.append((epoch, lr, train_loss, val_loss))
+        if early_stop_patience is not None:
+            if val_loss < best_val:
+                best_val, best_params, waited = val_loss, [p.copy() for p in params], 0
+            else:
+                waited += 1
+                if waited > early_stop_patience:
+                    break
+    if best_params is not None:
+        for p, best in zip(params, best_params):
+            p[...] = best
+    return rows
+
+
+def _curved_problem(seed=4):
+    """A small nonlinear task split 80 train / 16 validation rows."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, size=(96, 4))
+    y = np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2] + rng.normal(0.0, 0.05, 96)
+    names = ("a", "b", "c", "d")
+    return SupervisedSet(x[:80], y[:80], names), SupervisedSet(x[80:], y[80:], names)
+
+
+STRATEGIES_ON = StrategyConfig(
+    centralize=True, cosine_lr=True, initial_lr=0.05, total_epochs=12,
+    noise_tau=1e-3, noise_seed=5,
+)
+LOSSES = {"mse": Loss(), "pinball": Loss(kind="pinball", levels=(0.1, 0.5, 0.9))}
+
+
+class TestTrainMatchesTwoPassReference:
+    def _compare(self, make_net, loss, opt_config, strategies, epochs, **kwargs):
+        train_set, val = _curved_problem()
+        net = make_net()
+        _, trace = train(net, train_set, val, opt_config, strategies, loss, epochs, **kwargs)
+        ref_net = make_net()
+        rows = _two_pass_train(ref_net, train_set, val, opt_config, strategies, loss,
+                               epochs, **kwargs)
+        assert trace.rows == rows
+        for p, q in zip(net.parameters(), ref_net.parameters()):
+            np.testing.assert_array_equal(p, q)
+        return rows
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
+    @pytest.mark.parametrize("strategies", [STRATEGIES_ON, StrategyConfig()], ids=["on", "off"])
+    @pytest.mark.parametrize("batch_size", [None, 80, 1000, 32])
+    def test_bitwise_equal(self, kind, loss_kind, strategies, batch_size):
+        loss = LOSSES[loss_kind]
+        arch = Architecture((4, 6, loss.n_outputs))
+        rows = self._compare(lambda: init_network(arch, seed=2), loss,
+                             OptimizerConfig(kind=kind, fixed_lr=0.01), strategies, 12,
+                             batch_size=batch_size)
+        assert len(rows) == 12
+
+    def test_early_stopping(self):
+        arch = Architecture((4, 6, 1))
+        rows = self._compare(lambda: init_network(arch, seed=2), Loss(),
+                             OptimizerConfig(fixed_lr=0.3), StrategyConfig(), 100,
+                             early_stop_patience=2)
+        assert len(rows) < 100
+
+    def test_zero_epochs(self):
+        arch = Architecture((4, 6, 1))
+        rows = self._compare(lambda: init_network(arch, seed=2), Loss(),
+                             OptimizerConfig(), StrategyConfig(), 0)
+        assert rows == []
+
+    @pytest.mark.parametrize(
+        "make_net, lr, message",
+        [
+            (lambda: init_network(Architecture((4, 6, 1)), seed=2), 1e160,
+             "epoch 1: training loss is inf"),
+            (lambda: init_network(Architecture((4, 6, 1), hidden_activation="tanh"), seed=2),
+             1e153, "epoch 2: training loss is inf"),
+            (lambda: Network(Architecture((4, 6, 1)), [np.full((6, 4), 1e200), np.full((1, 6), 1e-60)],
+                             [np.zeros(6), np.zeros(1)]),
+             0.001, "epoch 1: non-finite gradient in parameter 2"),
+        ],
+    )
+    def test_divergence_message(self, make_net, lr, message):
+        train_set, val = _curved_problem()
+        config = OptimizerConfig(fixed_lr=lr)
+        with pytest.raises(DivergenceError) as ours:
+            train(make_net(), train_set, val, config, StrategyConfig(), Loss(), 30)
+        with pytest.raises(DivergenceError) as ref:
+            _two_pass_train(make_net(), train_set, val, config, StrategyConfig(), Loss(), 30)
+        assert str(ours.value) == str(ref.value) == message
+
+
+class TestFullBatchForwardCount:
+    @pytest.mark.parametrize("batch_size", [None, 80])
+    def test_one_training_forward_per_epoch_plus_one(self, monkeypatch, batch_size):
+        calls = []
+
+        def counting_forward(net, x, **kwargs):
+            calls.append(x)
+            return forward(net, x, **kwargs)
+
+        monkeypatch.setattr(windcast.optim, "forward", counting_forward)
+        train_set, val = _curved_problem()
+        for epochs in (0, 1, 9):
+            calls.clear()
+            train(init_network(Architecture((4, 6, 1)), seed=2), train_set, val,
+                  OptimizerConfig(), StrategyConfig(), Loss(), epochs, batch_size=batch_size)
+            assert sum(x is train_set.x for x in calls) == (epochs + 1 if epochs else 0)
+            assert sum(x is val.x for x in calls) == epochs
+            assert len(calls) == (2 * epochs + 1 if epochs else 0)
