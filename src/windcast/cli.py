@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--seeds", type=int, default=10, help="number of paired runs")
     p_bench.add_argument("--out", default="benchmark.json")
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=None, help="override base seed")
     p_bench.set_defaults(func=cmd_benchmark)
 
@@ -166,7 +165,7 @@ def cmd_benchmark(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config.training.seed = args.seed
-    report = run_benchmark(config, args.seeds, workers=args.workers)
+    report = run_benchmark(config, args.seeds)
     atomic_write_text(args.out, dump_json(report))
     on = report["medians"]["with_strategies"]
     off = report["medians"]["without_strategies"]

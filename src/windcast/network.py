@@ -4,6 +4,12 @@ Weights are stored (fan_out, fan_in) so a layer computes z = a @ W.T + b.
 The forward pass can return a cache of pre-activations and activations;
 the backward pass consumes it and produces gradients laid out exactly
 like the parameter list, suitable for any first-order optimizer.
+
+S networks of one architecture can run as a single stack: every
+parameter gains a leading axis of length S, all slices see the same
+input batch, and predictions, gradients and per-slice loss values carry
+the same leading axis. Each slice computes bit for bit what its network
+computes alone.
 """
 
 from __future__ import annotations
@@ -49,8 +55,6 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
         return 1.0 - a * a
     if kind == "sigmoid":
         return a * (1.0 - a)
-    if kind == "identity":
-        return np.ones_like(z)
     raise InvalidArchitectureError(f"unknown activation {kind!r}")
 
 
@@ -87,7 +91,11 @@ class Architecture:
 
 
 class Network:
-    """Parameter container: weights[k] has shape (sizes[k+1], sizes[k])."""
+    """Parameter container: weights[k] has shape (sizes[k+1], sizes[k]).
+
+    A stack of S networks puts a leading axis on every parameter:
+    weights[k] is (S, sizes[k+1], sizes[k]) and biases[k] (S, sizes[k+1]).
+    """
 
     def __init__(self, architecture: Architecture, weights, biases):
         self.architecture = architecture
@@ -96,13 +104,16 @@ class Network:
         sizes = architecture.layer_sizes
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ShapeError("one weight and bias per connection expected")
+        lead = self.weights[0].shape[:-2]
+        if len(lead) > 1:
+            raise ShapeError("parameters carry at most one leading stack axis")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[k + 1], sizes[k]):
+            if w.shape != (*lead, sizes[k + 1], sizes[k]):
                 raise ShapeError(
-                    f"layer {k}: weight shape {w.shape} != {(sizes[k + 1], sizes[k])}"
+                    f"layer {k}: weight shape {w.shape} != {(*lead, sizes[k + 1], sizes[k])}"
                 )
-            if b.shape != (sizes[k + 1],):
-                raise ShapeError(f"layer {k}: bias shape {b.shape} != {(sizes[k + 1],)}")
+            if b.shape != (*lead, sizes[k + 1]):
+                raise ShapeError(f"layer {k}: bias shape {b.shape} != {(*lead, sizes[k + 1])}")
 
     @property
     def n_layers(self) -> int:
@@ -122,6 +133,26 @@ class Network:
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
         )
+
+
+def stack_networks(nets) -> Network:
+    """One stacked network whose slice s holds a copy of nets[s]'s parameters."""
+    arch = nets[0].architecture
+    if any(net.architecture != arch for net in nets):
+        raise ShapeError("stacked networks must share one architecture")
+    return Network(
+        arch,
+        [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
+        [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
+    )
+
+
+def unstack_network(stack: Network) -> list[Network]:
+    """The slices of a stacked network, as networks viewing its arrays."""
+    return [
+        Network(stack.architecture, [w[s] for w in stack.weights], [b[s] for b in stack.biases])
+        for s in range(len(stack.weights[0]))
+    ]
 
 
 def init_network(architecture: Architecture, seed: int) -> Network:
@@ -145,6 +176,8 @@ def forward(net: Network, x: np.ndarray, *, want_cache: bool = False):
 
     Returns predictions (n, n_outputs), plus a cache dict when asked. The
     cache stores the input and each layer's pre-activation z and output a.
+    A stacked network runs the same (n, features) batch through every
+    slice and returns (S, n, n_outputs).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -158,8 +191,8 @@ def forward(net: Network, x: np.ndarray, *, want_cache: bool = False):
     acts = [x]
     a = x
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T
-        z += b
+        z = a @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
         kind = (
             net.architecture.output_activation
             if k == last
@@ -179,7 +212,8 @@ def backward(net: Network, cache: dict, dloss_dpred: np.ndarray) -> list[np.ndar
     """Backpropagate dL/dpred through the cached forward pass.
 
     Returns gradients in the same order as Network.parameters():
-    [dW0, db0, dW1, db1, ...].
+    [dW0, db0, dW1, db1, ...]. A stacked network takes and returns one
+    slice per network along the leading axis.
     """
     for key in ("zs", "acts", "n"):
         if key not in cache:
@@ -202,67 +236,78 @@ def backward(net: Network, cache: dict, dloss_dpred: np.ndarray) -> list[np.ndar
             if k == last
             else net.architecture.hidden_activation
         )
-        dz = da * _activate_grad(zs[k], acts[k + 1], kind)
-        grads[2 * k] = dz.T @ acts[k]
-        grads[2 * k + 1] = dz.sum(axis=0)
+        dz = da if kind == "identity" else da * _activate_grad(zs[k], acts[k + 1], kind)
+        grads[2 * k] = dz.swapaxes(-1, -2) @ acts[k]
+        grads[2 * k + 1] = dz.sum(axis=-2)
         if k > 0:
             da = dz @ net.weights[k]
     return grads
 
 
+def _slice_mean(a: np.ndarray, stacked: bool):
+    """Mean over all entries, or over each leading slice of a stacked batch."""
+    if stacked:
+        return a.reshape(len(a), -1).mean(axis=1)
+    return float(np.mean(a))
+
+
 def mse_loss(
     pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean squared error over every entry and its gradient w.r.t. pred.
 
+    A stacked (S, n, k) pred against an (n, k) target gives one loss per
+    slice, and each slice's gradient is scaled by the size of one slice.
     With want_grad=False the gradient is not built and None stands in.
     """
     pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
-    if pred.shape != y.shape:
+    stacked = pred.ndim == 3 and y.ndim == 2
+    if pred.shape[stacked:] != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {y.shape}")
     if pred.size == 0:
         raise EmptyDataError("loss of zero samples is undefined")
     diff = pred - y
-    loss = float(np.mean(diff * diff))
+    loss = _slice_mean(diff * diff, stacked)
     if not want_grad:
         return loss, None
     diff *= 2.0
-    diff /= diff.size
+    diff /= y.size
     return loss, diff
 
 
 def pinball_loss(
     pred: np.ndarray, y: np.ndarray, levels, *, want_grad: bool = True
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean pinball loss across samples and quantile levels.
 
     Column j of pred targets quantile levels[j]. Where y >= pred the
     penalty is q * (y - pred), otherwise (1 - q) * (pred - y); the ties
     fall in the first branch, so the gradient there is -q. Both come from
     one weight w = q or q - 1 per entry: the loss is mean(w * (y - pred))
-    and the gradient -w / size. With want_grad=False the gradient is not
-    built and None stands in.
+    and the gradient -w / size. A stacked (S, n, k) pred gives one loss
+    per slice, size being that of one slice. With want_grad=False the
+    gradient is not built and None stands in.
     """
     pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
     q = np.asarray(levels, dtype=float)
-    if q.ndim != 1 or pred.ndim != 2 or pred.shape[1] != q.shape[0]:
-        raise ShapeError("pred must be (n, len(levels))")
+    if q.ndim != 1 or pred.ndim not in (2, 3) or pred.shape[-1] != q.shape[0]:
+        raise ShapeError("pred must be (n, len(levels)) or (S, n, len(levels))")
     if np.any(q <= 0.0) or np.any(q >= 1.0):
         raise ShapeError("quantile levels must lie strictly inside (0, 1)")
-    if y.shape != (pred.shape[0],):
-        raise ShapeError(f"target shape {y.shape} != ({pred.shape[0]},)")
+    if y.shape != (pred.shape[-2],):
+        raise ShapeError(f"target shape {y.shape} != ({pred.shape[-2]},)")
     if pred.size == 0:
         raise EmptyDataError("loss of zero samples is undefined")
     diff = y[:, None] - pred
     w = np.where(diff >= 0.0, q, q - 1.0)
     diff *= w
-    loss = float(np.mean(diff))
+    loss = _slice_mean(diff, pred.ndim == 3)
     if not want_grad:
         return loss, None
     # -(q - 1) rounds exactly like 1 - q, so this is where(diff >= 0, -q, 1 - q) / size
-    w /= -diff.size
+    w /= -(y.size * q.size)
     return loss, w
 
 
@@ -292,18 +337,19 @@ class Loss:
 
     def value_and_grad(
         self, pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True
-    ) -> tuple[float, np.ndarray | None]:
+    ) -> tuple[float | np.ndarray, np.ndarray | None]:
         """Loss value plus its gradient w.r.t. the (n, k) prediction batch.
 
         y is a length-n vector; for mse the single prediction column is
-        compared against it directly. With want_grad=False the gradient
-        is not built and None stands in.
+        compared against it directly. A stacked (S, n, k) batch gives an
+        array of S loss values. With want_grad=False the gradient is not
+        built and None stands in.
         """
         pred = np.asarray(pred, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.kind == "pinball":
             return pinball_loss(pred, y, self.levels, want_grad=want_grad)
-        if pred.ndim == 2 and pred.shape[1] == 1 and y.ndim == 1:
+        if pred.ndim in (2, 3) and pred.shape[-1] == 1 and y.ndim == 1:
             y = y[:, None]
         return mse_loss(pred, y, want_grad=want_grad)
 

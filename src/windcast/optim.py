@@ -21,6 +21,10 @@ m_hat = m/(1-beta1^t), v_hat = v/(1-beta2^t), g_hat = g/(1-beta1^t):
 * adamax:  u = max(b2*u, |g|); theta -= lr * m_hat / (u + eps)
 
 Note eps sits inside the square root for adam/nadam/rmsprop.
+
+Every formula works element by element and centralization row by row, so
+the optimizer and the training loop run S networks as one stack (see
+network.py) with each slice following its solo trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     SchemaError,
     ShapeError,
 )
-from .network import Loss, Network, backward, forward
+from .network import Loss, Network, backward, forward, stack_networks, unstack_network
 
 OPTIMIZER_KINDS = ("adam", "nadam", "rmsprop", "adamax")
 
@@ -91,10 +95,19 @@ def centralize_gradient(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2:
         return g
+    return _centralize_rows(g)
+
+
+def _centralize_rows(g: np.ndarray) -> np.ndarray:
+    """centralize_gradient over the last axis of g, whatever its rank.
+
+    Each row settles on its own, so a row's result does not depend on the
+    other rows, nor on a leading stack axis.
+    """
     out = g
     for _ in range(8):
-        mean = out.mean(axis=1, keepdims=True)
-        magnitude = np.abs(out).max(axis=1, keepdims=True)
+        mean = out.mean(axis=-1, keepdims=True)
+        magnitude = np.abs(out).max(axis=-1, keepdims=True)
         settled = np.abs(mean) <= 4.0 * np.spacing(magnitude)
         if np.all(settled):
             break
@@ -118,21 +131,34 @@ def cosine_lr(t: float, alpha0: float, total_epochs: int) -> float:
 class Optimizer:
     """Stateful update rule over a fixed list of parameter arrays.
 
-    Moments are allocated zero; the step counter starts at 0 and advances
-    once per step() call. The noise stream, when enabled, is seeded
-    independently of anything else so a tau=0 rerun reproduces the
-    noiseless trajectory exactly.
+    The list is ordered like Network.parameters(), so the weights, which
+    centralization applies to, sit at the even positions. Only the state
+    the kind reads is allocated, zero: m and v for adam and nadam, v for
+    rmsprop, m and u for adamax; the others are None. The step counter
+    starts at 0 and advances once per step() call. The noise stream, when
+    enabled, is seeded independently of anything else so a tau=0 rerun
+    reproduces the noiseless trajectory exactly.
+
+    With noise_seeds, every parameter is a stack whose leading axis holds
+    one network per seed: slice s draws its noise from its own stream
+    seeded noise_seeds[s], and a non-finite gradient marks its slice
+    instead of raising.
     """
 
-    def __init__(self, config: OptimizerConfig, strategies: StrategyConfig, params):
+    def __init__(self, config: OptimizerConfig, strategies: StrategyConfig, params,
+                 noise_seeds=None):
         self.config = config
         self.strategies = strategies
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.u = [np.zeros_like(p) for p in params]
-        self._noise_rng = (
-            np.random.default_rng([strategies.noise_seed, 1])
+        self.n_params = len(params)
+        kind = config.kind
+        self.m = [np.zeros_like(p) for p in params] if kind != "rmsprop" else None
+        self.v = [np.zeros_like(p) for p in params] if kind != "adamax" else None
+        self.u = [np.zeros_like(p) for p in params] if kind == "adamax" else None
+        self.stacked = noise_seeds is not None
+        seeds = noise_seeds if self.stacked else [strategies.noise_seed]
+        self._noise_rngs = (
+            [np.random.default_rng([seed, 1]) for seed in seeds]
             if strategies.noise_tau > 0.0
             else None
         )
@@ -143,15 +169,30 @@ class Optimizer:
             return cosine_lr(epoch, self.strategies.initial_lr, self.strategies.total_epochs)
         return self.config.fixed_lr
 
-    def step(self, params, grads, epoch: int = 1) -> None:
-        """Update every parameter array in place from its gradient."""
-        if len(params) != len(self.m) or len(grads) != len(params):
+    def keep_slices(self, keep) -> None:
+        """Retain the state of the given stack slices only, in that order."""
+        for name in ("m", "v", "u"):
+            state = getattr(self, name)
+            if state is not None:
+                setattr(self, name, [a[keep] for a in state])
+        if self._noise_rngs is not None:
+            self._noise_rngs = [self._noise_rngs[s] for s in keep]
+
+    def step(self, params, grads, epoch: int = 1) -> dict[int, int]:
+        """Update every parameter array in place from its gradient.
+
+        A non-finite gradient raises DivergenceError. A stacked optimizer
+        updates every slice instead and returns, for each slice with a
+        non-finite gradient, the index of the first such parameter.
+        """
+        if len(params) != self.n_params or len(grads) != len(params):
             raise ShapeError("parameter/gradient count does not match optimizer state")
         lr = self.learning_rate(epoch)
         b1, b2, eps = self.config.beta1, self.config.beta2, self.config.epsilon
         kind = self.config.kind
         self.t += 1
         t = self.t
+        diverged: dict[int, int] = {}
         for k, (p, g) in enumerate(zip(params, grads)):
             g = np.asarray(g, dtype=float)
             if g.shape != p.shape:
@@ -159,9 +200,13 @@ class Optimizer:
                     f"parameter {k}: gradient shape {g.shape} != {p.shape}"
                 )
             if not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient in parameter {k}")
-            if self.strategies.centralize:
-                g = centralize_gradient(g)
+                if not self.stacked:
+                    raise DivergenceError(f"non-finite gradient in parameter {k}")
+                finite = np.isfinite(g).reshape(len(g), -1).all(axis=1)
+                for s in np.flatnonzero(~finite):
+                    diverged.setdefault(int(s), k)
+            if self.strategies.centralize and k % 2 == 0:
+                g = _centralize_rows(g)
 
             if kind == "adam":
                 self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
@@ -185,9 +230,11 @@ class Optimizer:
                 m_hat = self.m[k] / (1.0 - b1 ** t)
                 p -= lr * m_hat / (self.u[k] + eps)
 
-            if self._noise_rng is not None:
+            if self._noise_rngs is not None:
                 tau = self.strategies.noise_tau
-                p += self._noise_rng.uniform(-tau, tau, size=p.shape)
+                for row, rng in zip(p if self.stacked else (p,), self._noise_rngs):
+                    row += rng.uniform(-tau, tau, size=row.shape)
+        return diverged
 
 
 @dataclass
@@ -225,6 +272,23 @@ class TrainingTrace:
         return cls(rows)
 
 
+STACK_BYTES = 32 * 2**20
+"""Cap on the activations one stacked training step caches: a cached
+forward pass keeps a pre-activation and an activation, 8 bytes each, per
+row, unit and network."""
+
+
+def stack_size(architecture, n_rows: int, batch_size: int | None = None) -> int:
+    """How many networks train_seeds should stack to train on n_rows rows.
+
+    As many as keep the cached activations of one batch within
+    STACK_BYTES, and at least one.
+    """
+    rows = n_rows if not batch_size or batch_size >= n_rows else batch_size
+    per_network = rows * sum(architecture.layer_sizes[1:]) * 16
+    return max(1, STACK_BYTES // per_network)
+
+
 def train(
     net: Network,
     train_set,
@@ -243,83 +307,161 @@ def train(
     loss measured after that epoch's updates. With early stopping, the
     parameters of the best validation epoch are restored before
     returning; the cosine schedule still runs against its planned horizon.
+    A non-finite gradient or training loss raises DivergenceError naming
+    the epoch.
+
+    This is train_seeds on a stack of one network.
+    """
+    (result,) = train_seeds(
+        [net], train_set, val_set, opt_config, strategies, loss, epochs,
+        batch_size, early_stop_patience,
+    )
+    if isinstance(result, DivergenceError):
+        raise result
+    return net, result
+
+
+def train_seeds(
+    nets,
+    train_set,
+    val_set,
+    opt_config: OptimizerConfig,
+    strategies: StrategyConfig,
+    loss: Loss,
+    epochs: int,
+    batch_size: int | None = None,
+    early_stop_patience: int | None = None,
+    noise_seeds=None,
+) -> list:
+    """Train networks of one architecture together, as one stacked network.
+
+    Network s draws its parameter noise from a stream seeded
+    noise_seeds[s] (default: strategies.noise_seed for every network);
+    otherwise each follows bit for bit the trajectory train() gives it
+    alone. Returns one entry per network: its TrainingTrace, with the
+    network's parameters updated, or the DivergenceError that ended its
+    run, with the network left as it was. A network leaves the stack when
+    it diverges or stops early; the others go on.
 
     A batch_size of None, 0 or at least the training-set size means full
     batch. There the forward pass on the training set after epoch e's
     update is the one epoch e+1 differentiates (same parameters, same
     rows), so it runs once, with a cache, and gives both epoch e's
     train_loss and epoch e+1's gradient: E epochs cost E + 1 training-set
-    forward passes and loss evaluations instead of 2E. Trace rows and
-    parameters are bitwise the same as with a separate evaluation pass.
+    forward passes and loss evaluations instead of 2E. With minibatches,
+    and for the validation loss, each network is evaluated on its own
+    after the epoch's updates, so the stack caches one batch at a time.
     """
     if epochs < 0:
         raise SchemaError("epochs must be >= 0")
     if len(train_set) == 0:
         raise SchemaError("training set is empty")
-    if early_stop_patience is not None and (val_set is None or len(val_set) == 0):
+    has_val = val_set is not None and len(val_set) > 0
+    if early_stop_patience is not None and not has_val:
         raise SchemaError("early stopping requires a validation set")
     if strategies.cosine_lr and epochs > strategies.total_epochs:
         raise ScheduleOverflowError(
             f"{epochs} epochs exceed the schedule horizon {strategies.total_epochs}"
         )
+    if noise_seeds is None:
+        noise_seeds = [strategies.noise_seed] * len(nets)
+    if len(noise_seeds) != len(nets):
+        raise SchemaError("one noise seed per network expected")
+    if not nets:
+        return []
 
-    params = net.parameters()
-    optimizer = Optimizer(opt_config, strategies, params)
+    stack = stack_networks(nets)
+    slices = unstack_network(stack)
+    optimizer = Optimizer(opt_config, strategies, stack.parameters(), noise_seeds)
+    ids = list(range(len(nets)))  # the network each stack slice trains
+    results: list = [None] * len(nets)
+    rows: list = [[] for _ in nets]
+    best_val = [math.inf] * len(nets)
+    best_params: list = [None] * len(nets)
+    waited = [0] * len(nets)
     n = len(train_set)
     full_batch = not batch_size or batch_size >= n
-    rows = []
-    best_val = math.inf
-    best_params = None
-    waited = 0
+    cache = None
     for epoch in range(1, epochs + 1):
         lr = optimizer.learning_rate(epoch)
-        try:
-            # overflow here is not a bug but a diverging run; the non-finite
-            # checks below turn it into a DivergenceError
-            with np.errstate(over="ignore", invalid="ignore"):
-                if full_batch:
-                    if epoch == 1:
-                        pred, cache = forward(net, train_set.x, want_cache=True)
-                        _, dpred = loss.value_and_grad(pred, train_set.y)
-                    grads = backward(net, cache, dpred)
-                    optimizer.step(params, grads, epoch)
-                    # Drop the old cache before the next is built, to hold peak
-                    # memory down. dpred is left for the new gradient to
-                    # replace: freeing it too let glibc trim the heap top, and
-                    # the next pass page-faulted that memory back in.
-                    pred = cache = None
-                    pred, cache = forward(net, train_set.x, want_cache=True)
-                    train_loss, dpred = loss.value_and_grad(
-                        pred, train_set.y, want_grad=epoch < epochs
-                    )
-                else:
-                    for lo in range(0, n, batch_size):
-                        sl = slice(lo, min(lo + batch_size, n))
-                        pred, cache = forward(net, train_set.x[sl], want_cache=True)
-                        _, dpred = loss.value_and_grad(pred, train_set.y[sl])
-                        grads = backward(net, cache, dpred)
-                        optimizer.step(params, grads, epoch)
-                    train_loss = loss.value(forward(net, train_set.x), train_set.y)
-        except DivergenceError as exc:
-            raise DivergenceError(f"epoch {epoch}: {exc}") from None
-        if not math.isfinite(train_loss):
-            raise DivergenceError(f"epoch {epoch}: training loss is {train_loss}")
-        val_loss = None
-        if val_set is not None and len(val_set) > 0:
-            val_loss = loss.value(forward(net, val_set.x), val_set.y)
-        rows.append((epoch, lr, train_loss, val_loss))
-
-        if early_stop_patience is not None:
-            if val_loss < best_val:
-                best_val = val_loss
-                best_params = [p.copy() for p in params]
-                waited = 0
+        params = stack.parameters()
+        # overflow here is not a bug but a diverging run; the non-finite
+        # checks below end it with a DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            if full_batch:
+                if cache is None:
+                    pred, cache = forward(stack, train_set.x, want_cache=True)
+                    _, dpred = loss.value_and_grad(pred, train_set.y)
+                diverged = optimizer.step(params, backward(stack, cache, dpred), epoch)
+                # Drop the old cache before the next is built, to hold peak
+                # memory down. dpred is left for the new gradient to
+                # replace: freeing it too let glibc trim the heap top, and
+                # the next pass page-faulted that memory back in.
+                pred = cache = None
+                pred, cache = forward(stack, train_set.x, want_cache=True)
+                train_losses, dpred = loss.value_and_grad(
+                    pred, train_set.y, want_grad=epoch < epochs
+                )
             else:
-                waited += 1
-                if waited > early_stop_patience:
-                    break
+                diverged = {}
+                for lo in range(0, n, batch_size):
+                    sl = slice(lo, min(lo + batch_size, n))
+                    pred, cache = forward(stack, train_set.x[sl], want_cache=True)
+                    _, dpred = loss.value_and_grad(pred, train_set.y[sl])
+                    failed = optimizer.step(params, backward(stack, cache, dpred), epoch)
+                    for s, k in failed.items():
+                        diverged.setdefault(s, k)
+                train_losses = [
+                    None if s in diverged else loss.value(forward(net, train_set.x), train_set.y)
+                    for s, net in enumerate(slices)
+                ]
 
-    if best_params is not None:
-        for p, best in zip(params, best_params):
-            p[...] = best
-    return net, TrainingTrace(rows)
+        leaving = []
+        for s, net in enumerate(slices):
+            i = ids[s]
+            if s in diverged:
+                message = f"non-finite gradient in parameter {diverged[s]}"
+            elif not math.isfinite(train_losses[s]):
+                message = f"training loss is {float(train_losses[s])}"
+            else:
+                message = None
+            if message is not None:
+                results[i] = DivergenceError(f"epoch {epoch}: {message}")
+                leaving.append(s)
+                continue
+            val_loss = loss.value(forward(net, val_set.x), val_set.y) if has_val else None
+            rows[i].append((epoch, lr, float(train_losses[s]), val_loss))
+            if early_stop_patience is not None:
+                if val_loss < best_val[i]:
+                    best_val[i] = val_loss
+                    best_params[i] = [p.copy() for p in net.parameters()]
+                    waited[i] = 0
+                else:
+                    waited[i] += 1
+                    if waited[i] > early_stop_patience:
+                        _finish(nets[i], net, best_params[i])
+                        results[i] = TrainingTrace(rows[i])
+                        leaving.append(s)
+        if leaving:
+            keep = [s for s in range(len(ids)) if s not in leaving]
+            ids = [ids[s] for s in keep]
+            if not ids:
+                break
+            stack = stack_networks([slices[s] for s in keep])
+            slices = unstack_network(stack)
+            optimizer.keep_slices(keep)
+            # the next epoch recomputes the full-batch forward pass for the
+            # remaining slices
+            pred = cache = dpred = None
+
+    for s, i in enumerate(ids):
+        _finish(nets[i], slices[s], best_params[i])
+        results[i] = TrainingTrace(rows[i])
+    return results
+
+
+def _finish(net: Network, trained: Network, best_params) -> None:
+    """Copy the trained (or, with early stopping, best) parameters into net."""
+    source = best_params if best_params is not None else trained.parameters()
+    for p, q in zip(net.parameters(), source):
+        p[...] = q

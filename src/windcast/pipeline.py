@@ -7,6 +7,7 @@ values, and only the prediction CSV converts back to original units.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
@@ -33,11 +34,12 @@ from .model_io import ModelBundle
 from .network import (
     Architecture,
     Loss,
+    Network,
     forward,
     init_network,
     predict_quantiles,
 )
-from .optim import OptimizerConfig, StrategyConfig, train
+from .optim import OptimizerConfig, StrategyConfig, stack_size, train, train_seeds
 
 
 @dataclass
@@ -92,17 +94,20 @@ def _optimizer_config(config: RunConfig) -> OptimizerConfig:
     return OptimizerConfig(o.kind, o.beta1, o.beta2, o.epsilon, o.fixed_lr)
 
 
+def _architecture(config: RunConfig, prepared: PreparedData, loss: Loss) -> Architecture:
+    return Architecture(
+        (prepared.train.x.shape[1], *config.model.hidden_sizes, loss.n_outputs),
+        hidden_activation=config.model.hidden_activation,
+        output_activation=config.model.output_activation,
+    )
+
+
 def train_from_config(config: RunConfig, prepared: PreparedData | None = None):
     """Train a model per the config; returns (bundle, trace, prepared)."""
     if prepared is None:
         prepared = build_dataset(config)
     loss = _loss_from_config(config)
-    arch = Architecture(
-        (prepared.train.x.shape[1], *config.model.hidden_sizes, loss.n_outputs),
-        hidden_activation=config.model.hidden_activation,
-        output_activation=config.model.output_activation,
-    )
-    net = init_network(arch, config.training.seed)
+    net = init_network(_architecture(config, prepared, loss), config.training.seed)
     net, trace = train(
         net,
         prepared.train,
@@ -141,14 +146,19 @@ def _check_compatible(bundle: ModelBundle, prepared: PreparedData) -> None:
         )
 
 
+def _point_forecast(net: Network, x: np.ndarray, levels) -> np.ndarray:
+    """Scaled point forecast: the single output, or with quantile levels
+    the quantile nearest the median."""
+    if not levels:
+        return forward(net, x)[:, 0]
+    median_col = int(np.argmin(np.abs(np.asarray(levels) - 0.5)))
+    return predict_quantiles(net, x, levels).values[:, median_col]
+
+
 def point_predictions(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:
     """Scaled point forecast; quantile models contribute their median."""
-    if bundle.kind == "point":
-        return forward(bundle.network, x)[:, 0]
-    levels = np.asarray(bundle.quantile_levels)
-    median_col = int(np.argmin(np.abs(levels - 0.5)))
-    forecast = predict_quantiles(bundle.network, x, bundle.quantile_levels)
-    return forecast.values[:, median_col]
+    levels = bundle.quantile_levels if bundle.kind == "quantile" else ()
+    return _point_forecast(bundle.network, x, levels)
 
 
 def evaluate_bundle(bundle: ModelBundle, prepared: PreparedData) -> dict:
@@ -248,26 +258,27 @@ def _split_hash(subset: SupervisedSet) -> str:
     return digest.hexdigest()[:16]
 
 
-def _benchmark_strategies(config: RunConfig, run_seed: int) -> tuple[StrategyConfig, StrategyConfig]:
-    s = config.strategies
-    on = StrategyConfig(
-        centralize=True,
-        cosine_lr=True,
-        initial_lr=s.initial_lr,
-        total_epochs=s.total_epochs if s.total_epochs is not None else config.training.epochs,
-        noise_tau=s.noise_tau if s.noise_tau > 0.0 else 1e-4,
-        noise_seed=s.noise_seed + run_seed,
+def _benchmark_strategies(config: RunConfig) -> tuple[StrategyConfig, StrategyConfig]:
+    """The two arms: all three strategies on (noise at tau 1e-4 unless the
+    config sets one), and the plain optimizer."""
+    tau = config.strategies.noise_tau
+    on = dataclasses.replace(
+        _strategy_config(config), centralize=True, cosine_lr=True,
+        noise_tau=tau if tau > 0.0 else 1e-4,
     )
-    off = StrategyConfig()
-    return on, off
+    return on, StrategyConfig()
 
 
-def _benchmark_run(config, prepared, loss, arch, strategies, run_seed) -> dict:
-    net = init_network(arch, run_seed)
-    started = time.perf_counter()
-    try:
-        net, trace = train(
-            net,
+def _benchmark_arm(config, prepared, loss, arch, strategies, seeds) -> list[dict]:
+    """One report per seed, its network trained in a stack with others."""
+    reports = []
+    per_stack = stack_size(arch, len(prepared.train), config.training.batch_size)
+    for lo in range(0, len(seeds), per_stack):
+        chunk = seeds[lo:lo + per_stack]
+        nets = [init_network(arch, run_seed) for run_seed in chunk]
+        started = time.perf_counter()
+        results = train_seeds(
+            nets,
             prepared.train,
             prepared.val,
             _optimizer_config(config),
@@ -275,66 +286,49 @@ def _benchmark_run(config, prepared, loss, arch, strategies, run_seed) -> dict:
             loss,
             epochs=config.training.epochs,
             batch_size=config.training.batch_size,
+            noise_seeds=[strategies.noise_seed + run_seed for run_seed in chunk],
         )
-    except DivergenceError as exc:
-        return {"error": str(exc), "wall_time_s": time.perf_counter() - started}
-    wall = time.perf_counter() - started
-    if loss.kind == "pinball":
-        levels = np.asarray(loss.levels)
-        forecast = predict_quantiles(net, prepared.test.x, loss.levels)
-        yhat = forecast.values[:, int(np.argmin(np.abs(levels - 0.5)))]
-    else:
-        yhat = forward(net, prepared.test.x)[:, 0]
-    report = deterministic_report(prepared.test.y, yhat).to_dict()
-    val_losses = [row[3] for row in trace.rows if row[3] is not None]
-    report["wall_time_s"] = wall
-    report["epochs_run"] = len(trace)
-    report["best_val_epoch"] = (
-        int(np.argmin(val_losses)) + 1 if val_losses else None
-    )
-    return report
+        wall = (time.perf_counter() - started) / len(chunk)
+        for net, result in zip(nets, results):
+            if isinstance(result, DivergenceError):
+                reports.append({"error": str(result), "wall_time_s": wall})
+                continue
+            yhat = _point_forecast(net, prepared.test.x, loss.levels)
+            report = deterministic_report(prepared.test.y, yhat).to_dict()
+            val_losses = [row[3] for row in result.rows if row[3] is not None]
+            report["wall_time_s"] = wall
+            report["epochs_run"] = len(result)
+            report["best_val_epoch"] = (
+                int(np.argmin(val_losses)) + 1 if val_losses else None
+            )
+            reports.append(report)
+    return reports
 
 
-def run_benchmark(config: RunConfig, n_seeds: int, workers: int = 1) -> dict:
+def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     """Paired A/B comparison: strategies on vs off, matched per-seed inits.
 
     Both arms of a seed share the same data splits and the same initial
     parameters; the off arm trains with the plain optimizer at fixed_lr.
+    Each arm trains its seeds as stacked networks (optim.train_seeds), as
+    many per stack as optim.stack_size allows, and every run ends bit for
+    bit where its solo training would. A run's wall_time_s is therefore
+    its stack's training time divided by the number of seeds in the stack.
     Failed (diverged) runs are recorded but excluded from the medians.
     """
     if n_seeds < 1:
         raise SchemaError("benchmark needs at least one seed")
     prepared = build_dataset(config)
     loss = _loss_from_config(config)
-    arch = Architecture(
-        (prepared.train.x.shape[1], *config.model.hidden_sizes, loss.n_outputs),
-        hidden_activation=config.model.hidden_activation,
-        output_activation=config.model.output_activation,
-    )
+    arch = _architecture(config, prepared, loss)
     split_hash = _split_hash(prepared.test)
     seeds = [config.training.seed + i for i in range(n_seeds)]
-
-    def one_seed(run_seed: int) -> dict:
-        on_cfg, off_cfg = _benchmark_strategies(config, run_seed)
-        return {
-            "seed": run_seed,
-            "with_strategies": dict(
-                _benchmark_run(config, prepared, loss, arch, on_cfg, run_seed),
-                split_hash=split_hash,
-            ),
-            "without_strategies": dict(
-                _benchmark_run(config, prepared, loss, arch, off_cfg, run_seed),
-                split_hash=split_hash,
-            ),
-        }
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(one_seed, seeds))
-    else:
-        runs = [one_seed(s) for s in seeds]
+    runs = [{"seed": run_seed} for run_seed in seeds]
+    arms = zip(("with_strategies", "without_strategies"), _benchmark_strategies(config))
+    for arm, strategies in arms:
+        reports = _benchmark_arm(config, prepared, loss, arch, strategies, seeds)
+        for entry, report in zip(runs, reports):
+            entry[arm] = dict(report, split_hash=split_hash)
 
     medians = {}
     for arm in ("with_strategies", "without_strategies"):

@@ -1,13 +1,21 @@
 """End-to-end command-line tests: every subcommand, the exit-code
 taxonomy and byte-level determinism of the written artifacts."""
 
+import dataclasses
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from windcast._util import dump_json
 from windcast.cli import main
+from windcast.config import load_config
+from windcast.metrics import deterministic_report
+from windcast.network import Architecture, Loss, forward, init_network
+from windcast.optim import OptimizerConfig, StrategyConfig, train
+from windcast.pipeline import build_dataset
 
 from synth import write_wind_csv
 
@@ -238,6 +246,23 @@ class TestBenchmark:
         b = json.loads((trained / "bench2.json").read_text())
         assert a["split_hash"] == b["split_hash"]
 
+    def test_report_matches_sequential_training(self, trained):
+        assert run(
+            trained, "benchmark", "--config", "point.json", "--seeds", "3",
+            "--out", "bench3.json",
+        ) == 0
+        doc = json.loads((trained / "bench3.json").read_text())
+        reference = json.loads(dump_json(_sequential_benchmark(trained / "point.json", 3)))
+        assert _without_wall_times(doc) == reference
+
+    def test_workers_flag_is_gone(self, trained, capsys):
+        assert run(
+            trained, "benchmark", "--config", "point.json", "--workers", "2",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("windcast:")
+        assert "Traceback" not in err
+
     def test_metrics_identical_across_reruns(self, trained):
         a = json.loads((trained / "bench.json").read_text())
         b = json.loads((trained / "bench2.json").read_text())
@@ -245,6 +270,56 @@ class TestBenchmark:
             for arm in ("with_strategies", "without_strategies"):
                 assert run_a[arm]["nrmse"] == run_b[arm]["nrmse"]
                 assert run_a[arm]["r2"] == run_b[arm]["r2"]
+
+
+def _without_wall_times(doc):
+    if isinstance(doc, dict):
+        return {k: _without_wall_times(v) for k, v in doc.items() if k != "wall_time_s"}
+    if isinstance(doc, list):
+        return [_without_wall_times(v) for v in doc]
+    return doc
+
+
+def _sequential_benchmark(config_path, n_seeds):
+    """The report of `benchmark` on an mse config, wall times left out,
+    computed by training every run on its own, one after another."""
+    config = load_config(str(config_path))
+    prepared = build_dataset(config)
+    test = prepared.test
+    arch = Architecture((test.x.shape[1], *config.model.hidden_sizes, 1))
+    o, s = config.optimizer, config.strategies
+    opt_config = OptimizerConfig(o.kind, o.beta1, o.beta2, o.epsilon, o.fixed_lr)
+    on = StrategyConfig(centralize=True, cosine_lr=True, initial_lr=s.initial_lr,
+                        total_epochs=config.training.epochs, noise_tau=s.noise_tau)
+    split_hash = hashlib.sha256(test.x.tobytes() + test.y.tobytes()).hexdigest()[:16]
+    seeds = [config.training.seed + i for i in range(n_seeds)]
+    runs = []
+    for seed in seeds:
+        entry = {"seed": seed}
+        arms = (("with_strategies", dataclasses.replace(on, noise_seed=s.noise_seed + seed)),
+                ("without_strategies", StrategyConfig()))
+        for arm, strategies in arms:
+            net, trace = train(init_network(arch, seed), prepared.train, prepared.val,
+                               opt_config, strategies, Loss(), config.training.epochs,
+                               batch_size=config.training.batch_size)
+            report = deterministic_report(test.y, forward(net, test.x)[:, 0]).to_dict()
+            report["epochs_run"] = len(trace)
+            report["best_val_epoch"] = int(np.argmin([row[3] for row in trace.rows])) + 1
+            report["split_hash"] = split_hash
+            entry[arm] = report
+        runs.append(entry)
+    medians = {
+        arm: {
+            **{m: float(np.median([r[arm][m] for r in runs])) for m in ("r2", "nmae", "nrmse")},
+            "runs_ok": n_seeds,
+        }
+        for arm in ("with_strategies", "without_strategies")
+    }
+    on_m, off_m = medians["with_strategies"], medians["without_strategies"]
+    deltas = {m: 100.0 * (off_m[m] - on_m[m]) / off_m[m] for m in ("nrmse", "nmae")}
+    deltas["r2"] = 100.0 * (on_m["r2"] - off_m["r2"]) / abs(off_m["r2"])
+    return {"kind": "benchmark", "seeds": seeds, "split_hash": split_hash, "runs": runs,
+            "medians": medians, "deltas_pct": deltas}
 
 
 class TestExitCodes:

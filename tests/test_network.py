@@ -24,6 +24,8 @@ from windcast.network import (
     mse_loss,
     pinball_loss,
     predict_quantiles,
+    stack_networks,
+    unstack_network,
 )
 from windcast.data import Scaler
 
@@ -216,6 +218,61 @@ class TestBackward:
         with pytest.raises(CacheError):
             backward(net, {"zs": []}, np.zeros((1, 2)))
 
+
+
+class TestStackedNetwork:
+    """A stack of networks computes, slice by slice, bit for bit what each
+    network computes alone."""
+
+    @pytest.mark.parametrize("rows", [1, 256, 999])
+    @pytest.mark.parametrize("hidden", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("outputs, output_activation",
+                             [(1, "identity"), (8, "sigmoid"), (21, "identity")])
+    def test_forward_backward_and_losses(self, rows, hidden, outputs, output_activation):
+        rng = np.random.default_rng(rows + outputs)
+        arch = Architecture((4, 16, outputs), hidden_activation=hidden,
+                            output_activation=output_activation)
+        nets = [init_network(arch, seed=s) for s in range(3)]
+        stack = stack_networks(nets)
+        x = rng.normal(size=(rows, 4))
+        y = rng.normal(size=rows)
+        levels = tuple(np.linspace(0.05, 0.95, outputs)) if outputs > 1 else (0.5,)
+        pinball = Loss(kind="pinball", levels=levels)
+        pred, cache = forward(stack, x, want_cache=True)
+        assert pred.shape == (3, rows, outputs)
+        values, dpred = pinball.value_and_grad(pred, y)
+        grads = backward(stack, cache, dpred)
+        for s, net in enumerate(nets):
+            pred_s, cache_s = forward(net, x, want_cache=True)
+            np.testing.assert_array_equal(pred[s], pred_s)
+            value_s, dpred_s = pinball.value_and_grad(pred_s, y)
+            assert values[s] == value_s
+            np.testing.assert_array_equal(dpred[s], dpred_s)
+            for g, g_s in zip(grads, backward(net, cache_s, dpred_s)):
+                np.testing.assert_array_equal(g[s], g_s)
+            mse_values, mse_grad = Loss().value_and_grad(pred[:, :, :1], y)
+            mse_value_s, mse_grad_s = Loss().value_and_grad(pred_s[:, :1], y)
+            assert mse_values[s] == mse_value_s
+            np.testing.assert_array_equal(mse_grad[s], mse_grad_s)
+
+    def test_unstack_views_the_stack(self):
+        nets = [init_network(Architecture((3, 5, 2)), seed=s) for s in (1, 2)]
+        stack = stack_networks(nets)
+        views = unstack_network(stack)
+        for net, view in zip(nets, views):
+            for p, q in zip(net.parameters(), view.parameters()):
+                np.testing.assert_array_equal(p, q)
+        stack.weights[0][1] += 1.0
+        np.testing.assert_array_equal(views[1].weights[0], nets[1].weights[0] + 1.0)
+
+    def test_shape_validation(self):
+        arch = Architecture((3, 2))
+        with pytest.raises(ShapeError):
+            Network(arch, [np.zeros((2, 2, 3))], [np.zeros(2)])
+        with pytest.raises(ShapeError):
+            Network(arch, [np.zeros((1, 2, 2, 3))], [np.zeros((1, 2, 2))])
+        with pytest.raises(ShapeError):
+            stack_networks([init_network(arch, 0), init_network(Architecture((3, 1)), 0)])
 
 class TestLosses:
     def test_mse_hand_value(self):

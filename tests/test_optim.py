@@ -1,6 +1,7 @@
 """Tests for the optimizers, the three training strategies and the
 training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,13 +18,16 @@ from windcast.errors import (
 from windcast.network import Architecture, Loss, Network, backward, forward, init_network
 from windcast.optim import (
     OPTIMIZER_KINDS,
+    STACK_BYTES,
     Optimizer,
     OptimizerConfig,
     StrategyConfig,
     TrainingTrace,
     centralize_gradient,
     cosine_lr,
+    stack_size,
     train,
+    train_seeds,
 )
 
 from oracles import adam_trajectory, plain_steps
@@ -555,3 +559,158 @@ class TestFullBatchForwardCount:
             assert sum(x is train_set.x for x in calls) == (epochs + 1 if epochs else 0)
             assert sum(x is val.x for x in calls) == epochs
             assert len(calls) == (2 * epochs + 1 if epochs else 0)
+
+
+def _solo_and_stacked(make_net, seeds, train_set, val, opt_config, strategies, loss,
+                      epochs, **kwargs):
+    """Train each seed's network alone with train() and all of them as one
+    stack with train_seeds(); returns (solo outcomes, stacked outcomes,
+    solo nets, stacked nets). An outcome is trace rows or an error text."""
+    noise_seeds = [strategies.noise_seed + s for s in seeds]
+    solo_nets, solo = [], []
+    for s, noise_seed in zip(seeds, noise_seeds):
+        net = make_net(s)
+        try:
+            _, trace = train(net, train_set, val, opt_config,
+                             dataclasses.replace(strategies, noise_seed=noise_seed),
+                             loss, epochs, **kwargs)
+            solo.append(trace.rows)
+        except DivergenceError as exc:
+            solo.append(str(exc))
+        solo_nets.append(net)
+    stacked_nets = [make_net(s) for s in seeds]
+    results = train_seeds(stacked_nets, train_set, val, opt_config, strategies, loss,
+                          epochs, noise_seeds=noise_seeds, **kwargs)
+    stacked = [str(r) if isinstance(r, DivergenceError) else r.rows for r in results]
+    return solo, stacked, solo_nets, stacked_nets
+
+
+def _assert_same_networks(nets_a, nets_b, skip=()):
+    for i, (a, b) in enumerate(zip(nets_a, nets_b)):
+        if i in skip:
+            continue
+        for p, q in zip(a.parameters(), b.parameters()):
+            np.testing.assert_array_equal(p, q)
+
+
+class TestTrainSeedsMatchesSolo:
+    SEEDS = (2, 3, 7)
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("strategies", [STRATEGIES_ON, StrategyConfig()], ids=["on", "off"])
+    @pytest.mark.parametrize("batch_size", [None, 32, 1000])
+    def test_bitwise_equal(self, kind, loss_kind, activation, strategies, batch_size):
+        loss = LOSSES[loss_kind]
+        arch = Architecture((4, 6, loss.n_outputs), hidden_activation=activation)
+        train_set, val = _curved_problem()
+        solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
+            lambda s: init_network(arch, seed=s), self.SEEDS, train_set, val,
+            OptimizerConfig(kind=kind, fixed_lr=0.01), strategies, loss, 12,
+            batch_size=batch_size,
+        )
+        assert stacked == solo
+        assert all(len(rows) == 12 for rows in stacked)
+        _assert_same_networks(solo_nets, stacked_nets)
+
+    def test_early_stopping_per_slice(self):
+        arch = Architecture((4, 6, 1))
+        train_set, val = _curved_problem()
+        seeds = (2, 3, 4, 5, 6, 7)
+        solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
+            lambda s: init_network(arch, seed=s), seeds, train_set, val,
+            OptimizerConfig(fixed_lr=0.3), StrategyConfig(), Loss(), 100,
+            early_stop_patience=2,
+        )
+        assert stacked == solo
+        lengths = {len(rows) for rows in solo}
+        assert len(lengths) > 1 and max(lengths) < 100  # slices stop at different epochs
+        _assert_same_networks(solo_nets, stacked_nets)
+
+    @pytest.mark.parametrize("batch_size", [None, 32])
+    @pytest.mark.parametrize("param, value, message", [
+        (0, 1e308, "epoch 1: non-finite gradient in parameter 2"),
+        (2, 1e308, "epoch 1: non-finite gradient in parameter 0"),
+        (3, 1e200, "epoch 1: training loss is inf"),
+    ])
+    def test_one_slice_diverges(self, batch_size, param, value, message):
+        arch = Architecture((4, 6, 1))
+
+        def make_net(seed):
+            net = init_network(arch, seed=seed)
+            if seed == 3:
+                net.parameters()[param].flat[0] = value
+            return net
+
+        train_set, val = _curved_problem()
+        solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
+            make_net, (2, 3, 4), train_set, val, OptimizerConfig(fixed_lr=0.01),
+            STRATEGIES_ON, Loss(), 12, batch_size=batch_size,
+        )
+        assert stacked == solo
+        assert stacked[1] == message
+        assert len(stacked[0]) == len(stacked[2]) == 12
+        _assert_same_networks(solo_nets, stacked_nets, skip=(1,))
+        # a diverged network is handed back as it was
+        assert stacked_nets[1].parameters()[param].flat[0] == value
+
+    def test_no_networks(self):
+        train_set, val = _curved_problem()
+        assert train_seeds([], train_set, val, OptimizerConfig(), StrategyConfig(),
+                           Loss(), 3) == []
+
+    def test_one_noise_seed_per_network(self):
+        train_set, val = _curved_problem()
+        nets = [init_network(Architecture((4, 6, 1)), seed=s) for s in (1, 2)]
+        with pytest.raises(SchemaError):
+            train_seeds(nets, train_set, val, OptimizerConfig(), StrategyConfig(),
+                        Loss(), 3, noise_seeds=[1])
+
+
+class TestStackSize:
+    def test_three_thousand_rows_stack_every_seed(self):
+        # benchmark at 3k rows: 2,400 training rows in batches of 256
+        size = stack_size(Architecture((4, 16, 1)), 2400, 256)
+        assert size >= 10
+        assert size * 256 * 17 * 16 <= STACK_BYTES
+
+    @pytest.mark.parametrize("arch", [Architecture((4, 16, 21)), Architecture((48, 16, 1))])
+    def test_hundred_thousand_rows_full_batch_one_seed(self, arch):
+        assert stack_size(arch, 80_000, None) == 1
+        assert stack_size(arch, 80_000, 100_000) == 1
+
+    def test_batch_rows_not_training_rows_set_the_size(self):
+        arch = Architecture((4, 16, 1))
+        assert stack_size(arch, 80_000, 256) == stack_size(arch, 256)
+
+
+class TestOptimizerState:
+    @pytest.mark.parametrize("kind, allocated", [
+        ("adam", "mv"), ("nadam", "mv"), ("rmsprop", "v"), ("adamax", "mu"),
+    ])
+    def test_only_the_state_a_kind_reads(self, kind, allocated):
+        p = np.zeros((2, 3))
+        opt = Optimizer(OptimizerConfig(kind=kind), StrategyConfig(), [p])
+        for name in "mvu":
+            state = getattr(opt, name)
+            if name in allocated:
+                assert len(state) == 1 and state[0].shape == p.shape
+            else:
+                assert state is None
+        opt.step([p], [np.ones((2, 3))])
+        assert np.all(p < 0.0)
+
+    def test_stacked_step_marks_the_diverged_slice(self):
+        w, b = np.zeros((3, 2, 2)), np.zeros((3, 2))
+        opt = Optimizer(OptimizerConfig(), StrategyConfig(centralize=True), [w, b],
+                        noise_seeds=[0, 1, 2])
+        gw, gb = np.ones((3, 2, 2)), np.ones((3, 2))
+        gb[1, 0] = np.nan
+        gw[2, 1, 1] = np.inf
+        gb[2, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert opt.step([w, b], [gw, gb]) == {1: 1, 2: 0}
+        # the bias at the odd position is not centralized although it is 2-D
+        assert np.all(b[0] < 0.0)
+        np.testing.assert_array_equal(w[0], 0.0)
