@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -53,60 +55,126 @@ def load_csv(path: str, schema: CsvSchema) -> TimeSeriesFrame:
     """Parse a CSV file into a frame, sorted ascending by timestamp.
 
     Rejects missing columns, unparsable or non-finite cells (with the
-    offending row number) and duplicate timestamps.
+    offending row number), timestamps that mix timezone-aware and naive
+    values, duplicate timestamps and text that is not UTF-8.
+
+    The columns are read in bulk by numpy's C reader, which converts
+    numbers with the same routine as ``float()`` and splits cells like the
+    csv module. When it rejects the file, a row-by-row walk with the csv
+    module finds the first bad row and names it.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataError(f"{path}: file is empty") from None
-        wanted = (schema.timestamp_col, schema.target_col, *schema.feature_cols)
-        for name in wanted:
-            if name not in header:
-                raise SchemaError(f"{path}: missing column {name!r}")
-        idx = {name: header.index(name) for name in wanted}
+            return _load_columns(fh, path, schema)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 text ({exc})") from None
 
-        rows: list[tuple[datetime, float, tuple[float, ...]]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ts = datetime.fromisoformat(row[idx[schema.timestamp_col]])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
-            try:
-                target = float(row[idx[schema.target_col]])
-                feats = tuple(float(row[idx[c]]) for c in schema.feature_cols)
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}: row {lineno}: bad number ({exc})") from None
-            for value in (target, *feats):
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}: row {lineno}: non-finite value {value!r}")
-            rows.append((ts, target, feats))
 
-    if not rows:
-        raise EmptyDataError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    for a, b in zip(rows, rows[1:]):
-        if a[0] == b[0]:
-            raise IntegrityError(f"{path}: duplicate timestamp {a[0].isoformat()}")
+def _read_header(fh, path: str) -> list[str]:
+    try:
+        return next(csv.reader(fh))
+    except StopIteration:
+        raise EmptyDataError(f"{path}: file is empty") from None
 
-    target = np.array([r[1] for r in rows], dtype=float)
-    features = {
-        name: np.array([r[2][j] for r in rows], dtype=float)
-        for j, name in enumerate(schema.feature_cols)
-    }
+
+def _read_cells(fh, usecols, dtype, ndmin: int) -> np.ndarray:
+    """The given columns of the rest of the file, one read by numpy's C
+    reader; a `#` is cell text, not a comment."""
+    with warnings.catch_warnings():
+        # loadtxt warns on a file without data rows, which the caller rejects
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+            usecols=usecols, ndmin=ndmin,
+        )
+
+
+def _load_columns(fh, path: str, schema: CsvSchema) -> TimeSeriesFrame:
+    header = _read_header(fh, path)
+    for name in (schema.timestamp_col, schema.target_col, *schema.feature_cols):
+        if name not in header:
+            raise SchemaError(f"{path}: missing column {name!r}")
+    ts_col = header.index(schema.timestamp_col)
+    value_cols = [header.index(c) for c in (schema.target_col, *schema.feature_cols)]
+
+    try:
+        values = _read_cells(fh, value_cols, float, ndmin=2)
+        if len(values) == 0:
+            raise EmptyDataError(f"{path}: no data rows")
+        fh.seek(0)
+        _read_header(fh, path)
+        cells = _read_cells(fh, ts_col, object, ndmin=1).tolist()
+        stamps = list(map(datetime.fromisoformat, cells))
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite value")
+        if not all(map(operator.lt, stamps, stamps[1:])):
+            order = sorted(range(len(stamps)), key=stamps.__getitem__)
+            stamps = [stamps[i] for i in order]
+            values = values[order]
+            for a, b in zip(stamps, stamps[1:]):
+                if a == b:
+                    raise IntegrityError(f"{path}: duplicate timestamp {a.isoformat()}")
+    except UnicodeDecodeError:  # a ValueError, but no row walk can name a row for it
+        raise
+    except (ValueError, TypeError) as exc:
+        # TypeError: the sort compared a timezone-aware and a naive timestamp
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        _raise_first_bad_row(reader, path, ts_col, value_cols)
+        # the walk found every row good, so report what numpy's reader said
+        raise ParseError(f"{path}: {exc}") from None
+
+    columns = values.T.copy()
     return TimeSeriesFrame(
-        timestamps=[r[0] for r in rows],
-        target=target,
+        timestamps=stamps,
+        target=columns[0],
         target_name=schema.target_col,
-        features=features,
+        features=dict(zip(schema.feature_cols, columns[1:])),
     )
+
+
+def _number(cell: str) -> float:
+    """float(), less the spellings numpy's reader rejects: underscores
+    between digits and non-ASCII digits."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
+def _raise_first_bad_row(reader, path: str, ts_col: int, value_cols: list[int]) -> None:
+    """Raise the error of the first bad row, walking the rows one by one."""
+    first_naive = None
+    mixed = None
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            ts = datetime.fromisoformat(row[ts_col])
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
+        try:
+            values = [_number(row[i]) for i in value_cols]
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"{path}: row {lineno}: bad number ({exc})") from None
+        for value in values:
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: row {lineno}: non-finite value {value!r}")
+        naive = ts.tzinfo is None
+        if first_naive is None:
+            first_naive = naive
+        elif naive != first_naive and mixed is None:
+            kinds = ("timezone-aware", "naive")
+            mixed = ParseError(
+                f"{path}: row {lineno}: {kinds[naive]} timestamp in a file "
+                f"whose first row is {kinds[first_naive]}"
+            )
+    if mixed is not None:
+        raise mixed
 
 
 @dataclass

@@ -48,9 +48,12 @@ def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nda
 
 
 def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative of the activation at z, reusing the stored output a."""
+    """Derivative of the activation at z, reusing the stored output a.
+
+    For relu it is the bool mask z > 0, which multiplies as 1.0/0.0 without
+    a float copy."""
     if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return z > 0.0
     if kind == "tanh":
         return 1.0 - a * a
     if kind == "sigmoid":

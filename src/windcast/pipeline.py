@@ -41,6 +41,8 @@ from .network import (
 )
 from .optim import OptimizerConfig, StrategyConfig, stack_size, train, train_seeds
 
+CSV_BLOCK_ROWS = 4096  # prediction rows formatted per block
+
 
 @dataclass
 class PreparedData:
@@ -234,23 +236,25 @@ def predictions_csv(bundle: ModelBundle, prepared: PreparedData) -> str:
     idx = full.target_indices
     timestamps = [prepared.raw_frame.timestamps[i].isoformat() for i in idx]
     y_true = prepared.raw_frame.target[idx]
-    name = bundle.target_name
 
     if bundle.kind == "point":
-        pred = invert_column(bundle.scaler, name, point_predictions(bundle, full.x))
-        lines = ["timestamp,y_true,prediction"]
-        for ts, yt, yp in zip(timestamps, y_true, pred):
-            lines.append(f"{ts},{float(yt)!r},{float(yp)!r}")
-        return "\n".join(lines) + "\n"
-
-    forecast = predict_quantiles(bundle.network, full.x, bundle.quantile_levels)
-    values = invert_column(bundle.scaler, name, forecast.values)
-    header = "timestamp,y_true," + ",".join(f"q{q:g}" for q in forecast.levels)
-    lines = [header]
-    for row, ts, yt in zip(values, timestamps, y_true):
-        cells = ",".join(repr(float(v)) for v in row)
-        lines.append(f"{ts},{float(yt)!r},{cells}")
-    return "\n".join(lines) + "\n"
+        scaled = point_predictions(bundle, full.x)
+        header = "timestamp,y_true,prediction"
+    else:
+        forecast = predict_quantiles(bundle.network, full.x, bundle.quantile_levels)
+        scaled = forecast.values
+        header = "timestamp,y_true," + ",".join(f"q{q:g}" for q in forecast.levels)
+    table = np.column_stack([y_true, invert_column(bundle.scaler, bundle.target_name, scaled)])
+    # repr of a Python float is the shortest round-trip form. A block of
+    # rows is formatted column by column, so no Python code runs per row,
+    # and only that block's float objects are alive at a time.
+    blocks = [header]
+    for lo in range(0, len(table), CSV_BLOCK_ROWS):
+        hi = lo + CSV_BLOCK_ROWS
+        columns = [map(repr, col) for col in table[lo:hi].T.tolist()]
+        blocks.append("\n".join(map(",".join, zip(timestamps[lo:hi], *columns))))
+    blocks.append("")  # the final newline, without copying the joined text
+    return "\n".join(blocks)
 
 
 def _split_hash(subset: SupervisedSet) -> str:

@@ -6,6 +6,9 @@ by the finite-difference check are the quantities under test, which is
 exactly what a derivative check needs).
 """
 
+import csv
+import math
+from datetime import datetime
 from itertools import permutations
 
 import numpy as np
@@ -120,3 +123,63 @@ def weighted_linear_fit(rows, targets, weights):
     sw = np.sqrt(np.asarray(weights, dtype=float))
     coef, *_ = np.linalg.lstsq(design * sw[:, None], targets * sw, rcond=None)
     return coef
+
+
+def row_wise_load_csv(path, schema):
+    """The csv-module loader that parsed every row in Python: the reference
+    for the bulk reader's arrays, timestamps and error messages."""
+    from windcast.data import TimeSeriesFrame
+    from windcast.errors import (
+        DataError, EmptyDataError, IntegrityError, ParseError, SchemaError,
+    )
+
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read data file {path}: {exc}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDataError(f"{path}: file is empty") from None
+        wanted = (schema.timestamp_col, schema.target_col, *schema.feature_cols)
+        for name in wanted:
+            if name not in header:
+                raise SchemaError(f"{path}: missing column {name!r}")
+        idx = {name: header.index(name) for name in wanted}
+
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                ts = datetime.fromisoformat(row[idx[schema.timestamp_col]])
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
+            try:
+                target = float(row[idx[schema.target_col]])
+                feats = tuple(float(row[idx[c]]) for c in schema.feature_cols)
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"{path}: row {lineno}: bad number ({exc})") from None
+            for value in (target, *feats):
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}: row {lineno}: non-finite value {value!r}")
+            rows.append((ts, target, feats))
+
+    if not rows:
+        raise EmptyDataError(f"{path}: no data rows")
+    rows.sort(key=lambda r: r[0])
+    for a, b in zip(rows, rows[1:]):
+        if a[0] == b[0]:
+            raise IntegrityError(f"{path}: duplicate timestamp {a[0].isoformat()}")
+
+    return TimeSeriesFrame(
+        timestamps=[r[0] for r in rows],
+        target=np.array([r[1] for r in rows], dtype=float),
+        target_name=schema.target_col,
+        features={
+            name: np.array([r[2][j] for r in rows], dtype=float)
+            for j, name in enumerate(schema.feature_cols)
+        },
+    )

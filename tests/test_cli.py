@@ -343,6 +343,22 @@ class TestExitCodes:
         (workdir / "nodata.json").write_text(json.dumps(cfg))
         assert run(workdir, "train", "--config", "nodata.json") == 3
 
+    @pytest.mark.parametrize("name", ["bad_utf8", "mixed_tz"])
+    def test_unreadable_csv_is_data_error(self, workdir, capsys, name):
+        body = {
+            "bad_utf8": b"timestamp,power,WS10\n2021-01-01T00:00:00,1.0,\xff\n",
+            "mixed_tz": b"timestamp,power,WS10\n2021-01-01T00:00:00,1.0,3.0\n"
+                        b"2021-01-01T00:15:00+00:00,2.0,4.0\n",
+        }[name]
+        (workdir / f"{name}.csv").write_bytes(body)
+        cfg = {"data": {"path": f"{name}.csv", "timestamp_col": "timestamp",
+                        "target_col": "power", "mode": "nwp", "feature_cols": ["WS10"]}}
+        (workdir / f"{name}.json").write_text(json.dumps(cfg))
+        assert run(workdir, "train", "--config", f"{name}.json", "--out", f"{name}_model.json") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("windcast:")
+        assert "Traceback" not in err
+
     def test_divergence_is_exit_four(self, workdir):
         cfg = {
             "data": {"path": "wind.csv", "timestamp_col": "timestamp",

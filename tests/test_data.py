@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import row_wise_load_csv
+from synth import write_wind_csv
+from windcast import data
 from windcast.data import (
     CsvSchema,
     Scaler,
@@ -142,6 +145,145 @@ class TestLoadCsv:
         with pytest.raises(IntegrityError) as excinfo:
             load_csv(path, SCHEMA)
         assert excinfo.value.exit_code == 3
+
+
+def write_bytes(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def assert_same_frame(got, want):
+    assert [t.isoformat() for t in got.timestamps] == [t.isoformat() for t in want.timestamps]
+    assert got.target_name == want.target_name
+    assert list(got.features) == list(want.features)
+    for a, b in zip((got.target, *got.features.values()), (want.target, *want.features.values())):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def load_outcome(loader, path, schema=SCHEMA):
+    try:
+        loader(path, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+VALID_CSVS = {
+    "crlf": "timestamp,power,ws\r\n2021-01-01T00:00:00,1.5,3.0\r\n2021-01-01T00:15:00,2.5,4.0\r\n",
+    "blank_lines": "timestamp,power,ws\n\n2021-01-01T00:00:00,1.5,3.0\n\n\n2021-01-01T00:15:00,2.5,4.0\n\n",
+    "quoted": (
+        'timestamp,power,ws,note\n'
+        '"2021-01-01T00:00:00","1.5",3.0,"a, ""b"""\n'
+        '2021-01-01T00:15:00,2.5,"4.0","two\nlines"\n'
+    ),
+    "extra_reordered": "ws,x,power,y,timestamp\n3.0,a,1.5,b,2021-01-01T00:00:00\n4.0,c,2.5,d,2021-01-01T00:15:00\n",
+    "hash_in_cell": "timestamp,power,ws,note\n2021-01-01T00:00:00,1.5,3.0,#1\n2021-01-01T00:15:00,2.5,4.0,a#b\n",
+    "padded_exponent": (
+        "timestamp,power,ws\n"
+        "2021-01-01T00:00:00, 1.5 ,\t3e0\n"
+        "2021-01-01T00:15:00,-2.5E-3,+4.\n"
+        "2021-01-01T00:30:00,.5e+2 ,1e-320\n"
+    ),
+    "unsorted": (
+        "timestamp,power,ws\n"
+        "2021-01-01T00:30:00,3.0,6.0\n2021-01-01T00:00:00,1.0,4.0\n"
+        "2021-01-01T00:45:00,4.0,7.0\n2021-01-01T00:15:00,2.0,5.0\n"
+    ),
+    "tz_aware": (
+        "timestamp,power,ws\n"
+        "2021-01-01T01:00:00+01:00,1.0,3.0\n2021-01-01T00:15:00+00:00,2.0,4.0\n"
+        "2021-01-01T00:30:00Z,3.0,5.0\n"
+    ),
+    "cr_only": "timestamp,power,ws\r2021-01-01T00:00:00,1.5,3.0\r2021-01-01T00:15:00,2.5,4.0\r",
+}
+
+MALFORMED_CSVS = {
+    "bad_number": "timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\n2021-01-01T00:15:00,oops,4.0\n",
+    "empty_cell": "timestamp,power,ws\n2021-01-01T00:00:00,1.0,\n",
+    "bad_timestamp": "timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\nnot-a-time,1.0,3.0\n",
+    "nan": "timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\n2021-01-01T00:15:00,nan,4.0\n",
+    "overflow": "timestamp,power,ws\n2021-01-01T00:00:00,1.0,1e400\n",
+    "ragged": "timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\n2021-01-01T00:15:00,2.0\n",
+    "whitespace_line": "timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\n   \n",
+    "header_only": "timestamp,power,ws\n",
+    "blank_lines_only": "timestamp,power,ws\n\n\n",
+    "empty": "",
+    "duplicate_after_sort": (
+        "timestamp,power,ws\n"
+        "2021-01-01T00:30:00,3.0,6.0\n2021-01-01T00:00:00,1.0,4.0\n2021-01-01T00:30:00,4.0,7.0\n"
+    ),
+    "missing_column": "timestamp,power\n2021-01-01T00:00:00,1.0\n",
+    "two_errors": "timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\nbad,1.0,3.0\n2021-01-01T00:30:00,x,3.0\n",
+    "error_after_blank_line": "timestamp,power,ws\n\n2021-01-01T00:00:00,1.0,x\n",
+}
+
+
+class TestBulkReaderMatchesRowWise:
+    @pytest.mark.parametrize("name", sorted(VALID_CSVS))
+    def test_valid_input(self, tmp_path, name):
+        path = write_bytes(tmp_path / "a.csv", VALID_CSVS[name])
+        assert_same_frame(load_csv(path, SCHEMA), row_wise_load_csv(path, SCHEMA))
+
+    def test_synthetic_file(self, tmp_path):
+        path = str(tmp_path / "wind.csv")
+        write_wind_csv(path, n_rows=3000, seed=20240)
+        schema = CsvSchema("timestamp", "power", ("WS10", "WD10", "WS100", "WD100"))
+        assert_same_frame(load_csv(path, schema), row_wise_load_csv(path, schema))
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CSVS))
+    def test_malformed_input(self, tmp_path, name):
+        path = write_bytes(tmp_path / "a.csv", MALFORMED_CSVS[name])
+        want = load_outcome(row_wise_load_csv, path)
+        assert want is not None
+        assert load_outcome(load_csv, path) == want
+
+    def test_missing_file(self, tmp_path):
+        path = str(tmp_path / "nope.csv")
+        assert load_outcome(load_csv, path) == load_outcome(row_wise_load_csv, path)
+
+    def test_underscore_in_number_rejected(self, tmp_path):
+        # float() reads "1_0" as 10.0; numpy's reader does not, so neither
+        # does the loader
+        path = write_bytes(
+            tmp_path / "a.csv",
+            "timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\n2021-01-01T00:15:00,1_0,4.0\n",
+        )
+        with pytest.raises(ParseError, match="row 3: bad number"):
+            load_csv(path, SCHEMA)
+
+    def test_mixed_timezone_awareness_rejected(self, tmp_path):
+        path = write_bytes(
+            tmp_path / "a.csv",
+            "timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\n"
+            "2021-01-01T00:15:00,2.0,4.0\n2021-01-01T00:30:00+00:00,3.0,5.0\n",
+        )
+        with pytest.raises(ParseError, match="row 4: timezone-aware timestamp"):
+            load_csv(path, SCHEMA)
+
+    def test_invalid_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\n2021-01-01T00:15:00,\xff,4.0\n")
+        with pytest.raises(DataError, match="not valid UTF-8") as excinfo:
+            load_csv(str(path), SCHEMA)
+        assert type(excinfo.value) is DataError
+
+    def test_valid_files_skip_the_row_walk(self, tmp_path, monkeypatch):
+        def row_walk(*args):
+            raise AssertionError("the row-by-row walk ran on a valid file")
+
+        monkeypatch.setattr(data, "_raise_first_bad_row", row_walk)
+        schema = CsvSchema("timestamp", "power", ("WS10", "WD10", "WS100", "WD100"))
+        plain = tmp_path / "wind.csv"
+        write_wind_csv(str(plain), n_rows=3000, seed=20240)
+        text = plain.read_text(encoding="utf-8")
+        crlf = write_bytes(tmp_path / "crlf.csv", text.replace("\n", "\r\n"))
+        quoted = write_bytes(
+            tmp_path / "quoted.csv",
+            "\n".join(",".join(f'"{c}"' for c in line.split(",")) for line in text.splitlines()),
+        )
+        for path in (str(plain), crlf, quoted):
+            assert_same_frame(load_csv(path, schema), row_wise_load_csv(path, schema))
 
 
 class TestScaler:

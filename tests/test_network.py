@@ -11,6 +11,7 @@ from windcast.errors import (
     SchemaError,
     ShapeError,
 )
+from windcast import network
 from windcast.model_io import ModelBundle, load_model, save_model
 from windcast.network import (
     Architecture,
@@ -212,6 +213,36 @@ class TestBackward:
         _, dpred = mse_loss(pred, y)
         grads = backward(net, cache, dpred)
         assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_relu_mask_matches_float_mask(self, monkeypatch, stacked):
+        # da * (z > 0) must be bit for bit da * (z > 0).astype(float),
+        # down to the -0.0 that a negative da times 0 gives
+        arch = Architecture((4, 16, 16, 3), hidden_activation="relu")
+        nets = [init_network(arch, seed=s) for s in range(3)]
+        net = stack_networks(nets) if stacked else nets[0]
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(200, 4))
+        pred, cache = forward(net, x, want_cache=True)
+        dpred = rng.normal(size=pred.shape)
+        grads = backward(net, cache, dpred)
+
+        def float_mask(z, a, kind):
+            return (z > 0.0).astype(z.dtype)
+
+        for z, a in zip(cache["zs"][:-1], cache["acts"][1:-1]):
+            da = rng.normal(size=z.shape)
+            dz = da * network._activate_grad(z, a, "relu")
+            reference_dz = da * float_mask(z, a, "relu")
+            assert np.signbit(reference_dz[reference_dz == 0.0]).any()
+            assert dz.dtype == reference_dz.dtype
+            assert dz.tobytes() == reference_dz.tobytes()
+
+        monkeypatch.setattr(network, "_activate_grad", float_mask)
+        reference = backward(net, cache, dpred)
+        for g, r in zip(grads, reference):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
 
     def test_cache_validation(self):
         net = init_network(Architecture(layer_sizes=(3, 2)), seed=0)
