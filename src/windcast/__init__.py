@@ -52,7 +52,6 @@ from .network import (
     Network,
     QuantileForecast,
     backward,
-    compute_loss,
     forward,
     init_network,
     predict_quantiles,
@@ -95,7 +94,6 @@ __all__ = [
     "backward",
     "centralize_gradient",
     "chronological_split",
-    "compute_loss",
     "cosine_lr",
     "crps_from_quantiles",
     "deterministic_report",

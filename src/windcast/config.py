@@ -1,9 +1,21 @@
 """Run configuration: a single versioned JSON document.
 
-Sections: data (source CSV and featurization mode), model (architecture
-and loss), optimizer, strategies (the three optional training add-ons),
-training (loop controls and seed), split. Unknown keys are rejected so
-typos fail loudly. CLI flags may override individual fields after load.
+Each section parses straight into the type that acts on it:
+
+* data -> DataConfig (source CSV and featurization mode);
+* model -> ModelConfig (architecture), whose loss and quantile_levels
+  keys become one network.Loss; an mse loss ignores quantile_levels;
+* optimizer -> optim.OptimizerConfig;
+* strategies -> optim.StrategyConfig (the three optional training
+  add-ons); total_epochs defaults to training.epochs;
+* training -> TrainingSection (loop controls and seed);
+* split -> three train/validation/test ratios, which
+  data.chronological_split checks against each other.
+
+Every other value is checked when the document is parsed, so a bad
+config fails the same way whichever command loads it. Unknown keys are
+rejected so typos fail loudly. CLI flags may override individual fields
+after load.
 
 Example document:
 
@@ -34,12 +46,15 @@ from dataclasses import dataclass, field
 
 from .errors import SchemaError, UsageError
 from .metrics import DEFAULT_QUANTILE_LEVELS
-from .optim import OPTIMIZER_KINDS
+from .network import HIDDEN_ACTIVATIONS, OUTPUT_ACTIVATIONS, Loss
+from .optim import OptimizerConfig, StrategyConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
 
-def _check_keys(section: str, doc: dict, allowed) -> None:
+def _check_keys(section: str, doc, allowed) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"config section {section!r} must be an object")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise SchemaError(f"config section {section!r}: unknown keys {sorted(unknown)}")
@@ -53,6 +68,10 @@ def _typed(section: str, key: str, value, types, allow_none=False):
     if not isinstance(value, types):
         raise SchemaError(f"config {section}.{key}: bad type {type(value).__name__}")
     return value
+
+
+def _number(section: str, key: str, value) -> float:
+    return float(_typed(section, key, value, (int, float)))
 
 
 @dataclass
@@ -72,27 +91,7 @@ class ModelConfig:
     hidden_sizes: tuple[int, ...] = (16,)
     hidden_activation: str = "relu"
     output_activation: str = "identity"
-    loss: str = "mse"
-    quantile_levels: tuple[float, ...] = ()
-
-
-@dataclass
-class OptimizerSection:
-    kind: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    fixed_lr: float = 0.001
-
-
-@dataclass
-class StrategySection:
-    centralize: bool = False
-    cosine_lr: bool = False
-    initial_lr: float = 0.1
-    total_epochs: int | None = None  # None: use training.epochs
-    noise_tau: float = 0.0
-    noise_seed: int = 0
+    loss: Loss = Loss()
 
 
 @dataclass
@@ -107,8 +106,8 @@ class TrainingSection:
 class RunConfig:
     data: DataConfig
     model: ModelConfig = field(default_factory=ModelConfig)
-    optimizer: OptimizerSection = field(default_factory=OptimizerSection)
-    strategies: StrategySection = field(default_factory=StrategySection)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    strategies: StrategyConfig = field(default_factory=StrategyConfig)
     training: TrainingSection = field(default_factory=TrainingSection)
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
     base_dir: str = "."
@@ -155,56 +154,52 @@ def _parse_model(doc: dict) -> ModelConfig:
         "hidden_sizes", "hidden_activation", "output_activation",
         "loss", "quantile_levels",
     ))
-    loss = doc.get("loss", "mse")
-    if loss not in ("mse", "pinball"):
-        raise SchemaError(f"config model.loss must be 'mse' or 'pinball', got {loss!r}")
+    hidden = doc.get("hidden_sizes", [16])
+    if not isinstance(hidden, list) or not hidden or any(type(s) is not int or s < 1 for s in hidden):
+        raise SchemaError("config model.hidden_sizes must be positive integers")
+    hidden_act = doc.get("hidden_activation", "relu")
+    output_act = doc.get("output_activation", "identity")
+    if hidden_act not in HIDDEN_ACTIVATIONS or output_act not in OUTPUT_ACTIVATIONS:
+        raise SchemaError(f"config model: hidden_activation must be one of {HIDDEN_ACTIVATIONS}"
+                          f" and output_activation one of {OUTPUT_ACTIVATIONS}")
+    kind = doc.get("loss", "mse")
     levels = doc.get("quantile_levels")
     if levels is None:
-        levels = DEFAULT_QUANTILE_LEVELS if loss == "pinball" else ()
-    hidden = tuple(doc.get("hidden_sizes", (16,)))
-    if not hidden or any(not isinstance(s, int) or s < 1 for s in hidden):
-        raise SchemaError("config model.hidden_sizes must be positive integers")
-    return ModelConfig(
-        hidden_sizes=hidden,
-        hidden_activation=doc.get("hidden_activation", "relu"),
-        output_activation=doc.get("output_activation", "identity"),
-        loss=loss,
-        quantile_levels=tuple(float(q) for q in levels),
-    )
+        levels = DEFAULT_QUANTILE_LEVELS
+    return ModelConfig(tuple(hidden), hidden_act, output_act,
+                       Loss(kind, levels if kind == "pinball" else ()))
 
 
-def _parse_optimizer(doc: dict) -> OptimizerSection:
+def _parse_optimizer(doc: dict) -> OptimizerConfig:
     _check_keys("optimizer", doc, ("kind", "beta1", "beta2", "epsilon", "fixed_lr"))
-    kind = doc.get("kind", "adam")
-    if kind not in OPTIMIZER_KINDS:
-        raise SchemaError(f"config optimizer.kind must be one of {OPTIMIZER_KINDS}")
-    return OptimizerSection(
-        kind=kind,
-        beta1=float(_typed("optimizer", "beta1", doc.get("beta1", 0.9), (int, float))),
-        beta2=float(_typed("optimizer", "beta2", doc.get("beta2", 0.999), (int, float))),
-        epsilon=float(_typed("optimizer", "epsilon", doc.get("epsilon", 1e-8), (int, float))),
-        fixed_lr=float(_typed("optimizer", "fixed_lr", doc.get("fixed_lr", 0.001), (int, float))),
+    return OptimizerConfig(
+        kind=doc.get("kind", "adam"),
+        beta1=_number("optimizer", "beta1", doc.get("beta1", 0.9)),
+        beta2=_number("optimizer", "beta2", doc.get("beta2", 0.999)),
+        epsilon=_number("optimizer", "epsilon", doc.get("epsilon", 1e-8)),
+        fixed_lr=_number("optimizer", "fixed_lr", doc.get("fixed_lr", 0.001)),
     )
 
 
-def _parse_strategies(doc: dict) -> StrategySection:
+def _parse_strategies(doc: dict, epochs: int) -> StrategyConfig:
     _check_keys("strategies", doc, (
         "centralize", "cosine_lr", "initial_lr", "total_epochs",
         "noise_tau", "noise_seed",
     ))
-    return StrategySection(
+    total = _typed("strategies", "total_epochs", doc.get("total_epochs"), int, allow_none=True)
+    return StrategyConfig(
         centralize=_typed("strategies", "centralize", doc.get("centralize", False), bool),
         cosine_lr=_typed("strategies", "cosine_lr", doc.get("cosine_lr", False), bool),
-        initial_lr=float(_typed("strategies", "initial_lr", doc.get("initial_lr", 0.1), (int, float))),
-        total_epochs=_typed("strategies", "total_epochs", doc.get("total_epochs"), int, allow_none=True),
-        noise_tau=float(_typed("strategies", "noise_tau", doc.get("noise_tau", 0.0), (int, float))),
+        initial_lr=_number("strategies", "initial_lr", doc.get("initial_lr", 0.1)),
+        total_epochs=epochs if total is None else total,
+        noise_tau=_number("strategies", "noise_tau", doc.get("noise_tau", 0.0)),
         noise_seed=_typed("strategies", "noise_seed", doc.get("noise_seed", 0), int),
     )
 
 
 def _parse_training(doc: dict) -> TrainingSection:
     _check_keys("training", doc, ("epochs", "batch_size", "early_stop_patience", "seed"))
-    return TrainingSection(
+    cfg = TrainingSection(
         epochs=_typed("training", "epochs", doc.get("epochs", 100), int),
         batch_size=_typed("training", "batch_size", doc.get("batch_size"), int, allow_none=True),
         early_stop_patience=_typed(
@@ -212,6 +207,11 @@ def _parse_training(doc: dict) -> TrainingSection:
         ),
         seed=_typed("training", "seed", doc.get("seed", 0), int),
     )
+    if cfg.batch_size is not None and cfg.batch_size < 1:
+        raise SchemaError("config training.batch_size must be >= 1 (leave it out for full batch)")
+    if cfg.early_stop_patience is not None and cfg.early_stop_patience < 0:
+        raise SchemaError("config training.early_stop_patience must be >= 0")
+    return cfg
 
 
 def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
@@ -226,18 +226,16 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         raise SchemaError(f"unsupported config schema_version {version!r}")
     if "data" not in doc:
         raise SchemaError("config section 'data' is required")
-    split = tuple(doc.get("split", (0.8, 0.1, 0.1)))
-    if len(split) != 3:
-        raise SchemaError("config split must have three ratios")
-    return RunConfig(
-        data=_parse_data(doc["data"]),
-        model=_parse_model(doc.get("model", {})),
-        optimizer=_parse_optimizer(doc.get("optimizer", {})),
-        strategies=_parse_strategies(doc.get("strategies", {})),
-        training=_parse_training(doc.get("training", {})),
-        split=(float(split[0]), float(split[1]), float(split[2])),
-        base_dir=base_dir,
-    )
+    split = doc.get("split", [0.8, 0.1, 0.1])
+    if not isinstance(split, list) or len(split) != 3:
+        raise SchemaError("config split must be a list of three ratios")
+    split = tuple(_number("split", str(i), r) for i, r in enumerate(split))
+    data = _parse_data(doc["data"])
+    model = _parse_model(doc.get("model", {}))
+    optimizer = _parse_optimizer(doc.get("optimizer", {}))
+    training = _parse_training(doc.get("training", {}))
+    strategies = _parse_strategies(doc.get("strategies", {}), training.epochs)
+    return RunConfig(data, model, optimizer, strategies, training, split, base_dir)
 
 
 def load_config(path: str) -> RunConfig:

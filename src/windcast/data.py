@@ -150,29 +150,32 @@ def _raise_first_bad_row(reader, path: str, ts_col: int, value_cols: list[int]) 
     """Raise the error of the first bad row, walking the rows one by one."""
     first_naive = None
     mixed = None
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            ts = datetime.fromisoformat(row[ts_col])
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
-        try:
-            values = [_number(row[i]) for i in value_cols]
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: row {lineno}: bad number ({exc})") from None
-        for value in values:
-            if not math.isfinite(value):
-                raise ParseError(f"{path}: row {lineno}: non-finite value {value!r}")
-        naive = ts.tzinfo is None
-        if first_naive is None:
-            first_naive = naive
-        elif naive != first_naive and mixed is None:
-            kinds = ("timezone-aware", "naive")
-            mixed = ParseError(
-                f"{path}: row {lineno}: {kinds[naive]} timestamp in a file "
-                f"whose first row is {kinds[first_naive]}"
-            )
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                ts = datetime.fromisoformat(row[ts_col])
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
+            try:
+                values = [_number(row[i]) for i in value_cols]
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"{path}: row {lineno}: bad number ({exc})") from None
+            for value in values:
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}: row {lineno}: non-finite value {value!r}")
+            naive = ts.tzinfo is None
+            if first_naive is None:
+                first_naive = naive
+            elif naive != first_naive and mixed is None:
+                kinds = ("timezone-aware", "naive")
+                mixed = ParseError(
+                    f"{path}: row {lineno}: {kinds[naive]} timestamp in a file "
+                    f"whose first row is {kinds[first_naive]}"
+                )
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if mixed is not None:
         raise mixed
 
@@ -315,8 +318,8 @@ def chronological_split(
 
     Train and validation sizes are floored; leftover rows go to test.
     """
-    if any(r <= 0 for r in ratios):
-        raise SchemaError("split ratios must be positive")
+    if not all(0.0 < r < 1.0 for r in ratios):  # NaN fails this too
+        raise SchemaError(f"split ratios must lie strictly inside (0, 1), got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise SchemaError(f"split ratios must sum to 1, got {sum(ratios)}")
     n = len(sset)

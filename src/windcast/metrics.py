@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
     UndefinedDenominatorError,
 )
-from .network import QuantileForecast
+from .network import QuantileForecast, pinball_loss
 
 DEFAULT_QUANTILE_LEVELS = (
     0.025,
@@ -89,9 +89,7 @@ def quantile_score(forecast: QuantileForecast, y) -> float:
         raise ShapeError(f"{len(forecast)} forecast rows for {y.shape} observations")
     if y.size == 0:
         raise EmptyDataError("no observations")
-    q = np.asarray(forecast.levels, dtype=float)
-    diff = y[:, None] - forecast.values
-    return float(np.mean(np.where(diff >= 0.0, q * diff, (q - 1.0) * diff)))
+    return pinball_loss(forecast.values, y, forecast.levels, want_grad=False)[0]
 
 
 def crps_from_quantiles(forecast: QuantileForecast, y) -> float:

@@ -1,9 +1,12 @@
 """Saving and loading trained models as JSON.
 
 The document carries the architecture, every weight and bias, the scaler
-bounds, lag/feature bookkeeping and (for interval models) the quantile
-levels. Floats are written with their shortest round-trip representation,
-so save -> load reproduces parameters bit for bit.
+bounds, lag/feature bookkeeping and the training loss. The loss is held
+as one network.Loss and written as three keys derived from it: kind
+("point" for mse, "quantile" for pinball), loss_kind and quantile_levels.
+load_model reads all three and rejects a file whose keys disagree.
+Floats are written with their shortest round-trip representation, so
+save -> load reproduces parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ import numpy as np
 from ._util import read_json, write_json
 from .data import Scaler
 from .errors import SchemaError
-from .network import Architecture, Network
+from .network import Architecture, Loss, Network
 
 FORMAT_NAME = "windcast-model"
 SCHEMA_VERSION = 1
+KINDS = {"point": "mse", "quantile": "pinball"}  # model kind -> loss kind
 
 
 @dataclass
@@ -29,25 +33,26 @@ class ModelBundle:
     scaler: Scaler
     target_name: str
     feature_names: tuple[str, ...]
-    kind: str = "point"  # "point" or "quantile"
-    loss_kind: str = "mse"
-    quantile_levels: tuple[float, ...] = ()
+    loss: Loss = Loss()
     lag: int | None = None
     horizon: int = 1
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("point", "quantile"):
-            raise SchemaError(f"unknown model kind {self.kind!r}")
-        if self.loss_kind not in ("mse", "pinball"):
-            raise SchemaError(f"unknown loss kind {self.loss_kind!r}")
-        if self.kind == "quantile":
-            if len(self.quantile_levels) != self.network.architecture.n_outputs:
-                raise SchemaError(
-                    "quantile model must have one output per quantile level"
-                )
-        elif self.network.architecture.n_outputs != 1:
-            raise SchemaError("point model must have exactly one output")
+        n_outputs = self.network.architecture.n_outputs
+        if n_outputs != self.loss.n_outputs:
+            raise SchemaError(
+                f"{self.kind} model needs {self.loss.n_outputs} outputs, network has {n_outputs}"
+            )
+
+    @property
+    def kind(self) -> str:
+        """'quantile' for a pinball loss, 'point' for mse."""
+        return "quantile" if self.loss.kind == "pinball" else "point"
+
+    @property
+    def quantile_levels(self) -> tuple[float, ...]:
+        return self.loss.levels
 
 
 def save_model(path: str, bundle: ModelBundle) -> None:
@@ -60,7 +65,7 @@ def save_model(path: str, bundle: ModelBundle) -> None:
             "output_activation": bundle.network.architecture.output_activation,
         },
         "kind": bundle.kind,
-        "loss_kind": bundle.loss_kind,
+        "loss_kind": bundle.loss.kind,
         "quantile_levels": list(bundle.quantile_levels),
         "lag": bundle.lag,
         "horizon": bundle.horizon,
@@ -74,38 +79,62 @@ def save_model(path: str, bundle: ModelBundle) -> None:
     write_json(path, doc)
 
 
-def load_model(path: str) -> ModelBundle:
-    doc = read_json(path)
+def _numbers(name: str, value) -> np.ndarray:
+    """A nested list of finite numbers as a float array."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise SchemaError(f"{name} must hold finite numbers only")
+    return arr
+
+
+def _parse_bundle(doc) -> ModelBundle:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise SchemaError(f"{path}: not a {FORMAT_NAME} file")
+        raise SchemaError(f"not a {FORMAT_NAME} file")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: unsupported schema_version {doc.get('schema_version')!r}"
-        )
+        raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
     for key in ("architecture", "kind", "target_name", "feature_names",
                 "scaler", "weights", "biases"):
         if key not in doc:
-            raise SchemaError(f"{path}: missing key {key!r}")
-    arch_doc = doc["architecture"]
-    arch = Architecture(
-        layer_sizes=tuple(arch_doc["layer_sizes"]),
-        hidden_activation=arch_doc["hidden_activation"],
-        output_activation=arch_doc["output_activation"],
-    )
-    net = Network(
-        arch,
-        [np.array(w, dtype=float) for w in doc["weights"]],
-        [np.array(b, dtype=float) for b in doc["biases"]],
-    )
+            raise SchemaError(f"missing key {key!r}")
+    arch = doc["architecture"]
+    keys = ("layer_sizes", "hidden_activation", "output_activation")
+    if not isinstance(arch, dict) or not set(keys) <= arch.keys():
+        raise SchemaError(f"architecture must be an object with keys {keys}")
+    sizes = arch["layer_sizes"]
+    if not isinstance(sizes, list) or any(type(n) is not int for n in sizes):
+        raise SchemaError("architecture.layer_sizes must be a list of integers")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise SchemaError(f"unknown model kind {kind!r}")
+    loss_kind = doc.get("loss_kind", KINDS[kind])
+    if loss_kind != KINDS[kind]:
+        raise SchemaError(f"a {kind} model cannot have loss_kind {loss_kind!r}")
+    weights, biases = doc["weights"], doc["biases"]
+    if not isinstance(weights, list) or not isinstance(biases, list):
+        raise SchemaError("weights and biases must be lists")
     return ModelBundle(
-        network=net,
+        network=Network(
+            Architecture(tuple(sizes), arch["hidden_activation"], arch["output_activation"]),
+            [_numbers(f"weights[{k}]", w) for k, w in enumerate(weights)],
+            [_numbers(f"biases[{k}]", b) for k, b in enumerate(biases)],
+        ),
         scaler=Scaler.from_dict(doc["scaler"]),
         target_name=doc["target_name"],
         feature_names=tuple(doc["feature_names"]),
-        kind=doc["kind"],
-        loss_kind=doc.get("loss_kind", "mse"),
-        quantile_levels=tuple(float(q) for q in doc.get("quantile_levels", [])),
+        loss=Loss(loss_kind, doc.get("quantile_levels", [])),
         lag=doc.get("lag"),
         horizon=int(doc.get("horizon", 1)),
         metadata=doc.get("metadata", {}),
     )
+
+
+def load_model(path: str) -> ModelBundle:
+    """Read a model file; every SchemaError names the file."""
+    doc = read_json(path)
+    try:
+        return _parse_bundle(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None

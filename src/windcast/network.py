@@ -15,6 +15,7 @@ computes alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -324,15 +325,22 @@ class Loss:
     def __post_init__(self) -> None:
         if self.kind not in ("mse", "pinball"):
             raise SchemaError(f"unknown loss kind {self.kind!r}")
+        try:
+            levels = tuple(self.levels)
+        except TypeError:
+            levels = None
+        if levels is None or any(isinstance(q, bool) or not isinstance(q, Real) for q in levels):
+            raise SchemaError(f"quantile levels must be a list of numbers, got {self.levels!r}")
+        if self.kind == "mse" and levels:
+            raise SchemaError("an mse loss takes no quantile levels")
         if self.kind == "pinball":
-            levels = tuple(float(q) for q in self.levels)
             if not levels:
                 raise SchemaError("pinball loss needs at least one quantile level")
             if any(q <= 0.0 or q >= 1.0 for q in levels):
                 raise SchemaError("quantile levels must lie strictly inside (0, 1)")
             if any(b <= a for a, b in zip(levels, levels[1:])):
                 raise SchemaError("quantile levels must be strictly increasing")
-            object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "levels", tuple(float(q) for q in levels))
 
     @property
     def n_outputs(self) -> int:
@@ -358,11 +366,6 @@ class Loss:
 
     def value(self, pred: np.ndarray, y: np.ndarray) -> float:
         return self.value_and_grad(pred, y, want_grad=False)[0]
-
-
-def compute_loss(pred: np.ndarray, y: np.ndarray, loss: Loss) -> float:
-    """Scalar loss of a prediction batch against targets."""
-    return loss.value(pred, y)
 
 
 @dataclass

@@ -58,10 +58,10 @@ class OptimizerConfig:
             raise SchemaError(f"optimizer kind must be one of {OPTIMIZER_KINDS}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise SchemaError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise SchemaError("epsilon must be > 0")
-        if self.fixed_lr <= 0.0:
-            raise SchemaError("fixed_lr must be > 0")
+        if not 0.0 < self.epsilon < math.inf:
+            raise SchemaError("epsilon must be finite and > 0")
+        if not 0.0 < self.fixed_lr < math.inf:
+            raise SchemaError("fixed_lr must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,12 @@ class StrategyConfig:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.initial_lr <= 0.0:
-            raise SchemaError("initial_lr must be > 0")
+        if not 0.0 < self.initial_lr < math.inf:
+            raise SchemaError("initial_lr must be finite and > 0")
         if self.total_epochs < 1:
             raise SchemaError("total_epochs must be >= 1")
-        if self.noise_tau < 0.0:
-            raise SchemaError("noise_tau must be >= 0")
+        if not 0.0 <= 2.0 * self.noise_tau < math.inf:  # the draw spans 2 * tau
+            raise SchemaError("noise_tau must be >= 0, with 2 * noise_tau finite")
 
 
 def centralize_gradient(g: np.ndarray) -> np.ndarray:

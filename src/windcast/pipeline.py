@@ -31,15 +31,8 @@ from .errors import DivergenceError, SchemaError
 from .explain import LimeConfig, fit_lime, permutation_importance
 from .metrics import deterministic_report, probabilistic_report
 from .model_io import ModelBundle
-from .network import (
-    Architecture,
-    Loss,
-    Network,
-    forward,
-    init_network,
-    predict_quantiles,
-)
-from .optim import OptimizerConfig, StrategyConfig, stack_size, train, train_seeds
+from .network import Architecture, Network, forward, init_network, predict_quantiles
+from .optim import StrategyConfig, stack_size, train, train_seeds
 
 CSV_BLOCK_ROWS = 4096  # prediction rows formatted per block
 
@@ -73,32 +66,9 @@ def build_dataset(config: RunConfig) -> PreparedData:
     return PreparedData(raw, scaler, full, train_set, val_set, test_set)
 
 
-def _loss_from_config(config: RunConfig) -> Loss:
-    if config.model.loss == "pinball":
-        return Loss("pinball", tuple(config.model.quantile_levels))
-    return Loss("mse")
-
-
-def _strategy_config(config: RunConfig) -> StrategyConfig:
-    s = config.strategies
-    return StrategyConfig(
-        centralize=s.centralize,
-        cosine_lr=s.cosine_lr,
-        initial_lr=s.initial_lr,
-        total_epochs=s.total_epochs if s.total_epochs is not None else config.training.epochs,
-        noise_tau=s.noise_tau,
-        noise_seed=s.noise_seed,
-    )
-
-
-def _optimizer_config(config: RunConfig) -> OptimizerConfig:
-    o = config.optimizer
-    return OptimizerConfig(o.kind, o.beta1, o.beta2, o.epsilon, o.fixed_lr)
-
-
-def _architecture(config: RunConfig, prepared: PreparedData, loss: Loss) -> Architecture:
+def _architecture(config: RunConfig, prepared: PreparedData) -> Architecture:
     return Architecture(
-        (prepared.train.x.shape[1], *config.model.hidden_sizes, loss.n_outputs),
+        (prepared.train.x.shape[1], *config.model.hidden_sizes, config.model.loss.n_outputs),
         hidden_activation=config.model.hidden_activation,
         output_activation=config.model.output_activation,
     )
@@ -108,15 +78,14 @@ def train_from_config(config: RunConfig, prepared: PreparedData | None = None):
     """Train a model per the config; returns (bundle, trace, prepared)."""
     if prepared is None:
         prepared = build_dataset(config)
-    loss = _loss_from_config(config)
-    net = init_network(_architecture(config, prepared, loss), config.training.seed)
+    net = init_network(_architecture(config, prepared), config.training.seed)
     net, trace = train(
         net,
         prepared.train,
         prepared.val,
-        _optimizer_config(config),
-        _strategy_config(config),
-        loss,
+        config.optimizer,
+        config.strategies,
+        config.model.loss,
         epochs=config.training.epochs,
         batch_size=config.training.batch_size,
         early_stop_patience=config.training.early_stop_patience,
@@ -126,9 +95,7 @@ def train_from_config(config: RunConfig, prepared: PreparedData | None = None):
         scaler=prepared.scaler,
         target_name=config.data.target_col,
         feature_names=prepared.full.feature_names,
-        kind="quantile" if loss.kind == "pinball" else "point",
-        loss_kind=loss.kind,
-        quantile_levels=loss.levels,
+        loss=config.model.loss,
         lag=config.data.lag if config.data.mode == "lags" else None,
         horizon=config.data.horizon,
         metadata={
@@ -148,26 +115,21 @@ def _check_compatible(bundle: ModelBundle, prepared: PreparedData) -> None:
         )
 
 
-def _point_forecast(net: Network, x: np.ndarray, levels) -> np.ndarray:
-    """Scaled point forecast: the single output, or with quantile levels
-    the quantile nearest the median."""
+def point_forecast(net: Network, x: np.ndarray, levels) -> np.ndarray:
+    """Scaled point forecast: the single output of a point model, or the
+    quantile nearest the median of a quantile model's levels."""
     if not levels:
         return forward(net, x)[:, 0]
     median_col = int(np.argmin(np.abs(np.asarray(levels) - 0.5)))
     return predict_quantiles(net, x, levels).values[:, median_col]
 
 
-def point_predictions(bundle: ModelBundle, x: np.ndarray) -> np.ndarray:
-    """Scaled point forecast; quantile models contribute their median."""
-    levels = bundle.quantile_levels if bundle.kind == "quantile" else ()
-    return _point_forecast(bundle.network, x, levels)
-
-
 def evaluate_bundle(bundle: ModelBundle, prepared: PreparedData) -> dict:
     """Test-split metric report; quantile models add probabilistic keys."""
     _check_compatible(bundle, prepared)
     test = prepared.test
-    report = deterministic_report(test.y, point_predictions(bundle, test.x)).to_dict()
+    yhat = point_forecast(bundle.network, test.x, bundle.quantile_levels)
+    report = deterministic_report(test.y, yhat).to_dict()
     if bundle.kind == "quantile":
         forecast = predict_quantiles(bundle.network, test.x, bundle.quantile_levels)
         prob = probabilistic_report(forecast, test.y)
@@ -190,7 +152,7 @@ def explain_pfi(
         raise SchemaError(f"pfi split must be 'train' or 'test', got {split!r}")
     subset = prepared.test if split == "test" else prepared.train
     report = permutation_importance(
-        lambda m: point_predictions(bundle, m),
+        lambda m: point_forecast(bundle.network, m, bundle.quantile_levels),
         subset.x,
         subset.y,
         repeats=repeats,
@@ -217,7 +179,7 @@ def explain_lime(
         )
     stats = prepared.train.x.std(axis=0)
     explanation = fit_lime(
-        lambda m: point_predictions(bundle, m),
+        lambda m: point_forecast(bundle.network, m, bundle.quantile_levels),
         test.x[instance_index],
         stats,
         lime if lime is not None else LimeConfig(),
@@ -238,7 +200,7 @@ def predictions_csv(bundle: ModelBundle, prepared: PreparedData) -> str:
     y_true = prepared.raw_frame.target[idx]
 
     if bundle.kind == "point":
-        scaled = point_predictions(bundle, full.x)
+        scaled = point_forecast(bundle.network, full.x, ())
         header = "timestamp,y_true,prediction"
     else:
         forecast = predict_quantiles(bundle.network, full.x, bundle.quantile_levels)
@@ -267,13 +229,13 @@ def _benchmark_strategies(config: RunConfig) -> tuple[StrategyConfig, StrategyCo
     config sets one), and the plain optimizer."""
     tau = config.strategies.noise_tau
     on = dataclasses.replace(
-        _strategy_config(config), centralize=True, cosine_lr=True,
+        config.strategies, centralize=True, cosine_lr=True,
         noise_tau=tau if tau > 0.0 else 1e-4,
     )
     return on, StrategyConfig()
 
 
-def _benchmark_arm(config, prepared, loss, arch, strategies, seeds) -> list[dict]:
+def _benchmark_arm(config, prepared, arch, strategies, seeds) -> list[dict]:
     """One report per seed, its network trained in a stack with others."""
     reports = []
     per_stack = stack_size(arch, len(prepared.train), config.training.batch_size)
@@ -285,9 +247,9 @@ def _benchmark_arm(config, prepared, loss, arch, strategies, seeds) -> list[dict
             nets,
             prepared.train,
             prepared.val,
-            _optimizer_config(config),
+            config.optimizer,
             strategies,
-            loss,
+            config.model.loss,
             epochs=config.training.epochs,
             batch_size=config.training.batch_size,
             noise_seeds=[strategies.noise_seed + run_seed for run_seed in chunk],
@@ -297,7 +259,7 @@ def _benchmark_arm(config, prepared, loss, arch, strategies, seeds) -> list[dict
             if isinstance(result, DivergenceError):
                 reports.append({"error": str(result), "wall_time_s": wall})
                 continue
-            yhat = _point_forecast(net, prepared.test.x, loss.levels)
+            yhat = point_forecast(net, prepared.test.x, config.model.loss.levels)
             report = deterministic_report(prepared.test.y, yhat).to_dict()
             val_losses = [row[3] for row in result.rows if row[3] is not None]
             report["wall_time_s"] = wall
@@ -323,14 +285,13 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     if n_seeds < 1:
         raise SchemaError("benchmark needs at least one seed")
     prepared = build_dataset(config)
-    loss = _loss_from_config(config)
-    arch = _architecture(config, prepared, loss)
+    arch = _architecture(config, prepared)
     split_hash = _split_hash(prepared.test)
     seeds = [config.training.seed + i for i in range(n_seeds)]
     runs = [{"seed": run_seed} for run_seed in seeds]
     arms = zip(("with_strategies", "without_strategies"), _benchmark_strategies(config))
     for arm, strategies in arms:
-        reports = _benchmark_arm(config, prepared, loss, arch, strategies, seeds)
+        reports = _benchmark_arm(config, prepared, arch, strategies, seeds)
         for entry, report in zip(runs, reports):
             entry[arm] = dict(report, split_hash=split_hash)
 

@@ -331,11 +331,12 @@ def test_criterion_10_pfi_scaling():
         once(x_small, y_small)  # warm-up
         once(x_big, y_big)
         smalls, bigs = [], []
-        for _ in range(5):  # interleave so machine drift hits both sizes
+        for _ in range(7):  # interleave so machine drift hits both sizes
             smalls.append(once(x_small, y_small))
             bigs.append(once(x_big, y_big))
-        t_small = float(np.median(smalls))
-        t_big = float(np.median(bigs))
+        # the fastest repeat of each size: host noise only ever adds time
+        t_small = min(smalls)
+        t_big = min(bigs)
         ratio = t_big / t_small
         assert ratio <= 5.0, f"4x rows took {ratio:.2f}x the time"
         return f"{n} rows {t_small * 1e3:.0f}ms, {4 * n} rows {t_big * 1e3:.0f}ms, ratio {ratio:.2f}"

@@ -359,6 +359,50 @@ class TestExitCodes:
         assert err.startswith("windcast:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("optimizer", "beta1", float("nan")),
+        ("optimizer", "beta2", float("inf")),
+        ("optimizer", "epsilon", float("nan")),
+        ("optimizer", "fixed_lr", float("inf")),
+        ("strategies", "initial_lr", float("nan")),
+        ("strategies", "noise_tau", float("inf")),
+        ("strategies", "noise_tau", float("nan")),
+        ("training", "batch_size", 0),
+        ("training", "early_stop_patience", -1),
+        ("split", None, 0.8),
+        ("split", None, [0.8, "a", 0.1]),
+        ("split", None, [0.8, float("nan"), 0.1]),
+        ("model", "quantile_levels", [0.1, "median", 0.9]),
+    ])
+    def test_bad_config_value_is_schema(self, workdir, capsys, section, key, value):
+        cfg = json.loads((workdir / "quantile.json").read_text())
+        if key is None:
+            cfg[section] = value
+        else:
+            cfg.setdefault(section, {})[key] = value
+        (workdir / "bad_value.json").write_text(json.dumps(cfg))  # NaN/Infinity tokens
+        assert run(workdir, "train", "--config", "bad_value.json", "--out", "bv.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("windcast:")
+        assert "Traceback" not in err
+        assert not (workdir / "bv.json").exists()
+
+    def test_every_command_validates_the_whole_config(self, trained):
+        cfg = json.loads((trained / "point.json").read_text())
+        cfg["strategies"]["noise_tau"] = float("inf")
+        (trained / "bad_tau.json").write_text(json.dumps(cfg))
+        for command in ("predict", "evaluate", "explain"):
+            assert run(trained, command, "--model", "point_model.json",
+                       "--config", "bad_tau.json", "--out", f"bad_{command}.out") == 2
+
+    def test_bad_model_file_is_schema(self, trained, capsys):
+        doc = json.loads((trained / "point_model.json").read_text())
+        doc["weights"][0][0][0] = "heavy"
+        (trained / "bad_weight_model.json").write_text(json.dumps(doc))
+        assert run(trained, "predict", "--model", "bad_weight_model.json",
+                   "--config", "point.json", "--out", "bad_weight.csv") == 2
+        assert "bad_weight_model.json" in capsys.readouterr().err
+
     def test_divergence_is_exit_four(self, workdir):
         cfg = {
             "data": {"path": "wind.csv", "timestamp_col": "timestamp",

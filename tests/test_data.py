@@ -261,6 +261,17 @@ class TestBulkReaderMatchesRowWise:
         with pytest.raises(ParseError, match="row 4: timezone-aware timestamp"):
             load_csv(path, SCHEMA)
 
+    def test_oversized_cell_before_a_bad_row_is_parse_error(self, tmp_path):
+        # numpy's reader takes the 200,000-character cell in the unused
+        # column; the row walk's csv reader stops there, over its field limit
+        path = write_bytes(
+            tmp_path / "a.csv",
+            "timestamp,power,ws,note\n2021-01-01T00:00:00,1.0,3.0," + "x" * 200_000 + "\n"
+            "2021-01-01T00:15:00,oops,4.0,\n",
+        )
+        with pytest.raises(ParseError, match="line 2: field larger than field limit"):
+            load_csv(path, SCHEMA)
+
     def test_invalid_utf8_is_data_error(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_bytes(b"timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\n2021-01-01T00:15:00,\xff,4.0\n")

@@ -1,0 +1,98 @@
+"""Model files: byte-exact round trips of committed golden files, the three
+loss keys derived from one Loss, and rejection of malformed files.
+
+The golden files in tests/data were written by save_model from bundles
+built with init_network: a point model 2 -> 3 -> 1 (relu, seed 11, mse)
+and a quantile model 2 -> 3 -> 3 (tanh, seed 12, pinball at levels
+0.1/0.5/0.9), both with a three-column scaler.
+"""
+
+import json
+import os
+
+import pytest
+
+from windcast.errors import SchemaError
+from windcast.model_io import load_model, save_model
+from windcast.network import Loss
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = {
+    "point": (os.path.join(DATA, "golden_point_model.json"), Loss("mse")),
+    "quantile": (
+        os.path.join(DATA, "golden_quantile_model.json"),
+        Loss("pinball", (0.1, 0.5, 0.9)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_golden_round_trip_is_byte_identical(tmp_path, kind):
+    path, loss = GOLDEN[kind]
+    bundle = load_model(path)
+    assert bundle.kind == kind
+    assert bundle.loss == loss
+    assert bundle.quantile_levels == loss.levels
+    out = tmp_path / "model.json"
+    save_model(str(out), bundle)
+    with open(path, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+def _edited(tmp_path, kind, edit):
+    """A copy of a golden file with edit(doc) applied; returns its path."""
+    with open(GOLDEN[kind][0]) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / f"edited_{kind}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _rejected(path, match):
+    with pytest.raises(SchemaError, match=match) as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert excinfo.value.exit_code == 2
+
+
+@pytest.mark.parametrize("kind, edit, match", [
+    ("point", lambda d: d.update(kind="interval"), "unknown model kind"),
+    ("point", lambda d: d.update(kind=["point"]), "unknown model kind"),
+    ("point", lambda d: d.update(loss_kind="pinball"), "point model cannot have loss_kind"),
+    ("quantile", lambda d: d.update(loss_kind="mse"), "quantile model cannot have loss_kind"),
+    ("point", lambda d: d.update(quantile_levels=[0.5]), "mse loss takes no quantile levels"),
+    ("quantile", lambda d: d.update(quantile_levels=[0.1, 0.9]), "needs 2 outputs"),
+])
+def test_disagreeing_loss_keys_rejected(tmp_path, kind, edit, match):
+    _rejected(_edited(tmp_path, kind, edit), match)
+
+
+def test_missing_loss_kind_follows_the_model_kind(tmp_path):
+    path = _edited(tmp_path, "quantile", lambda d: d.pop("loss_kind"))
+    assert load_model(path).loss == GOLDEN["quantile"][1]
+
+
+def _set_weight(value):
+    def edit(doc):
+        doc["weights"][0][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit, match", [
+    ("point", _set_weight("abc"), r"weights\[0\] must hold finite numbers"),
+    ("point", _set_weight(None), r"weights\[0\] must hold finite numbers"),
+    ("point", _set_weight([1.0, 2.0]), r"weights\[0\] must hold finite numbers"),
+    ("point", lambda d: d["biases"].__setitem__(1, ["x"]), r"biases\[1\] must hold"),
+    ("point", lambda d: d.update(weights=3.0), "weights and biases must be lists"),
+    ("point", lambda d: d.update(architecture=[2, 3, 1]), "architecture must be an object"),
+    ("point", lambda d: d["architecture"].pop("layer_sizes"), "object with keys"),
+    ("point", lambda d: d["architecture"].pop("hidden_activation"), "object with keys"),
+    ("quantile", lambda d: d["architecture"].pop("output_activation"), "object with keys"),
+    ("point", lambda d: d["architecture"].update(layer_sizes=[2, "3", 1]), "list of integers"),
+    ("point", lambda d: d["architecture"].update(layer_sizes=3), "list of integers"),
+    ("quantile", lambda d: d.update(quantile_levels=[0.1, "half", 0.9]), "list of numbers"),
+    ("quantile", lambda d: d.update(quantile_levels=0.5), "list of numbers"),
+])
+def test_malformed_file_rejected_naming_it(tmp_path, kind, edit, match):
+    _rejected(_edited(tmp_path, kind, edit), match)

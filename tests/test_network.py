@@ -19,7 +19,6 @@ from windcast.network import (
     Network,
     QuantileForecast,
     backward,
-    compute_loss,
     forward,
     init_network,
     mse_loss,
@@ -401,7 +400,7 @@ class TestLosses:
         value, grad = loss.value_and_grad(pred, y)
         assert value == 2.5
         assert grad.shape == pred.shape
-        assert compute_loss(pred, y, loss) == 2.5
+        assert loss.value(pred, y) == 2.5
 
     def test_loss_validation(self):
         with pytest.raises(SchemaError):
@@ -448,9 +447,7 @@ class TestModelIo:
             scaler=scaler,
             target_name="power",
             feature_names=("ws", "ws_prev"),
-            kind="point",
-            loss_kind="mse",
-            quantile_levels=(),
+            loss=Loss("mse"),
             lag=None,
             horizon=1,
             metadata={"note": "fixture"},
@@ -521,9 +518,7 @@ class TestModelIo:
                 scaler=scaler,
                 target_name="power",
                 feature_names=("a", "b"),
-                kind="quantile",
-                loss_kind="pinball",
-                quantile_levels=(0.1, 0.9),  # two levels, three outputs
+                loss=Loss("pinball", (0.1, 0.9)),  # two levels, three outputs
                 lag=None,
                 horizon=1,
                 metadata={},
