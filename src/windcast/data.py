@@ -75,10 +75,13 @@ def load_csv(path: str, schema: CsvSchema) -> TimeSeriesFrame:
 
 
 def _read_header(fh, path: str) -> list[str]:
+    reader = csv.reader(fh)
     try:
-        return next(csv.reader(fh))
+        return next(reader)
     except StopIteration:
         raise EmptyDataError(f"{path}: file is empty") from None
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_cells(fh, usecols, dtype, ndmin: int) -> np.ndarray:

@@ -90,6 +90,16 @@ def _numbers(name: str, value) -> np.ndarray:
     return arr
 
 
+def _scaler(doc) -> Scaler:
+    """The scaler object: each column's [min, max], two finite numbers."""
+    if not isinstance(doc, dict):
+        raise SchemaError("scaler must be an object of column bounds")
+    for name, bounds in doc.items():
+        if _numbers(f"scaler bounds of {name!r}", bounds).shape != (2,):
+            raise SchemaError(f"scaler bounds of {name!r} must be [min, max]")
+    return Scaler.from_dict(doc)
+
+
 def _parse_bundle(doc) -> ModelBundle:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise SchemaError(f"not a {FORMAT_NAME} file")
@@ -115,18 +125,24 @@ def _parse_bundle(doc) -> ModelBundle:
     weights, biases = doc["weights"], doc["biases"]
     if not isinstance(weights, list) or not isinstance(biases, list):
         raise SchemaError("weights and biases must be lists")
+    names = doc["feature_names"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise SchemaError("feature_names must be a list of strings")
+    horizon = doc.get("horizon", 1)
+    if type(horizon) is not int or horizon < 1:
+        raise SchemaError(f"horizon must be an integer >= 1, got {horizon!r}")
     return ModelBundle(
         network=Network(
             Architecture(tuple(sizes), arch["hidden_activation"], arch["output_activation"]),
             [_numbers(f"weights[{k}]", w) for k, w in enumerate(weights)],
             [_numbers(f"biases[{k}]", b) for k, b in enumerate(biases)],
         ),
-        scaler=Scaler.from_dict(doc["scaler"]),
+        scaler=_scaler(doc["scaler"]),
         target_name=doc["target_name"],
-        feature_names=tuple(doc["feature_names"]),
+        feature_names=tuple(names),
         loss=Loss(loss_kind, doc.get("quantile_levels", [])),
         lag=doc.get("lag"),
-        horizon=int(doc.get("horizon", 1)),
+        horizon=horizon,
         metadata=doc.get("metadata", {}),
     )
 

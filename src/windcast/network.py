@@ -1,19 +1,25 @@
 """Fully connected feed-forward network with hand-written gradients.
 
 Weights are stored (fan_out, fan_in) so a layer computes z = a @ W.T + b.
-The forward pass can return a cache of pre-activations and activations;
-the backward pass consumes it and produces gradients laid out exactly
-like the parameter list, suitable for any first-order optimizer.
+A network's parameters are views into one flat array, Network.flat, that
+holds W0, b0, W1, b1, ... in turn, each in C order. The forward pass can
+return a cache of pre-activations and activations; the backward pass
+consumes it and produces gradients in the same flat layout (a Params).
 
-S networks of one architecture can run as a single stack: every
-parameter gains a leading axis of length S, all slices see the same
-input batch, and predictions, gradients and per-slice loss values carry
-the same leading axis. Each slice computes bit for bit what its network
-computes alone.
+S networks of one architecture can run as a single stack: the flat array
+is (S, P) instead of (P,), every parameter gains a leading axis of length
+S, all slices see the same input batch, and predictions, gradients and
+per-slice loss values carry the same leading axis. Each slice computes
+bit for bit what its network computes alone.
+
+A training loop hands forward, the loss and backward a Workspace, the
+arrays one step writes, allocated once. The values are byte for byte
+those the allocating path gives; only where they are stored differs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -25,16 +31,6 @@ HIDDEN_ACTIVATIONS = ("relu", "tanh", "sigmoid")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    if out is None:
-        out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the activation; pass out=z to overwrite z instead of allocating."""
     if kind == "relu":
@@ -42,7 +38,12 @@ def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nda
     if kind == "tanh":
         return np.tanh(z, out=out)
     if kind == "sigmoid":
-        return _sigmoid(z, out)
+        out = np.empty_like(z) if out is None else out
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
     if kind == "identity":
         return z
     raise InvalidArchitectureError(f"unknown activation {kind!r}")
@@ -76,13 +77,9 @@ class Architecture:
         if any(int(s) < 1 for s in self.layer_sizes):
             raise InvalidArchitectureError(f"layer sizes must be >= 1: {self.layer_sizes}")
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise InvalidArchitectureError(
-                f"hidden activation must be one of {HIDDEN_ACTIVATIONS}"
-            )
+            raise InvalidArchitectureError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise InvalidArchitectureError(
-                f"output activation must be one of {OUTPUT_ACTIVATIONS}"
-            )
+            raise InvalidArchitectureError(f"output activation must be one of {OUTPUT_ACTIVATIONS}")
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
 
     @property
@@ -93,50 +90,79 @@ class Architecture:
     def n_outputs(self) -> int:
         return self.layer_sizes[-1]
 
+    def activation(self, k: int) -> str:
+        """The activation of layer k: the output one on the last layer."""
+        last = k == len(self.layer_sizes) - 2
+        return self.output_activation if last else self.hidden_activation
+
+    @property
+    def param_shapes(self) -> list[tuple[int, ...]]:
+        """Shapes of W0, b0, W1, b1, ... of one network."""
+        sizes = self.layer_sizes
+        return [shape for fan_in, fan_out in zip(sizes, sizes[1:])
+                for shape in ((fan_out, fan_in), (fan_out,))]
+
+
+class Params(list):
+    """Views of one flat array, (P,) for one network or (S, P) for a stack:
+    each takes the next prod(shape) values of every slice, in C order, and
+    keeps the stack axis in front."""
+
+    def __init__(self, flat: np.ndarray, shapes):
+        self.flat, self.shapes = flat, tuple(shapes)
+        lead, lo = flat.shape[:-1], 0
+        for shape in self.shapes:
+            hi = lo + math.prod(shape)
+            self.append(flat[..., lo:hi].reshape(*lead, *shape, copy=False))
+            lo = hi
+        if lo != flat.shape[-1]:
+            raise ShapeError(f"flat array of {flat.shape[-1]} values for shapes of {lo}")
+
 
 class Network:
     """Parameter container: weights[k] has shape (sizes[k+1], sizes[k]).
 
-    A stack of S networks puts a leading axis on every parameter:
-    weights[k] is (S, sizes[k+1], sizes[k]) and biases[k] (S, sizes[k+1]).
+    The parameters view `flat`. A stack of S networks puts a leading axis
+    on every one: flat is (S, P), weights[k] (S, sizes[k+1], sizes[k]) and
+    biases[k] (S, sizes[k+1]). The constructor copies the given arrays into
+    a new flat array; Network.viewing wraps an existing one.
     """
 
     def __init__(self, architecture: Architecture, weights, biases):
-        self.architecture = architecture
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        sizes = architecture.layer_sizes
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
+        shapes = architecture.param_shapes
+        if len(weights) != len(shapes) // 2 or len(biases) != len(shapes) // 2:
             raise ShapeError("one weight and bias per connection expected")
-        lead = self.weights[0].shape[:-2]
+        arrays = [np.asarray(a, dtype=float) for pair in zip(weights, biases) for a in pair]
+        lead = arrays[0].shape[:-2]
         if len(lead) > 1:
             raise ShapeError("parameters carry at most one leading stack axis")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (*lead, sizes[k + 1], sizes[k]):
-                raise ShapeError(
-                    f"layer {k}: weight shape {w.shape} != {(*lead, sizes[k + 1], sizes[k])}"
-                )
-            if b.shape != (*lead, sizes[k + 1]):
-                raise ShapeError(f"layer {k}: bias shape {b.shape} != {(*lead, sizes[k + 1])}")
+        for j, (a, shape) in enumerate(zip(arrays, shapes)):
+            if a.shape != (*lead, *shape):
+                name = ("weight", "bias")[j % 2]
+                raise ShapeError(f"layer {j // 2}: {name} shape {a.shape} != {(*lead, *shape)}")
+        self._view(architecture, np.empty((*lead, sum(map(math.prod, shapes)))))
+        for p, a in zip(self.params, arrays):
+            p[...] = a
+
+    @classmethod
+    def viewing(cls, architecture: Architecture, flat: np.ndarray) -> "Network":
+        """A network whose parameters are views of flat, (P,) or (S, P)."""
+        net = cls.__new__(cls)
+        net._view(architecture, flat)
+        return net
+
+    def _view(self, architecture: Architecture, flat: np.ndarray) -> None:
+        self.architecture, self.flat = architecture, flat
+        self.params = Params(flat, architecture.param_shapes)
+        self.weights, self.biases = self.params[0::2], self.params[1::2]
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat list [W0, b0, W1, b1, ...] in a fixed order."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def copy(self) -> "Network":
-        return Network(
-            self.architecture,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+    def parameters(self) -> Params:
+        """[W0, b0, W1, b1, ...], views of flat."""
+        return self.params
 
 
 def stack_networks(nets) -> Network:
@@ -144,19 +170,29 @@ def stack_networks(nets) -> Network:
     arch = nets[0].architecture
     if any(net.architecture != arch for net in nets):
         raise ShapeError("stacked networks must share one architecture")
-    return Network(
-        arch,
-        [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
-        [np.stack(bs) for bs in zip(*(net.biases for net in nets))],
-    )
+    return Network.viewing(arch, np.stack([net.flat for net in nets]))
 
 
 def unstack_network(stack: Network) -> list[Network]:
-    """The slices of a stacked network, as networks viewing its arrays."""
-    return [
-        Network(stack.architecture, [w[s] for w in stack.weights], [b[s] for b in stack.biases])
-        for s in range(len(stack.weights[0]))
-    ]
+    """The slices of a stacked network, as networks viewing its flat array."""
+    return [Network.viewing(stack.architecture, row) for row in stack.flat]
+
+
+class Workspace:
+    """What one training step of net on up to n rows writes, allocated once.
+
+    zs and acts hold each layer's z and a (an identity output's a is its z),
+    das each hidden layer's dL/da, which backward turns into dL/dz in place,
+    dpred the loss gradient and grads the parameter gradient. A batch of
+    fewer rows uses the leading rows of each.
+    """
+
+    def __init__(self, net: Network, n: int):
+        self.zs = [np.empty((*net.flat.shape[:-1], n, h)) for h in net.architecture.layer_sizes[1:]]
+        self.acts = [np.empty_like(z) for z in self.zs]
+        self.das = [np.empty_like(z) for z in self.zs[:-1]]
+        self.dpred = np.empty_like(self.zs[-1])
+        self.grads = Params(np.empty_like(net.flat), net.params.shapes)
 
 
 def init_network(architecture: Architecture, seed: int) -> Network:
@@ -166,22 +202,22 @@ def init_network(architecture: Architecture, seed: int) -> Network:
     seeds give bit-identical parameters.
     """
     rng = np.random.default_rng(seed)
-    sizes = architecture.layer_sizes
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Network(architecture, weights, biases)
+    net = Network.viewing(architecture, np.zeros(sum(map(math.prod, architecture.param_shapes))))
+    for w in net.weights:
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
-def forward(net: Network, x: np.ndarray, *, want_cache: bool = False):
+def forward(net: Network, x: np.ndarray, *, want_cache: bool = False,
+            work: Workspace | None = None):
     """Run a batch through the network.
 
     Returns predictions (n, n_outputs), plus a cache dict when asked. The
-    cache stores the input and each layer's pre-activation z and output a.
-    A stacked network runs the same (n, features) batch through every
-    slice and returns (S, n, n_outputs).
+    cache stores the input and each layer's pre-activation z and output a;
+    with a workspace they are stored in its arrays. A stacked network runs
+    the same (n, features) batch through every slice and returns
+    (S, n, n_outputs).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -190,34 +226,31 @@ def forward(net: Network, x: np.ndarray, *, want_cache: bool = False):
         raise ShapeError(
             f"batch has {x.shape[1]} features, network expects {net.architecture.n_inputs}"
         )
-    last = net.n_layers - 1
-    zs = []
-    acts = [x]
-    a = x
+    n = x.shape[0]
+    work = work if want_cache else None
+    zs, acts, a = [], [x], x
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.swapaxes(-1, -2)
+        z = np.matmul(a, w.swapaxes(-1, -2), out=None if work is None else work.zs[k][..., :n, :])
         z += b[..., None, :]
-        kind = (
-            net.architecture.output_activation
-            if k == last
-            else net.architecture.hidden_activation
-        )
         # without a cache nothing else holds z, so it can take the output
-        a = _activate(z, kind, None if want_cache else z)
+        out = z if not want_cache else (None if work is None else work.acts[k][..., :n, :])
+        a = _activate(z, net.architecture.activation(k), out)
         if want_cache:
             zs.append(z)
             acts.append(a)
     if not want_cache:
         return a
-    return a, {"zs": zs, "acts": acts, "n": x.shape[0]}
+    das = None if work is None else [da[..., :n, :] for da in work.das]
+    return a, {"zs": zs, "acts": acts, "n": n, "das": das}
 
 
-def backward(net: Network, cache: dict, dloss_dpred: np.ndarray) -> list[np.ndarray]:
+def backward(net: Network, cache: dict, dloss_dpred: np.ndarray, *,
+             out: Params | None = None) -> Params:
     """Backpropagate dL/dpred through the cached forward pass.
 
-    Returns gradients in the same order as Network.parameters():
-    [dW0, db0, dW1, db1, ...]. A stacked network takes and returns one
-    slice per network along the leading axis.
+    Returns gradients laid out like Network.parameters(): [dW0, db0, dW1,
+    db1, ...] as views of one flat array, out's when given. A stacked
+    network takes and returns one slice per network along the leading axis.
     """
     for key in ("zs", "acts", "n"):
         if key not in cache:
@@ -230,21 +263,21 @@ def backward(net: Network, cache: dict, dloss_dpred: np.ndarray) -> list[np.ndar
         raise ShapeError(
             f"upstream gradient shape {dloss_dpred.shape} != prediction shape {acts[-1].shape}"
         )
+    if out is not None and out.flat.shape != net.flat.shape:
+        raise ShapeError(f"gradient array shape {out.flat.shape} != {net.flat.shape}")
 
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * net.n_layers)
-    last = net.n_layers - 1
-    da = dloss_dpred
+    grads = Params(np.empty_like(net.flat), net.params.shapes) if out is None else out
+    das, last, da = cache.get("das"), net.n_layers - 1, dloss_dpred
     for k in range(last, -1, -1):
-        kind = (
-            net.architecture.output_activation
-            if k == last
-            else net.architecture.hidden_activation
-        )
-        dz = da if kind == "identity" else da * _activate_grad(zs[k], acts[k + 1], kind)
-        grads[2 * k] = dz.swapaxes(-1, -2) @ acts[k]
-        grads[2 * k + 1] = dz.sum(axis=-2)
+        kind = net.architecture.activation(k)
+        dz = da
+        if kind != "identity":  # da is the caller's on the last layer, else this pass's own
+            grad = _activate_grad(zs[k], acts[k + 1], kind)
+            dz = np.multiply(da, grad, out=None if k == last else da)
+        np.matmul(dz.swapaxes(-1, -2), acts[k], out=grads[2 * k])
+        dz.sum(axis=-2, out=grads[2 * k + 1])
         if k > 0:
-            da = dz @ net.weights[k]
+            da = np.matmul(dz, net.weights[k], out=None if das is None else das[k - 1])
     return grads
 
 
@@ -255,23 +288,22 @@ def _slice_mean(a: np.ndarray, stacked: bool):
     return float(np.mean(a))
 
 
-def mse_loss(
-    pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True
-) -> tuple[float | np.ndarray, np.ndarray | None]:
+def mse_loss(pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True,
+             out=None) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean squared error over every entry and its gradient w.r.t. pred.
 
     A stacked (S, n, k) pred against an (n, k) target gives one loss per
     slice, and each slice's gradient is scaled by the size of one slice.
     With want_grad=False the gradient is not built and None stands in.
+    The gradient is written into out when given.
     """
-    pred = np.asarray(pred, dtype=float)
-    y = np.asarray(y, dtype=float)
+    pred, y = np.asarray(pred, dtype=float), np.asarray(y, dtype=float)
     stacked = pred.ndim == 3 and y.ndim == 2
     if pred.shape[stacked:] != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {y.shape}")
     if pred.size == 0:
         raise EmptyDataError("loss of zero samples is undefined")
-    diff = pred - y
+    diff = np.subtract(pred, y, out=out)
     loss = _slice_mean(diff * diff, stacked)
     if not want_grad:
         return loss, None
@@ -280,9 +312,8 @@ def mse_loss(
     return loss, diff
 
 
-def pinball_loss(
-    pred: np.ndarray, y: np.ndarray, levels, *, want_grad: bool = True
-) -> tuple[float | np.ndarray, np.ndarray | None]:
+def pinball_loss(pred: np.ndarray, y: np.ndarray, levels, *, want_grad: bool = True,
+                 out=None) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean pinball loss across samples and quantile levels.
 
     Column j of pred targets quantile levels[j]. Where y >= pred the
@@ -291,10 +322,10 @@ def pinball_loss(
     one weight w = q or q - 1 per entry: the loss is mean(w * (y - pred))
     and the gradient -w / size. A stacked (S, n, k) pred gives one loss
     per slice, size being that of one slice. With want_grad=False the
-    gradient is not built and None stands in.
+    gradient is not built and None stands in. The gradient is written into
+    out when given.
     """
-    pred = np.asarray(pred, dtype=float)
-    y = np.asarray(y, dtype=float)
+    pred, y = np.asarray(pred, dtype=float), np.asarray(y, dtype=float)
     q = np.asarray(levels, dtype=float)
     if q.ndim != 1 or pred.ndim not in (2, 3) or pred.shape[-1] != q.shape[0]:
         raise ShapeError("pred must be (n, len(levels)) or (S, n, len(levels))")
@@ -305,7 +336,7 @@ def pinball_loss(
     if pred.size == 0:
         raise EmptyDataError("loss of zero samples is undefined")
     diff = y[:, None] - pred
-    w = np.where(diff >= 0.0, q, q - 1.0)
+    w = np.subtract(q, ~(diff >= 0.0), out=out)  # q - True is q - 1.0, q - False is q
     diff *= w
     loss = _slice_mean(diff, pred.ndim == 3)
     if not want_grad:
@@ -346,23 +377,22 @@ class Loss:
     def n_outputs(self) -> int:
         return len(self.levels) if self.kind == "pinball" else 1
 
-    def value_and_grad(
-        self, pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True
-    ) -> tuple[float | np.ndarray, np.ndarray | None]:
+    def value_and_grad(self, pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True,
+                       out=None) -> tuple[float | np.ndarray, np.ndarray | None]:
         """Loss value plus its gradient w.r.t. the (n, k) prediction batch.
 
         y is a length-n vector; for mse the single prediction column is
         compared against it directly. A stacked (S, n, k) batch gives an
         array of S loss values. With want_grad=False the gradient is not
-        built and None stands in.
+        built and None stands in; otherwise it is written into out when
+        given.
         """
-        pred = np.asarray(pred, dtype=float)
-        y = np.asarray(y, dtype=float)
+        pred, y = np.asarray(pred, dtype=float), np.asarray(y, dtype=float)
         if self.kind == "pinball":
-            return pinball_loss(pred, y, self.levels, want_grad=want_grad)
+            return pinball_loss(pred, y, self.levels, want_grad=want_grad, out=out)
         if pred.ndim in (2, 3) and pred.shape[-1] == 1 and y.ndim == 1:
             y = y[:, None]
-        return mse_loss(pred, y, want_grad=want_grad)
+        return mse_loss(pred, y, want_grad=want_grad, out=out)
 
     def value(self, pred: np.ndarray, y: np.ndarray) -> float:
         return self.value_and_grad(pred, y, want_grad=False)[0]
@@ -385,9 +415,7 @@ class QuantileForecast:
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise SchemaError("quantile levels must be strictly increasing")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.levels):
-            raise ShapeError(
-                f"values shape {self.values.shape} != (n, {len(self.levels)})"
-            )
+            raise ShapeError(f"values shape {self.values.shape} != (n, {len(self.levels)})")
 
     def __len__(self) -> int:
         return self.values.shape[0]

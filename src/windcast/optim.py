@@ -25,6 +25,11 @@ Note eps sits inside the square root for adam/nadam/rmsprop.
 Every formula works element by element and centralization row by row, so
 the optimizer and the training loop run S networks as one stack (see
 network.py) with each slice following its solo trajectory bit for bit.
+
+The state shares the parameters' flat layout (see network.py): a step
+applies its formula once to (P,) or (S, P) arrays, and a slice's noise is
+one P-value draw, equal to per-parameter draws from the same stream. The
+training loop keeps a network.Workspace per stack.
 """
 
 from __future__ import annotations
@@ -34,13 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DivergenceError,
-    ScheduleOverflowError,
-    SchemaError,
-    ShapeError,
-)
-from .network import Loss, Network, backward, forward, stack_networks, unstack_network
+from .errors import DivergenceError, ScheduleOverflowError, SchemaError, ShapeError
+from .network import Loss, Network, Params, Workspace, backward, forward
+from .network import stack_networks, unstack_network
 
 OPTIMIZER_KINDS = ("adam", "nadam", "rmsprop", "adamax")
 
@@ -93,9 +94,7 @@ def centralize_gradient(g: np.ndarray) -> np.ndarray:
     which makes the operation exactly idempotent.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2:
-        return g
-    return _centralize_rows(g)
+    return _centralize_rows(g) if g.ndim == 2 else g
 
 
 def _centralize_rows(g: np.ndarray) -> np.ndarray:
@@ -122,18 +121,27 @@ def cosine_lr(t: float, alpha0: float, total_epochs: int) -> float:
     if t < 0:
         raise SchemaError("epoch index must be >= 0")
     if t > total_epochs:
-        raise ScheduleOverflowError(
-            f"epoch {t} is past the planned horizon {total_epochs}"
-        )
+        raise ScheduleOverflowError(f"epoch {t} is past the planned horizon {total_epochs}")
     return alpha0 * (1.0 + math.cos(math.pi * t / total_epochs)) / 2.0
+
+
+def _as_params(arrays, stacked: bool) -> Params:
+    """arrays as a Params: itself, or the one view of a lone C-contiguous array."""
+    if isinstance(arrays, Params):
+        return arrays
+    if len(arrays) != 1 or not arrays[0].flags.c_contiguous:
+        raise ShapeError("parameters must be a Params or one C-contiguous array")
+    a = arrays[0]
+    return Params(a.reshape(*a.shape[:stacked], -1), [a.shape[stacked:]])
 
 
 class Optimizer:
     """Stateful update rule over a fixed list of parameter arrays.
 
     The list is ordered like Network.parameters(), so the weights, which
-    centralization applies to, sit at the even positions. Only the state
-    the kind reads is allocated, zero: m and v for adam and nadam, v for
+    centralization applies to, sit at the even positions: a Params, or a
+    list of one C-contiguous array. Only the state the kind reads is
+    allocated, zero, in the same layout: m and v for adam and nadam, v for
     rmsprop, m and u for adamax; the others are None. The step counter
     starts at 0 and advances once per step() call. The noise stream, when
     enabled, is seeded independently of anything else so a tau=0 rerun
@@ -147,21 +155,18 @@ class Optimizer:
 
     def __init__(self, config: OptimizerConfig, strategies: StrategyConfig, params,
                  noise_seeds=None):
-        self.config = config
-        self.strategies = strategies
-        self.t = 0
-        self.n_params = len(params)
-        kind = config.kind
-        self.m = [np.zeros_like(p) for p in params] if kind != "rmsprop" else None
-        self.v = [np.zeros_like(p) for p in params] if kind != "adamax" else None
-        self.u = [np.zeros_like(p) for p in params] if kind == "adamax" else None
+        self.config, self.strategies, self.t = config, strategies, 0
         self.stacked = noise_seeds is not None
-        seeds = noise_seeds if self.stacked else [strategies.noise_seed]
-        self._noise_rngs = (
-            [np.random.default_rng([seed, 1]) for seed in seeds]
-            if strategies.noise_tau > 0.0
-            else None
+        params = _as_params(params, self.stacked)
+        self.shapes, self.flat_shape = params.shapes, params.flat.shape
+        kind = config.kind
+        self.m, self.v, self.u = (
+            Params(np.zeros(self.flat_shape), self.shapes) if wanted else None
+            for wanted in (kind != "rmsprop", kind != "adamax", kind == "adamax")
         )
+        seeds = noise_seeds if self.stacked else [strategies.noise_seed]
+        self._noise_rngs = ([np.random.default_rng([seed, 1]) for seed in seeds]
+                            if strategies.noise_tau > 0.0 else None)
 
     def learning_rate(self, epoch: int) -> float:
         """Rate for the given 1-indexed epoch: cosine when enabled, else fixed."""
@@ -171,69 +176,67 @@ class Optimizer:
 
     def keep_slices(self, keep) -> None:
         """Retain the state of the given stack slices only, in that order."""
-        for name in ("m", "v", "u"):
-            state = getattr(self, name)
-            if state is not None:
-                setattr(self, name, [a[keep] for a in state])
+        self.m, self.v, self.u = (None if a is None else Params(a.flat[keep], a.shapes)
+                                  for a in (self.m, self.v, self.u))
+        self.flat_shape = (len(keep), *self.flat_shape[1:])
         if self._noise_rngs is not None:
             self._noise_rngs = [self._noise_rngs[s] for s in keep]
 
     def step(self, params, grads, epoch: int = 1) -> dict[int, int]:
-        """Update every parameter array in place from its gradient.
+        """Update every parameter in place, in one pass over the flat arrays.
 
-        A non-finite gradient raises DivergenceError. A stacked optimizer
-        updates every slice instead and returns, for each slice with a
-        non-finite gradient, the index of the first such parameter.
+        Centralization overwrites the weight gradients. A non-finite
+        gradient raises DivergenceError before any update. A stacked
+        optimizer updates every slice instead and returns, for each slice
+        with a non-finite gradient, the index of the first such parameter.
         """
-        if len(params) != self.n_params or len(grads) != len(params):
-            raise ShapeError("parameter/gradient count does not match optimizer state")
+        params, grads = _as_params(params, self.stacked), _as_params(grads, self.stacked)
+        for arrays in (params, grads):
+            if arrays.shapes != self.shapes or arrays.flat.shape != self.flat_shape:
+                raise ShapeError(f"arrays of shapes {[a.shape for a in arrays]} do not "
+                                 f"match the optimizer's {self.flat_shape} state")
+        p, g = params.flat, grads.flat
+        diverged: dict[int, int] = {}
+        finite = np.isfinite(g)
+        if not finite.all():
+            ends = np.cumsum([math.prod(shape) for shape in self.shapes])
+            for s, row in enumerate(finite.reshape(-1, g.shape[-1])):
+                if not row.all():
+                    diverged[s] = int(np.searchsorted(ends, np.argmin(row), side="right"))
+            if not self.stacked:
+                raise DivergenceError(f"non-finite gradient in parameter {diverged[0]}")
+        if self.strategies.centralize:
+            for w in grads[0::2]:
+                w[...] = _centralize_rows(w)
+
         lr = self.learning_rate(epoch)
         b1, b2, eps = self.config.beta1, self.config.beta2, self.config.epsilon
-        kind = self.config.kind
         self.t += 1
-        t = self.t
-        diverged: dict[int, int] = {}
-        for k, (p, g) in enumerate(zip(params, grads)):
-            g = np.asarray(g, dtype=float)
-            if g.shape != p.shape:
-                raise ShapeError(
-                    f"parameter {k}: gradient shape {g.shape} != {p.shape}"
-                )
-            if not np.all(np.isfinite(g)):
-                if not self.stacked:
-                    raise DivergenceError(f"non-finite gradient in parameter {k}")
-                finite = np.isfinite(g).reshape(len(g), -1).all(axis=1)
-                for s in np.flatnonzero(~finite):
-                    diverged.setdefault(int(s), k)
-            if self.strategies.centralize and k % 2 == 0:
-                g = _centralize_rows(g)
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        m, v, u = (None if a is None else a.flat for a in (self.m, self.v, self.u))
+        # m *= b1; m += x rounds exactly like b1 * m + x
+        if m is not None:
+            m *= b1
+            m += (1.0 - b1) * g
+        if v is not None:
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+        kind = self.config.kind
+        if kind == "adam":
+            p -= lr * (m / c1) / np.sqrt(v / c2 + eps)
+        elif kind == "nadam":
+            p -= lr * (b1 * (m / c1) + (1.0 - b1) * (g / c1)) / np.sqrt(v / c2 + eps)
+        elif kind == "rmsprop":
+            p -= lr * g / np.sqrt(v + eps)
+        else:  # adamax
+            u *= b2
+            np.maximum(u, np.abs(g), out=u)
+            p -= lr * (m / c1) / (u + eps)
 
-            if kind == "adam":
-                self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-                self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
-                m_hat = self.m[k] / (1.0 - b1 ** t)
-                v_hat = self.v[k] / (1.0 - b2 ** t)
-                p -= lr * m_hat / np.sqrt(v_hat + eps)
-            elif kind == "nadam":
-                self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-                self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
-                m_hat = self.m[k] / (1.0 - b1 ** t)
-                v_hat = self.v[k] / (1.0 - b2 ** t)
-                g_hat = g / (1.0 - b1 ** t)
-                p -= lr * (b1 * m_hat + (1.0 - b1) * g_hat) / np.sqrt(v_hat + eps)
-            elif kind == "rmsprop":
-                self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
-                p -= lr * g / np.sqrt(self.v[k] + eps)
-            else:  # adamax
-                self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-                self.u[k] = np.maximum(b2 * self.u[k], np.abs(g))
-                m_hat = self.m[k] / (1.0 - b1 ** t)
-                p -= lr * m_hat / (self.u[k] + eps)
-
-            if self._noise_rngs is not None:
-                tau = self.strategies.noise_tau
-                for row, rng in zip(p if self.stacked else (p,), self._noise_rngs):
-                    row += rng.uniform(-tau, tau, size=row.shape)
+        if self._noise_rngs is not None:
+            tau = self.strategies.noise_tau
+            for row, rng in zip(p if self.stacked else (p,), self._noise_rngs):
+                row += rng.uniform(-tau, tau, size=row.shape)
         return diverged
 
 
@@ -261,14 +264,8 @@ class TrainingTrace:
         rows = []
         for ln in lines[1:]:
             epoch, lr, train_loss, val_loss = ln.split(",")
-            rows.append(
-                (
-                    int(epoch),
-                    float(lr),
-                    float(train_loss),
-                    None if val_loss == "" else float(val_loss),
-                )
-            )
+            rows.append((int(epoch), float(lr), float(train_loss),
+                         None if val_loss == "" else float(val_loss)))
         return cls(rows)
 
 
@@ -289,17 +286,9 @@ def stack_size(architecture, n_rows: int, batch_size: int | None = None) -> int:
     return max(1, STACK_BYTES // per_network)
 
 
-def train(
-    net: Network,
-    train_set,
-    val_set,
-    opt_config: OptimizerConfig,
-    strategies: StrategyConfig,
-    loss: Loss,
-    epochs: int,
-    batch_size: int | None = None,
-    early_stop_patience: int | None = None,
-) -> tuple[Network, TrainingTrace]:
+def train(net: Network, train_set, val_set, opt_config: OptimizerConfig,
+          strategies: StrategyConfig, loss: Loss, epochs: int, batch_size: int | None = None,
+          early_stop_patience: int | None = None) -> tuple[Network, TrainingTrace]:
     """Gradient-descent training loop over full or sequential batches.
 
     The network's parameters are updated in place. Each trace row records
@@ -312,27 +301,17 @@ def train(
 
     This is train_seeds on a stack of one network.
     """
-    (result,) = train_seeds(
-        [net], train_set, val_set, opt_config, strategies, loss, epochs,
-        batch_size, early_stop_patience,
-    )
+    (result,) = train_seeds([net], train_set, val_set, opt_config, strategies, loss, epochs,
+                            batch_size, early_stop_patience)
     if isinstance(result, DivergenceError):
         raise result
     return net, result
 
 
-def train_seeds(
-    nets,
-    train_set,
-    val_set,
-    opt_config: OptimizerConfig,
-    strategies: StrategyConfig,
-    loss: Loss,
-    epochs: int,
-    batch_size: int | None = None,
-    early_stop_patience: int | None = None,
-    noise_seeds=None,
-) -> list:
+def train_seeds(nets, train_set, val_set, opt_config: OptimizerConfig,
+                strategies: StrategyConfig, loss: Loss, epochs: int,
+                batch_size: int | None = None, early_stop_patience: int | None = None,
+                noise_seeds=None) -> list:
     """Train networks of one architecture together, as one stacked network.
 
     Network s draws its parameter noise from a stream seeded
@@ -350,7 +329,8 @@ def train_seeds(
     train_loss and epoch e+1's gradient: E epochs cost E + 1 training-set
     forward passes and loss evaluations instead of 2E. With minibatches,
     and for the validation loss, each network is evaluated on its own
-    after the epoch's updates, so the stack caches one batch at a time.
+    after the epoch's updates, so the stack caches one batch at a time,
+    in a workspace allocated once per stack.
     """
     if epochs < 0:
         raise SchemaError("epochs must be >= 0")
@@ -360,9 +340,8 @@ def train_seeds(
     if early_stop_patience is not None and not has_val:
         raise SchemaError("early stopping requires a validation set")
     if strategies.cosine_lr and epochs > strategies.total_epochs:
-        raise ScheduleOverflowError(
-            f"{epochs} epochs exceed the schedule horizon {strategies.total_epochs}"
-        )
+        raise ScheduleOverflowError(f"{epochs} epochs exceed the schedule horizon "
+                                    f"{strategies.total_epochs}")
     if noise_seeds is None:
         noise_seeds = [strategies.noise_seed] * len(nets)
     if len(noise_seeds) != len(nets):
@@ -375,13 +354,13 @@ def train_seeds(
     optimizer = Optimizer(opt_config, strategies, stack.parameters(), noise_seeds)
     ids = list(range(len(nets)))  # the network each stack slice trains
     results: list = [None] * len(nets)
+    best_params: list = [None] * len(nets)  # flat copies, with early stopping
     rows: list = [[] for _ in nets]
-    best_val = [math.inf] * len(nets)
-    best_params: list = [None] * len(nets)
-    waited = [0] * len(nets)
+    best_val, waited = [math.inf] * len(nets), [0] * len(nets)
     n = len(train_set)
     full_batch = not batch_size or batch_size >= n
-    cache = None
+    step_rows = n if full_batch else batch_size
+    work, cache = Workspace(stack, step_rows), None
     for epoch in range(1, epochs + 1):
         lr = optimizer.learning_rate(epoch)
         params = stack.parameters()
@@ -390,25 +369,22 @@ def train_seeds(
         with np.errstate(over="ignore", invalid="ignore"):
             if full_batch:
                 if cache is None:
-                    pred, cache = forward(stack, train_set.x, want_cache=True)
-                    _, dpred = loss.value_and_grad(pred, train_set.y)
-                diverged = optimizer.step(params, backward(stack, cache, dpred), epoch)
-                # Drop the old cache before the next is built, to hold peak
-                # memory down. dpred is left for the new gradient to
-                # replace: freeing it too let glibc trim the heap top, and
-                # the next pass page-faulted that memory back in.
-                pred = cache = None
-                pred, cache = forward(stack, train_set.x, want_cache=True)
+                    pred, cache = forward(stack, train_set.x, want_cache=True, work=work)
+                    _, dpred = loss.value_and_grad(pred, train_set.y, out=work.dpred)
+                grads = backward(stack, cache, dpred, out=work.grads)
+                diverged = optimizer.step(params, grads, epoch)
+                pred, cache = forward(stack, train_set.x, want_cache=True, work=work)
                 train_losses, dpred = loss.value_and_grad(
-                    pred, train_set.y, want_grad=epoch < epochs
+                    pred, train_set.y, want_grad=epoch < epochs, out=work.dpred
                 )
             else:
                 diverged = {}
                 for lo in range(0, n, batch_size):
-                    sl = slice(lo, min(lo + batch_size, n))
-                    pred, cache = forward(stack, train_set.x[sl], want_cache=True)
-                    _, dpred = loss.value_and_grad(pred, train_set.y[sl])
-                    failed = optimizer.step(params, backward(stack, cache, dpred), epoch)
+                    x, y = train_set.x[lo:lo + batch_size], train_set.y[lo:lo + batch_size]
+                    pred, cache = forward(stack, x, want_cache=True, work=work)
+                    _, dpred = loss.value_and_grad(pred, y, out=work.dpred[:, :len(y)])
+                    grads = backward(stack, cache, dpred, out=work.grads)
+                    failed = optimizer.step(params, grads, epoch)
                     for s, k in failed.items():
                         diverged.setdefault(s, k)
                 train_losses = [
@@ -419,13 +395,9 @@ def train_seeds(
         leaving = []
         for s, net in enumerate(slices):
             i = ids[s]
-            if s in diverged:
-                message = f"non-finite gradient in parameter {diverged[s]}"
-            elif not math.isfinite(train_losses[s]):
-                message = f"training loss is {float(train_losses[s])}"
-            else:
-                message = None
-            if message is not None:
+            if s in diverged or not math.isfinite(train_losses[s]):
+                message = (f"non-finite gradient in parameter {diverged[s]}" if s in diverged
+                           else f"training loss is {float(train_losses[s])}")
                 results[i] = DivergenceError(f"epoch {epoch}: {message}")
                 leaving.append(s)
                 continue
@@ -433,35 +405,31 @@ def train_seeds(
             rows[i].append((epoch, lr, float(train_losses[s]), val_loss))
             if early_stop_patience is not None:
                 if val_loss < best_val[i]:
-                    best_val[i] = val_loss
-                    best_params[i] = [p.copy() for p in net.parameters()]
-                    waited[i] = 0
+                    best_val[i], best_params[i], waited[i] = val_loss, net.flat.copy(), 0
                 else:
                     waited[i] += 1
                     if waited[i] > early_stop_patience:
-                        _finish(nets[i], net, best_params[i])
-                        results[i] = TrainingTrace(rows[i])
+                        results[i] = _finish(nets[i], net, best_params[i], rows[i])
                         leaving.append(s)
         if leaving:
             keep = [s for s in range(len(ids)) if s not in leaving]
             ids = [ids[s] for s in keep]
             if not ids:
                 break
-            stack = stack_networks([slices[s] for s in keep])
+            stack = Network.viewing(stack.architecture, stack.flat[keep])
             slices = unstack_network(stack)
             optimizer.keep_slices(keep)
             # the next epoch recomputes the full-batch forward pass for the
-            # remaining slices
-            pred = cache = dpred = None
+            # remaining slices, in a workspace sized for them
+            pred = cache = dpred = grads = work = None  # never two at once
+            work = Workspace(stack, step_rows)
 
     for s, i in enumerate(ids):
-        _finish(nets[i], slices[s], best_params[i])
-        results[i] = TrainingTrace(rows[i])
+        results[i] = _finish(nets[i], slices[s], best_params[i], rows[i])
     return results
 
 
-def _finish(net: Network, trained: Network, best_params) -> None:
+def _finish(net: Network, trained: Network, best_flat, rows) -> TrainingTrace:
     """Copy the trained (or, with early stopping, best) parameters into net."""
-    source = best_params if best_params is not None else trained.parameters()
-    for p, q in zip(net.parameters(), source):
-        p[...] = q
+    net.flat[...] = trained.flat if best_flat is None else best_flat
+    return TrainingTrace(rows)

@@ -31,7 +31,9 @@ from .errors import DivergenceError, SchemaError
 from .explain import LimeConfig, fit_lime, permutation_importance
 from .metrics import deterministic_report, probabilistic_report
 from .model_io import ModelBundle
-from .network import Architecture, Network, forward, init_network, predict_quantiles
+from .network import (
+    Architecture, Network, QuantileForecast, forward, init_network, predict_quantiles,
+)
 from .optim import StrategyConfig, stack_size, train, train_seeds
 
 CSV_BLOCK_ROWS = 4096  # prediction rows formatted per block
@@ -115,28 +117,30 @@ def _check_compatible(bundle: ModelBundle, prepared: PreparedData) -> None:
         )
 
 
+def _median(forecast: QuantileForecast) -> np.ndarray:
+    """The forecast at the level nearest the median."""
+    return forecast.values[:, int(np.argmin(np.abs(np.asarray(forecast.levels) - 0.5)))]
+
+
 def point_forecast(net: Network, x: np.ndarray, levels) -> np.ndarray:
     """Scaled point forecast: the single output of a point model, or the
     quantile nearest the median of a quantile model's levels."""
     if not levels:
         return forward(net, x)[:, 0]
-    median_col = int(np.argmin(np.abs(np.asarray(levels) - 0.5)))
-    return predict_quantiles(net, x, levels).values[:, median_col]
+    return _median(predict_quantiles(net, x, levels))
 
 
 def evaluate_bundle(bundle: ModelBundle, prepared: PreparedData) -> dict:
-    """Test-split metric report; quantile models add probabilistic keys."""
+    """Test-split metric report; quantile models add probabilistic keys,
+    from the one forecast whose median column the point metrics score."""
     _check_compatible(bundle, prepared)
     test = prepared.test
-    yhat = point_forecast(bundle.network, test.x, bundle.quantile_levels)
-    report = deterministic_report(test.y, yhat).to_dict()
-    if bundle.kind == "quantile":
-        forecast = predict_quantiles(bundle.network, test.x, bundle.quantile_levels)
-        prob = probabilistic_report(forecast, test.y)
-        doc = prob.to_dict()
-        report["qs"] = doc["qs"]
-        report["crps"] = doc["crps"]
-        report["per_pinc"] = doc["per_pinc"]
+    if bundle.kind == "point":
+        return deterministic_report(test.y, point_forecast(bundle.network, test.x, ())).to_dict()
+    forecast = predict_quantiles(bundle.network, test.x, bundle.quantile_levels)
+    report = deterministic_report(test.y, _median(forecast)).to_dict()
+    doc = probabilistic_report(forecast, test.y).to_dict()
+    report.update((key, doc[key]) for key in ("qs", "crps", "per_pinc"))
     return report
 
 

@@ -87,6 +87,33 @@ def plain_steps(kind, theta0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return trajectory
 
 
+def per_parameter_noisy_adam(params, grad_steps, lr, tau, noise_seeds,
+                             beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with uniform parameter noise on a stack, one array at a time.
+
+    params are arrays whose leading axis holds one network per noise seed,
+    and grad_steps holds one list of gradients, shaped like params, per
+    step. After array k's update, slice s adds uniform(-tau, tau) noise
+    drawn for that array alone from its own stream, seeded
+    [noise_seeds[s], 1], before array k + 1 is updated. Returns the final
+    arrays.
+    """
+    params = [np.array(p, dtype=float) for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rngs = [np.random.default_rng([seed, 1]) for seed in noise_seeds]
+    for t, grads in enumerate(grad_steps, start=1):
+        for k, (p, g) in enumerate(zip(params, grads)):
+            m[k] = beta1 * m[k] + (1.0 - beta1) * g
+            v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
+            m_hat = m[k] / (1.0 - beta1**t)
+            v_hat = v[k] / (1.0 - beta2**t)
+            p -= lr * m_hat / np.sqrt(v_hat + eps)
+            for row, rng in zip(p, rngs):
+                row += rng.uniform(-tau, tau, size=row.shape)
+    return params
+
+
 def mse(y, pred):
     return float(np.mean((np.asarray(y) - np.asarray(pred)) ** 2))
 

@@ -9,13 +9,16 @@ import os
 import numpy as np
 import pytest
 
-from windcast._util import dump_json
+import windcast.pipeline
+from windcast._util import atomic_write_text, dump_json
 from windcast.cli import main
 from windcast.config import load_config
+from windcast.errors import DataError
 from windcast.metrics import deterministic_report
-from windcast.network import Architecture, Loss, forward, init_network
+from windcast.model_io import load_model
+from windcast.network import Architecture, Loss, forward, init_network, predict_quantiles
 from windcast.optim import OptimizerConfig, StrategyConfig, train
-from windcast.pipeline import build_dataset
+from windcast.pipeline import build_dataset, evaluate_bundle
 
 from synth import write_wind_csv
 
@@ -171,6 +174,24 @@ class TestEvaluate:
         assert set(doc["per_pinc"]) == {"80", "90", "95"}
         for block in doc["per_pinc"].values():
             assert {"picp", "ace", "pinaw", "winkler"} <= set(block)
+
+    def test_quantile_model_forecasts_the_test_split_once(self, trained, monkeypatch):
+        assert run(
+            trained, "evaluate", "--model", "quantile_model.json",
+            "--config", "quantile.json", "--out", "qeval_once.json", "--probabilistic",
+        ) == 0
+        calls = []
+
+        def counting(net, x, levels):
+            calls.append(len(x))
+            return predict_quantiles(net, x, levels)
+
+        monkeypatch.setattr(windcast.pipeline, "predict_quantiles", counting)
+        bundle = load_model(str(trained / "quantile_model.json"))
+        prepared = build_dataset(load_config(str(trained / "quantile.json")))
+        report = evaluate_bundle(bundle, prepared)
+        assert calls == [40]
+        assert dump_json(report) == (trained / "qeval_once.json").read_text()
 
     def test_probabilistic_flag_needs_quantile_model(self, trained):
         assert run(
@@ -414,6 +435,25 @@ class TestExitCodes:
         }
         (workdir / "diverge.json").write_text(json.dumps(cfg))
         assert run(workdir, "train", "--config", "diverge.json", "--out", "d.json") == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--config", "point.json"),
+        ("benchmark", "--config", "point.json", "--seeds", "1"),
+    ])
+    def test_output_in_a_missing_directory_is_data_error(self, workdir, capsys, argv):
+        out = os.path.join("no_such_dir", "out.json")
+        assert run(workdir, *argv, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: DataError: cannot write no_such_dir")
+        assert "Traceback" not in err
+        assert not (workdir / "no_such_dir").exists()
+        assert not list(workdir.glob(".tmp-*"))
+
+    def test_refused_write_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "taken").mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(DataError, match="cannot write"):
+            atomic_write_text(str(tmp_path / "taken"), "text")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_bad_flag_is_usage(self, workdir, capsys):
         assert run(workdir, "train", "--no-such-flag") == 1

@@ -272,6 +272,15 @@ class TestBulkReaderMatchesRowWise:
         with pytest.raises(ParseError, match="line 2: field larger than field limit"):
             load_csv(path, SCHEMA)
 
+    def test_oversized_header_cell_is_parse_error(self, tmp_path):
+        path = write_bytes(
+            tmp_path / "a.csv",
+            "timestamp,power,ws," + "x" * 200_000 + "\n2021-01-01T00:00:00,1.0,3.0,\n",
+        )
+        with pytest.raises(ParseError, match="line 1: field larger than field limit") as excinfo:
+            load_csv(path, SCHEMA)
+        assert excinfo.value.exit_code == 3
+
     def test_invalid_utf8_is_data_error(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_bytes(b"timestamp,power,ws\n2021-01-01T00:00:00,1.0,3.0\n2021-01-01T00:15:00,\xff,4.0\n")

@@ -14,7 +14,7 @@ import pytest
 
 from windcast.errors import SchemaError
 from windcast.model_io import load_model, save_model
-from windcast.network import Loss
+from windcast.network import Loss, init_network
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = {
@@ -37,6 +37,13 @@ def test_golden_round_trip_is_byte_identical(tmp_path, kind):
     save_model(str(out), bundle)
     with open(path, "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_golden_parameters_are_init_network_of_their_seed(kind):
+    bundle = load_model(GOLDEN[kind][0])
+    net = init_network(bundle.network.architecture, bundle.metadata["seed"])
+    assert net.flat.tobytes() == bundle.network.flat.tobytes()
 
 
 def _edited(tmp_path, kind, edit):
@@ -96,3 +103,17 @@ def _set_weight(value):
 ])
 def test_malformed_file_rejected_naming_it(tmp_path, kind, edit, match):
     _rejected(_edited(tmp_path, kind, edit), match)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.update(scaler=[["power", 0.0, 10.0]]), "scaler must be an object"),
+    (lambda d: d["scaler"].update(power=[0.0]), r"scaler bounds of 'power' must be \[min, max\]"),
+    (lambda d: d["scaler"].update(ws="wide"), "scaler bounds of 'ws' must hold finite numbers"),
+    (lambda d: d.update(feature_names=2), "feature_names must be a list of strings"),
+    (lambda d: d.update(feature_names=["ws", 3]), "feature_names must be a list of strings"),
+    (lambda d: d.update(horizon=1.5), "horizon must be an integer >= 1"),
+    (lambda d: d.update(horizon="1"), "horizon must be an integer >= 1"),
+    (lambda d: d.update(horizon=0), "horizon must be an integer >= 1"),
+])
+def test_malformed_scaler_names_and_horizon_rejected(tmp_path, edit, match):
+    _rejected(_edited(tmp_path, "point", edit), match)

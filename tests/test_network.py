@@ -304,6 +304,74 @@ class TestStackedNetwork:
         with pytest.raises(ShapeError):
             stack_networks([init_network(arch, 0), init_network(Architecture((3, 1)), 0)])
 
+class TestFlatLayout:
+    """Parameters and gradients are views of one flat array, and a
+    Workspace changes where a step's arrays live, not a byte of them."""
+
+    def test_parameters_view_the_flat_array(self):
+        net = init_network(Architecture((3, 7, 2)), seed=1)
+        params = net.parameters()
+        assert params.flat is net.flat and net.flat.shape == (3 * 7 + 7 + 7 * 2 + 2,)
+        assert [p.shape for p in params] == [(7, 3), (7,), (2, 7), (2,)]
+        assert all(np.shares_memory(p, net.flat) for p in params)
+        assert np.concatenate([p.ravel() for p in params]).tobytes() == net.flat.tobytes()
+        params[2][1, 4] = 5.0  # W1, after the 28 values of W0 and b0
+        assert net.flat[28 + 1 * 7 + 4] == 5.0
+
+    def test_a_stack_is_one_flat_row_per_network(self):
+        nets = [init_network(Architecture((3, 7, 2)), seed=s) for s in (1, 2, 3)]
+        stack = stack_networks(nets)
+        assert stack.flat.shape == (3, nets[0].flat.size)
+        assert all(np.shares_memory(p, stack.flat) for p in stack.parameters())
+        for net, view in zip(nets, unstack_network(stack)):
+            assert np.shares_memory(view.flat, stack.flat)
+            assert view.flat.tobytes() == net.flat.tobytes()
+
+    def test_constructor_copies_the_arrays(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        net = Network(Architecture((3, 2)), [w], [b])
+        w[0, 0] = 7.0
+        assert net.weights[0][0, 0] == 1.0
+        assert np.shares_memory(net.weights[0], net.flat)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("hidden", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("output_activation, loss", [
+        ("identity", Loss()), ("sigmoid", Loss("pinball", (0.2, 0.5, 0.8))),
+    ])
+    def test_workspace_matches_the_allocating_path_bitwise(
+        self, stacked, hidden, output_activation, loss
+    ):
+        arch = Architecture((4, 9, 5, loss.n_outputs), hidden_activation=hidden,
+                            output_activation=output_activation)
+        nets = [init_network(arch, seed=s) for s in (1, 2)]
+        net = stack_networks(nets) if stacked else nets[0]
+        work = network.Workspace(net, 50)
+        rng = np.random.default_rng(3)
+        for rows in (50, 17, 50):  # a full batch, a shorter one, a full one again
+            x, y = rng.normal(size=(rows, 4)), rng.normal(size=rows)
+            pred, cache = forward(net, x, want_cache=True)
+            value, dpred = loss.value_and_grad(pred, y)
+            grads = backward(net, cache, dpred)
+            pred_w, cache_w = forward(net, x, want_cache=True, work=work)
+            value_w, dpred_w = loss.value_and_grad(pred_w, y, out=work.dpred[..., :rows, :])
+            assert backward(net, cache_w, dpred_w, out=work.grads) is work.grads
+            out = work.zs[-1] if output_activation == "identity" else work.acts[-1]
+            assert np.shares_memory(pred_w, out)
+            assert np.shares_memory(dpred_w, work.dpred)
+            assert pred_w.tobytes() == pred.tobytes()
+            assert np.asarray(value_w).tobytes() == np.asarray(value).tobytes()
+            assert dpred_w.tobytes() == dpred.tobytes()
+            assert work.grads.flat.tobytes() == grads.flat.tobytes()
+
+    def test_gradient_array_must_match_the_network(self):
+        net = init_network(Architecture((3, 2)), seed=0)
+        pred, cache = forward(net, np.ones((4, 3)), want_cache=True)
+        wrong = network.Params(np.empty(9), [(2, 4), (1,)])
+        with pytest.raises(ShapeError):
+            backward(net, cache, np.ones((4, 2)), out=wrong)
+
+
 class TestLosses:
     def test_mse_hand_value(self):
         pred = np.array([[1.0], [2.0]])

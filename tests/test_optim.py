@@ -15,7 +15,9 @@ from windcast.errors import (
     SchemaError,
     ShapeError,
 )
-from windcast.network import Architecture, Loss, Network, backward, forward, init_network
+from windcast.network import (
+    Architecture, Loss, Network, Params, Workspace, backward, forward, init_network,
+)
 from windcast.optim import (
     OPTIMIZER_KINDS,
     STACK_BYTES,
@@ -30,7 +32,7 @@ from windcast.optim import (
     train_seeds,
 )
 
-from oracles import adam_trajectory, plain_steps
+from oracles import adam_trajectory, per_parameter_noisy_adam, plain_steps
 
 
 class TestCentralize:
@@ -158,11 +160,12 @@ class TestOptimizerSteps:
             np.testing.assert_allclose(p, reference[step], rtol=0, atol=1e-12)
 
     def test_multiple_parameter_arrays(self):
+        # several arrays reach the optimizer as views of one flat array
         rng = np.random.default_rng(31)
-        w = rng.normal(size=(3, 4))
-        b = rng.normal(size=3)
-        opt = Optimizer(OptimizerConfig(), StrategyConfig(), [w, b])
-        opt.step([w, b], [np.ones((3, 4)), np.ones(3)])
+        params = Params(rng.normal(size=15), [(3, 4), (3,)])
+        w, b = params
+        opt = Optimizer(OptimizerConfig(), StrategyConfig(), params)
+        opt.step(params, Params(np.ones(15), [(3, 4), (3,)]))
         assert w.shape == (3, 4) and b.shape == (3,)
         assert opt.t == 1
 
@@ -273,6 +276,42 @@ class TestNoiseInjection:
             opt.step([p], [g.copy()])
             # noise accumulates; per step it adds at most tau in magnitude
             assert np.max(np.abs(p - plain[step])) <= (step + 1) * tau
+
+
+class TestFlatStep:
+    SHAPES = [(5, 3), (5,), (2, 5), (2,)]  # W0, b0, W1, b1 of a 3 -> 5 -> 2 network
+
+    def test_one_noise_draw_per_slice_equals_per_parameter_draws(self):
+        rng = np.random.default_rng(43)
+        seeds = [4, 9, 11]
+        theta0 = rng.uniform(-1.0, 1.0, size=(len(seeds), 32))
+        grad_steps = [rng.normal(size=(len(seeds), 32)) for _ in range(6)]
+        params = Params(theta0.copy(), self.SHAPES)
+        opt = Optimizer(OptimizerConfig(fixed_lr=0.05),
+                        StrategyConfig(noise_tau=1e-3, noise_seed=99), params, noise_seeds=seeds)
+        for g in grad_steps:
+            opt.step(params, Params(g.copy(), self.SHAPES))
+        expected = per_parameter_noisy_adam(
+            Params(theta0.copy(), self.SHAPES),
+            [Params(g, self.SHAPES) for g in grad_steps], 0.05, 1e-3, seeds,
+        )
+        for p, q in zip(params, expected):
+            assert p.tobytes() == q.tobytes()
+
+    def test_state_views_one_flat_array_per_moment(self):
+        params = Params(np.zeros((3, 32)), self.SHAPES)
+        opt = Optimizer(OptimizerConfig(), StrategyConfig(), params, noise_seeds=[0, 1, 2])
+        opt.step(params, Params(np.ones((3, 32)), self.SHAPES))
+        for state in (opt.m, opt.v):
+            assert [a.shape for a in state] == [(3, *shape) for shape in self.SHAPES]
+            assert all(np.shares_memory(a, state.flat) for a in state)
+        opt.keep_slices([2, 0])
+        assert opt.m.flat.shape == opt.v.flat.shape == (2, 32)
+
+    def test_lists_of_several_separate_arrays_are_rejected(self):
+        w, b = np.zeros((2, 3)), np.zeros(2)
+        with pytest.raises(ShapeError, match="Params"):
+            Optimizer(OptimizerConfig(), StrategyConfig(), [w, b])
 
 
 class TestCentralizedStep:
@@ -668,6 +707,69 @@ class TestTrainSeedsMatchesSolo:
                         Loss(), 3, noise_seeds=[1])
 
 
+class TestWorkspace:
+    """train_seeds keeps one workspace per stack; every slice still ends bit
+    for bit where its solo run does."""
+
+    @pytest.fixture
+    def workspaces(self, monkeypatch):
+        built = []
+
+        def counting(net, n):
+            built.append((len(net.flat), n))
+            return Workspace(net, n)
+
+        monkeypatch.setattr(windcast.optim, "Workspace", counting)
+        return built
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_shorter_last_minibatch(self, workspaces, kind):
+        train_set, val = _curved_problem()
+        assert len(train_set) % 48 == 32  # one full batch of 48, then 32 rows
+        arch = Architecture((4, 6, 1))
+        solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
+            lambda s: init_network(arch, seed=s), (2, 3, 7), train_set, val,
+            OptimizerConfig(kind=kind, fixed_lr=0.01), STRATEGIES_ON, Loss(), 12,
+            batch_size=48,
+        )
+        assert stacked == solo
+        _assert_same_networks(solo_nets, stacked_nets)
+        # one per solo run, and one for the stack of three
+        assert workspaces == [(1, 48)] * 3 + [(3, 48)]
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("batch_size", [None, 32])
+    def test_slices_leave_by_divergence_and_early_stopping(self, workspaces, kind,
+                                                           batch_size):
+        arch = Architecture((4, 6, 1))
+
+        def make_net(seed):
+            net = init_network(arch, seed=seed)
+            if seed == 3:
+                net.parameters()[3].flat[0] = 1e200  # its training loss is inf
+            if seed == 4:
+                net.weights[0][...] = -10.0  # every relu dead: it soon stops early
+            return net
+
+        train_set, val = _curved_problem()
+        seeds = (2, 3, 4, 5, 6)
+        solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
+            make_net, seeds, train_set, val, OptimizerConfig(kind=kind, fixed_lr=0.05),
+            StrategyConfig(), Loss(), 30, batch_size=batch_size, early_stop_patience=2,
+        )
+        assert stacked == solo
+        assert stacked[1] == "epoch 1: training loss is inf"
+        lengths = [len(rows) for i, rows in enumerate(stacked) if i != 1]
+        assert min(lengths) < max(lengths)  # the others stop at different epochs
+        _assert_same_networks(solo_nets, stacked_nets, skip=(1,))
+        # the stack's workspace is rebuilt at each epoch that some slice leaves
+        # while others go on, sized for those that remain
+        stack_sizes = [size for size, _ in workspaces[len(seeds):]]
+        assert stack_sizes[0] == len(seeds) and stack_sizes[1] == len(seeds) - 1
+        assert stack_sizes == sorted(stack_sizes, reverse=True)
+        assert len(stack_sizes) == 1 + len({n for n in lengths if n < max(lengths)} | {1})
+
+
 class TestStackSize:
     def test_three_thousand_rows_stack_every_seed(self):
         # benchmark at 3k rows: 2,400 training rows in batches of 256
@@ -702,15 +804,17 @@ class TestOptimizerState:
         assert np.all(p < 0.0)
 
     def test_stacked_step_marks_the_diverged_slice(self):
-        w, b = np.zeros((3, 2, 2)), np.zeros((3, 2))
-        opt = Optimizer(OptimizerConfig(), StrategyConfig(centralize=True), [w, b],
+        params = Params(np.zeros((3, 6)), [(2, 2), (2,)])
+        w, b = params
+        opt = Optimizer(OptimizerConfig(), StrategyConfig(centralize=True), params,
                         noise_seeds=[0, 1, 2])
-        gw, gb = np.ones((3, 2, 2)), np.ones((3, 2))
+        grads = Params(np.ones((3, 6)), [(2, 2), (2,)])
+        gw, gb = grads
         gb[1, 0] = np.nan
         gw[2, 1, 1] = np.inf
         gb[2, 1] = np.nan
         with np.errstate(invalid="ignore"):
-            assert opt.step([w, b], [gw, gb]) == {1: 1, 2: 0}
+            assert opt.step(params, grads) == {1: 1, 2: 0}
         # the bias at the odd position is not centralized although it is 2-D
         assert np.all(b[0] < 0.0)
         np.testing.assert_array_equal(w[0], 0.0)
