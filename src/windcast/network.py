@@ -31,6 +31,16 @@ HIDDEN_ACTIVATIONS = ("relu", "tanh", "sigmoid")
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the activation; pass out=z to overwrite z instead of allocating."""
     if kind == "relu":
@@ -38,12 +48,7 @@ def _activate(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nda
     if kind == "tanh":
         return np.tanh(z, out=out)
     if kind == "sigmoid":
-        out = np.empty_like(z) if out is None else out
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        return _sigmoid(z, out)
     if kind == "identity":
         return z
     raise InvalidArchitectureError(f"unknown activation {kind!r}")
@@ -77,9 +82,13 @@ class Architecture:
         if any(int(s) < 1 for s in self.layer_sizes):
             raise InvalidArchitectureError(f"layer sizes must be >= 1: {self.layer_sizes}")
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise InvalidArchitectureError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
+            raise InvalidArchitectureError(
+                f"hidden activation must be one of {HIDDEN_ACTIVATIONS}"
+            )
         if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise InvalidArchitectureError(f"output activation must be one of {OUTPUT_ACTIVATIONS}")
+            raise InvalidArchitectureError(
+                f"output activation must be one of {OUTPUT_ACTIVATIONS}"
+            )
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
 
     @property
@@ -89,11 +98,6 @@ class Architecture:
     @property
     def n_outputs(self) -> int:
         return self.layer_sizes[-1]
-
-    def activation(self, k: int) -> str:
-        """The activation of layer k: the output one on the last layer."""
-        last = k == len(self.layer_sizes) - 2
-        return self.output_activation if last else self.hidden_activation
 
     @property
     def param_shapes(self) -> list[tuple[int, ...]]:
@@ -113,7 +117,7 @@ class Params(list):
         lead, lo = flat.shape[:-1], 0
         for shape in self.shapes:
             hi = lo + math.prod(shape)
-            self.append(flat[..., lo:hi].reshape(*lead, *shape, copy=False))
+            self.append(flat[..., lo:hi].reshape(*lead, *shape))
             lo = hi
         if lo != flat.shape[-1]:
             raise ShapeError(f"flat array of {flat.shape[-1]} values for shapes of {lo}")
@@ -129,20 +133,25 @@ class Network:
     """
 
     def __init__(self, architecture: Architecture, weights, biases):
-        shapes = architecture.param_shapes
-        if len(weights) != len(shapes) // 2 or len(biases) != len(shapes) // 2:
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        sizes = architecture.layer_sizes
+        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
             raise ShapeError("one weight and bias per connection expected")
-        arrays = [np.asarray(a, dtype=float) for pair in zip(weights, biases) for a in pair]
-        lead = arrays[0].shape[:-2]
+        lead = weights[0].shape[:-2]
         if len(lead) > 1:
             raise ShapeError("parameters carry at most one leading stack axis")
-        for j, (a, shape) in enumerate(zip(arrays, shapes)):
-            if a.shape != (*lead, *shape):
-                name = ("weight", "bias")[j % 2]
-                raise ShapeError(f"layer {j // 2}: {name} shape {a.shape} != {(*lead, *shape)}")
-        self._view(architecture, np.empty((*lead, sum(map(math.prod, shapes)))))
-        for p, a in zip(self.params, arrays):
-            p[...] = a
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            if w.shape != (*lead, sizes[k + 1], sizes[k]):
+                raise ShapeError(
+                    f"layer {k}: weight shape {w.shape} != {(*lead, sizes[k + 1], sizes[k])}"
+                )
+            if b.shape != (*lead, sizes[k + 1]):
+                raise ShapeError(f"layer {k}: bias shape {b.shape} != {(*lead, sizes[k + 1])}")
+        self._view(architecture, np.empty((*lead, sum(map(math.prod, architecture.param_shapes)))))
+        for k in range(len(weights)):
+            self.weights[k][...] = weights[k]
+            self.biases[k][...] = biases[k]
 
     @classmethod
     def viewing(cls, architecture: Architecture, flat: np.ndarray) -> "Network":
@@ -163,6 +172,13 @@ class Network:
     def parameters(self) -> Params:
         """[W0, b0, W1, b1, ...], views of flat."""
         return self.params
+
+    def copy(self) -> "Network":
+        return Network(
+            self.architecture,
+            [w.copy() for w in self.weights],
+            [b.copy() for b in self.biases],
+        )
 
 
 def stack_networks(nets) -> Network:
@@ -188,10 +204,13 @@ class Workspace:
     """
 
     def __init__(self, net: Network, n: int):
-        self.zs = [np.empty((*net.flat.shape[:-1], n, h)) for h in net.architecture.layer_sizes[1:]]
-        self.acts = [np.empty_like(z) for z in self.zs]
+        arch = net.architecture
+        self.zs = [np.empty((*net.flat.shape[:-1], n, h)) for h in arch.layer_sizes[1:]]
+        self.acts = [np.empty_like(z) for z in self.zs[:-1]]
+        out = self.zs[-1]
+        self.acts.append(out if arch.output_activation == "identity" else np.empty_like(out))
         self.das = [np.empty_like(z) for z in self.zs[:-1]]
-        self.dpred = np.empty_like(self.zs[-1])
+        self.dpred = np.empty_like(out)
         self.grads = Params(np.empty_like(net.flat), net.params.shapes)
 
 
@@ -202,11 +221,13 @@ def init_network(architecture: Architecture, seed: int) -> Network:
     seeds give bit-identical parameters.
     """
     rng = np.random.default_rng(seed)
-    net = Network.viewing(architecture, np.zeros(sum(map(math.prod, architecture.param_shapes))))
-    for w in net.weights:
-        bound = 1.0 / np.sqrt(w.shape[1])
-        w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return net
+    sizes = architecture.layer_sizes
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        biases.append(np.zeros(fan_out))
+    return Network(architecture, weights, biases)
 
 
 def forward(net: Network, x: np.ndarray, *, want_cache: bool = False,
@@ -228,13 +249,21 @@ def forward(net: Network, x: np.ndarray, *, want_cache: bool = False,
         )
     n = x.shape[0]
     work = work if want_cache else None
-    zs, acts, a = [], [x], x
+    last = net.n_layers - 1
+    zs = []
+    acts = [x]
+    a = x
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = np.matmul(a, w.swapaxes(-1, -2), out=None if work is None else work.zs[k][..., :n, :])
         z += b[..., None, :]
+        kind = (
+            net.architecture.output_activation
+            if k == last
+            else net.architecture.hidden_activation
+        )
         # without a cache nothing else holds z, so it can take the output
         out = z if not want_cache else (None if work is None else work.acts[k][..., :n, :])
-        a = _activate(z, net.architecture.activation(k), out)
+        a = _activate(z, kind, out)
         if want_cache:
             zs.append(z)
             acts.append(a)
@@ -267,9 +296,15 @@ def backward(net: Network, cache: dict, dloss_dpred: np.ndarray, *,
         raise ShapeError(f"gradient array shape {out.flat.shape} != {net.flat.shape}")
 
     grads = Params(np.empty_like(net.flat), net.params.shapes) if out is None else out
-    das, last, da = cache.get("das"), net.n_layers - 1, dloss_dpred
+    das = cache.get("das")
+    last = net.n_layers - 1
+    da = dloss_dpred
     for k in range(last, -1, -1):
-        kind = net.architecture.activation(k)
+        kind = (
+            net.architecture.output_activation
+            if k == last
+            else net.architecture.hidden_activation
+        )
         dz = da
         if kind != "identity":  # da is the caller's on the last layer, else this pass's own
             grad = _activate_grad(zs[k], acts[k + 1], kind)
@@ -288,8 +323,9 @@ def _slice_mean(a: np.ndarray, stacked: bool):
     return float(np.mean(a))
 
 
-def mse_loss(pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True,
-             out=None) -> tuple[float | np.ndarray, np.ndarray | None]:
+def mse_loss(
+    pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True, out=None
+) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean squared error over every entry and its gradient w.r.t. pred.
 
     A stacked (S, n, k) pred against an (n, k) target gives one loss per
@@ -297,7 +333,8 @@ def mse_loss(pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True,
     With want_grad=False the gradient is not built and None stands in.
     The gradient is written into out when given.
     """
-    pred, y = np.asarray(pred, dtype=float), np.asarray(y, dtype=float)
+    pred = np.asarray(pred, dtype=float)
+    y = np.asarray(y, dtype=float)
     stacked = pred.ndim == 3 and y.ndim == 2
     if pred.shape[stacked:] != y.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {y.shape}")
@@ -312,8 +349,9 @@ def mse_loss(pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True,
     return loss, diff
 
 
-def pinball_loss(pred: np.ndarray, y: np.ndarray, levels, *, want_grad: bool = True,
-                 out=None) -> tuple[float | np.ndarray, np.ndarray | None]:
+def pinball_loss(
+    pred: np.ndarray, y: np.ndarray, levels, *, want_grad: bool = True, out=None
+) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean pinball loss across samples and quantile levels.
 
     Column j of pred targets quantile levels[j]. Where y >= pred the
@@ -325,8 +363,9 @@ def pinball_loss(pred: np.ndarray, y: np.ndarray, levels, *, want_grad: bool = T
     gradient is not built and None stands in. The gradient is written into
     out when given.
     """
-    pred, y = np.asarray(pred, dtype=float), np.asarray(y, dtype=float)
-    q = np.asarray(levels, dtype=float)
+    pred = np.asarray(pred, dtype=float)
+    y = np.asarray(y, dtype=float)
+    q =np.asarray(levels, dtype=float)
     if q.ndim != 1 or pred.ndim not in (2, 3) or pred.shape[-1] != q.shape[0]:
         raise ShapeError("pred must be (n, len(levels)) or (S, n, len(levels))")
     if np.any(q <= 0.0) or np.any(q >= 1.0):
@@ -377,8 +416,9 @@ class Loss:
     def n_outputs(self) -> int:
         return len(self.levels) if self.kind == "pinball" else 1
 
-    def value_and_grad(self, pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True,
-                       out=None) -> tuple[float | np.ndarray, np.ndarray | None]:
+    def value_and_grad(
+        self, pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True, out=None
+    ) -> tuple[float | np.ndarray, np.ndarray | None]:
         """Loss value plus its gradient w.r.t. the (n, k) prediction batch.
 
         y is a length-n vector; for mse the single prediction column is
@@ -387,7 +427,8 @@ class Loss:
         built and None stands in; otherwise it is written into out when
         given.
         """
-        pred, y = np.asarray(pred, dtype=float), np.asarray(y, dtype=float)
+        pred = np.asarray(pred, dtype=float)
+        y = np.asarray(y, dtype=float)
         if self.kind == "pinball":
             return pinball_loss(pred, y, self.levels, want_grad=want_grad, out=out)
         if pred.ndim in (2, 3) and pred.shape[-1] == 1 and y.ndim == 1:
@@ -415,7 +456,9 @@ class QuantileForecast:
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise SchemaError("quantile levels must be strictly increasing")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.levels):
-            raise ShapeError(f"values shape {self.values.shape} != (n, {len(self.levels)})")
+            raise ShapeError(
+                f"values shape {self.values.shape} != (n, {len(self.levels)})"
+            )
 
     def __len__(self) -> int:
         return self.values.shape[0]

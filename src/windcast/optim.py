@@ -39,9 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ScheduleOverflowError, SchemaError, ShapeError
-from .network import Loss, Network, Params, Workspace, backward, forward
-from .network import stack_networks, unstack_network
+from .errors import (
+    DivergenceError,
+    ScheduleOverflowError,
+    SchemaError,
+    ShapeError,
+)
+from .network import (
+    Loss, Network, Params, Workspace, backward, forward, stack_networks, unstack_network,
+)
 
 OPTIMIZER_KINDS = ("adam", "nadam", "rmsprop", "adamax")
 
@@ -94,7 +100,9 @@ def centralize_gradient(g: np.ndarray) -> np.ndarray:
     which makes the operation exactly idempotent.
     """
     g = np.asarray(g, dtype=float)
-    return _centralize_rows(g) if g.ndim == 2 else g
+    if g.ndim != 2:
+        return g
+    return _centralize_rows(g)
 
 
 def _centralize_rows(g: np.ndarray) -> np.ndarray:
@@ -121,7 +129,9 @@ def cosine_lr(t: float, alpha0: float, total_epochs: int) -> float:
     if t < 0:
         raise SchemaError("epoch index must be >= 0")
     if t > total_epochs:
-        raise ScheduleOverflowError(f"epoch {t} is past the planned horizon {total_epochs}")
+        raise ScheduleOverflowError(
+            f"epoch {t} is past the planned horizon {total_epochs}"
+        )
     return alpha0 * (1.0 + math.cos(math.pi * t / total_epochs)) / 2.0
 
 
@@ -155,18 +165,23 @@ class Optimizer:
 
     def __init__(self, config: OptimizerConfig, strategies: StrategyConfig, params,
                  noise_seeds=None):
-        self.config, self.strategies, self.t = config, strategies, 0
+        self.config = config
+        self.strategies = strategies
+        self.t = 0
         self.stacked = noise_seeds is not None
         params = _as_params(params, self.stacked)
-        self.shapes, self.flat_shape = params.shapes, params.flat.shape
+        self.shapes = params.shapes
+        self.flat_shape = params.flat.shape
         kind = config.kind
-        self.m, self.v, self.u = (
-            Params(np.zeros(self.flat_shape), self.shapes) if wanted else None
-            for wanted in (kind != "rmsprop", kind != "adamax", kind == "adamax")
-        )
+        self.m = Params(np.zeros(self.flat_shape), self.shapes) if kind != "rmsprop" else None
+        self.v = Params(np.zeros(self.flat_shape), self.shapes) if kind != "adamax" else None
+        self.u = Params(np.zeros(self.flat_shape), self.shapes) if kind == "adamax" else None
         seeds = noise_seeds if self.stacked else [strategies.noise_seed]
-        self._noise_rngs = ([np.random.default_rng([seed, 1]) for seed in seeds]
-                            if strategies.noise_tau > 0.0 else None)
+        self._noise_rngs = (
+            [np.random.default_rng([seed, 1]) for seed in seeds]
+            if strategies.noise_tau > 0.0
+            else None
+        )
 
     def learning_rate(self, epoch: int) -> float:
         """Rate for the given 1-indexed epoch: cosine when enabled, else fixed."""
@@ -176,8 +191,10 @@ class Optimizer:
 
     def keep_slices(self, keep) -> None:
         """Retain the state of the given stack slices only, in that order."""
-        self.m, self.v, self.u = (None if a is None else Params(a.flat[keep], a.shapes)
-                                  for a in (self.m, self.v, self.u))
+        for name in ("m", "v", "u"):
+            state = getattr(self, name)
+            if state is not None:
+                setattr(self, name, Params(state.flat[keep], state.shapes))
         self.flat_shape = (len(keep), *self.flat_shape[1:])
         if self._noise_rngs is not None:
             self._noise_rngs = [self._noise_rngs[s] for s in keep]
@@ -190,7 +207,8 @@ class Optimizer:
         optimizer updates every slice instead and returns, for each slice
         with a non-finite gradient, the index of the first such parameter.
         """
-        params, grads = _as_params(params, self.stacked), _as_params(grads, self.stacked)
+        params = _as_params(params, self.stacked)
+        grads = _as_params(grads, self.stacked)
         for arrays in (params, grads):
             if arrays.shapes != self.shapes or arrays.flat.shape != self.flat_shape:
                 raise ShapeError(f"arrays of shapes {[a.shape for a in arrays]} do not "
@@ -264,8 +282,14 @@ class TrainingTrace:
         rows = []
         for ln in lines[1:]:
             epoch, lr, train_loss, val_loss = ln.split(",")
-            rows.append((int(epoch), float(lr), float(train_loss),
-                         None if val_loss == "" else float(val_loss)))
+            rows.append(
+                (
+                    int(epoch),
+                    float(lr),
+                    float(train_loss),
+                    None if val_loss == "" else float(val_loss),
+                )
+            )
         return cls(rows)
 
 
@@ -286,9 +310,17 @@ def stack_size(architecture, n_rows: int, batch_size: int | None = None) -> int:
     return max(1, STACK_BYTES // per_network)
 
 
-def train(net: Network, train_set, val_set, opt_config: OptimizerConfig,
-          strategies: StrategyConfig, loss: Loss, epochs: int, batch_size: int | None = None,
-          early_stop_patience: int | None = None) -> tuple[Network, TrainingTrace]:
+def train(
+    net: Network,
+    train_set,
+    val_set,
+    opt_config: OptimizerConfig,
+    strategies: StrategyConfig,
+    loss: Loss,
+    epochs: int,
+    batch_size: int | None = None,
+    early_stop_patience: int | None = None,
+) -> tuple[Network, TrainingTrace]:
     """Gradient-descent training loop over full or sequential batches.
 
     The network's parameters are updated in place. Each trace row records
@@ -301,17 +333,27 @@ def train(net: Network, train_set, val_set, opt_config: OptimizerConfig,
 
     This is train_seeds on a stack of one network.
     """
-    (result,) = train_seeds([net], train_set, val_set, opt_config, strategies, loss, epochs,
-                            batch_size, early_stop_patience)
+    (result,) = train_seeds(
+        [net], train_set, val_set, opt_config, strategies, loss, epochs,
+        batch_size, early_stop_patience,
+    )
     if isinstance(result, DivergenceError):
         raise result
     return net, result
 
 
-def train_seeds(nets, train_set, val_set, opt_config: OptimizerConfig,
-                strategies: StrategyConfig, loss: Loss, epochs: int,
-                batch_size: int | None = None, early_stop_patience: int | None = None,
-                noise_seeds=None) -> list:
+def train_seeds(
+    nets,
+    train_set,
+    val_set,
+    opt_config: OptimizerConfig,
+    strategies: StrategyConfig,
+    loss: Loss,
+    epochs: int,
+    batch_size: int | None = None,
+    early_stop_patience: int | None = None,
+    noise_seeds=None,
+) -> list:
     """Train networks of one architecture together, as one stacked network.
 
     Network s draws its parameter noise from a stream seeded
@@ -340,8 +382,9 @@ def train_seeds(nets, train_set, val_set, opt_config: OptimizerConfig,
     if early_stop_patience is not None and not has_val:
         raise SchemaError("early stopping requires a validation set")
     if strategies.cosine_lr and epochs > strategies.total_epochs:
-        raise ScheduleOverflowError(f"{epochs} epochs exceed the schedule horizon "
-                                    f"{strategies.total_epochs}")
+        raise ScheduleOverflowError(
+            f"{epochs} epochs exceed the schedule horizon {strategies.total_epochs}"
+        )
     if noise_seeds is None:
         noise_seeds = [strategies.noise_seed] * len(nets)
     if len(noise_seeds) != len(nets):
@@ -354,9 +397,10 @@ def train_seeds(nets, train_set, val_set, opt_config: OptimizerConfig,
     optimizer = Optimizer(opt_config, strategies, stack.parameters(), noise_seeds)
     ids = list(range(len(nets)))  # the network each stack slice trains
     results: list = [None] * len(nets)
-    best_params: list = [None] * len(nets)  # flat copies, with early stopping
     rows: list = [[] for _ in nets]
-    best_val, waited = [math.inf] * len(nets), [0] * len(nets)
+    best_val = [math.inf] * len(nets)
+    best_params: list = [None] * len(nets)  # flat copies
+    waited = [0] * len(nets)
     n = len(train_set)
     full_batch = not batch_size or batch_size >= n
     step_rows = n if full_batch else batch_size
@@ -380,9 +424,11 @@ def train_seeds(nets, train_set, val_set, opt_config: OptimizerConfig,
             else:
                 diverged = {}
                 for lo in range(0, n, batch_size):
-                    x, y = train_set.x[lo:lo + batch_size], train_set.y[lo:lo + batch_size]
-                    pred, cache = forward(stack, x, want_cache=True, work=work)
-                    _, dpred = loss.value_and_grad(pred, y, out=work.dpred[:, :len(y)])
+                    sl = slice(lo, min(lo + batch_size, n))
+                    pred, cache = forward(stack, train_set.x[sl], want_cache=True, work=work)
+                    _, dpred = loss.value_and_grad(
+                        pred, train_set.y[sl], out=work.dpred[:, :cache["n"]]
+                    )
                     grads = backward(stack, cache, dpred, out=work.grads)
                     failed = optimizer.step(params, grads, epoch)
                     for s, k in failed.items():
@@ -395,9 +441,13 @@ def train_seeds(nets, train_set, val_set, opt_config: OptimizerConfig,
         leaving = []
         for s, net in enumerate(slices):
             i = ids[s]
-            if s in diverged or not math.isfinite(train_losses[s]):
-                message = (f"non-finite gradient in parameter {diverged[s]}" if s in diverged
-                           else f"training loss is {float(train_losses[s])}")
+            if s in diverged:
+                message = f"non-finite gradient in parameter {diverged[s]}"
+            elif not math.isfinite(train_losses[s]):
+                message = f"training loss is {float(train_losses[s])}"
+            else:
+                message = None
+            if message is not None:
                 results[i] = DivergenceError(f"epoch {epoch}: {message}")
                 leaving.append(s)
                 continue
@@ -405,11 +455,14 @@ def train_seeds(nets, train_set, val_set, opt_config: OptimizerConfig,
             rows[i].append((epoch, lr, float(train_losses[s]), val_loss))
             if early_stop_patience is not None:
                 if val_loss < best_val[i]:
-                    best_val[i], best_params[i], waited[i] = val_loss, net.flat.copy(), 0
+                    best_val[i] = val_loss
+                    best_params[i] = net.flat.copy()
+                    waited[i] = 0
                 else:
                     waited[i] += 1
                     if waited[i] > early_stop_patience:
-                        results[i] = _finish(nets[i], net, best_params[i], rows[i])
+                        _finish(nets[i], net, best_params[i])
+                        results[i] = TrainingTrace(rows[i])
                         leaving.append(s)
         if leaving:
             keep = [s for s in range(len(ids)) if s not in leaving]
@@ -425,11 +478,11 @@ def train_seeds(nets, train_set, val_set, opt_config: OptimizerConfig,
             work = Workspace(stack, step_rows)
 
     for s, i in enumerate(ids):
-        results[i] = _finish(nets[i], slices[s], best_params[i], rows[i])
+        _finish(nets[i], slices[s], best_params[i])
+        results[i] = TrainingTrace(rows[i])
     return results
 
 
-def _finish(net: Network, trained: Network, best_flat, rows) -> TrainingTrace:
+def _finish(net: Network, trained: Network, best_params) -> None:
     """Copy the trained (or, with early stopping, best) parameters into net."""
-    net.flat[...] = trained.flat if best_flat is None else best_flat
-    return TrainingTrace(rows)
+    net.flat[...] = best_params if best_params is not None else trained.flat

@@ -347,6 +347,8 @@ class TestFlatLayout:
         nets = [init_network(arch, seed=s) for s in (1, 2)]
         net = stack_networks(nets) if stacked else nets[0]
         work = network.Workspace(net, 50)
+        # an identity output's a is its z, so it gets no buffer of its own
+        assert (work.acts[-1] is work.zs[-1]) == (output_activation == "identity")
         rng = np.random.default_rng(3)
         for rows in (50, 17, 50):  # a full batch, a shorter one, a full one again
             x, y = rng.normal(size=(rows, 4)), rng.normal(size=rows)
