@@ -37,20 +37,23 @@ def dump_json(obj) -> str:
     return json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then os.replace.
+@contextlib.contextmanager
+def atomic_writer(path: str):
+    """Yield a text file that replaces path only when the block exits cleanly.
 
-    Readers never observe a partially written file even if the process
-    dies mid-write. A write the file system refuses (a missing directory,
-    no permission, a full disk) raises DataError naming the path, and
-    leaves no temp file behind.
+    The file is a temp file in path's directory, moved into place with
+    os.replace, so readers never observe a partially written file even if
+    the process dies mid-write. On any failure the temp file is removed
+    and path keeps what it held; a write the file system refuses (a
+    missing directory, no permission, a full disk) raises DataError
+    naming the path.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -59,6 +62,11 @@ def atomic_write_text(path: str, text: str) -> None:
         if isinstance(exc, OSError):
             raise DataError(f"cannot write {path}: {exc}") from None
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def write_json(path: str, obj) -> None:

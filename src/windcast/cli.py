@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from ._util import atomic_write_text, dump_json
+from ._util import atomic_write_text, atomic_writer, dump_json
 from .config import load_config
 from .errors import ToolkitError, UsageError
 from .explain import LimeConfig, render_bar_chart
@@ -23,9 +23,9 @@ from .pipeline import (
     evaluate_bundle,
     explain_lime,
     explain_pfi,
-    predictions_csv,
     run_benchmark,
     train_from_config,
+    write_predictions,
 )
 
 
@@ -110,9 +110,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     bundle = load_model(args.model)
     config = load_config(args.config)
-    text = predictions_csv(bundle, build_dataset(config))
-    atomic_write_text(args.out, text)
-    print(f"{text.count(chr(10)) - 1} predictions written to {args.out}")
+    prepared = build_dataset(config)
+    with atomic_writer(args.out) as fh:
+        rows = write_predictions(fh, bundle, prepared)
+    print(f"{rows} predictions written to {args.out}")
     return 0
 
 

@@ -128,12 +128,15 @@ def _parse_data(doc: dict) -> DataConfig:
     for key in ("path", "timestamp_col", "target_col"):
         if key not in doc:
             raise SchemaError(f"config data.{key} is required")
+    feature_cols = doc.get("feature_cols", [])
+    if not isinstance(feature_cols, list) or not all(isinstance(c, str) for c in feature_cols):
+        raise SchemaError("config data.feature_cols must be a list of strings")
     cfg = DataConfig(
         path=_typed("data", "path", doc["path"], str),
         timestamp_col=_typed("data", "timestamp_col", doc["timestamp_col"], str),
         target_col=_typed("data", "target_col", doc["target_col"], str),
         mode=doc.get("mode", "lags"),
-        feature_cols=tuple(doc.get("feature_cols", ())),
+        feature_cols=tuple(feature_cols),
         lag=_typed("data", "lag", doc.get("lag", 48), int),
         horizon=_typed("data", "horizon", doc.get("horizon", 1), int),
         horizon_alignment=_typed(

@@ -320,6 +320,8 @@ def chronological_split(
     """Split into contiguous train/validation/test slices, no shuffling.
 
     Train and validation sizes are floored; leftover rows go to test.
+    Each split's arrays are row-slice views of sset's, not copies, so
+    nothing may write into a split.
     """
     if not all(0.0 < r < 1.0 for r in ratios):  # NaN fails this too
         raise SchemaError(f"split ratios must lie strictly inside (0, 1), got {ratios}")
@@ -333,8 +335,8 @@ def chronological_split(
         raise InsufficientDataError(f"{n} samples cannot fill a {ratios} split")
 
     def piece(lo: int, hi: int) -> SupervisedSet:
-        ti = None if sset.target_indices is None else sset.target_indices[lo:hi].copy()
-        return SupervisedSet(sset.x[lo:hi].copy(), sset.y[lo:hi].copy(), sset.feature_names, ti)
+        ti = None if sset.target_indices is None else sset.target_indices[lo:hi]
+        return SupervisedSet(sset.x[lo:hi], sset.y[lo:hi], sset.feature_names, ti)
 
     return (
         piece(0, n_train),

@@ -131,19 +131,29 @@ def _parse_bundle(doc) -> ModelBundle:
     horizon = doc.get("horizon", 1)
     if type(horizon) is not int or horizon < 1:
         raise SchemaError(f"horizon must be an integer >= 1, got {horizon!r}")
+    lag = doc.get("lag")
+    if lag is not None and (type(lag) is not int or lag < 1):
+        raise SchemaError(f"lag must be null or an integer >= 1, got {lag!r}")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError("metadata must be an object")
+    scaler = _scaler(doc["scaler"])
+    target = doc["target_name"]
+    if not isinstance(target, str) or target not in scaler.columns:
+        raise SchemaError(f"target_name must be a string naming a scaler column, got {target!r}")
     return ModelBundle(
         network=Network(
             Architecture(tuple(sizes), arch["hidden_activation"], arch["output_activation"]),
             [_numbers(f"weights[{k}]", w) for k, w in enumerate(weights)],
             [_numbers(f"biases[{k}]", b) for k, b in enumerate(biases)],
         ),
-        scaler=_scaler(doc["scaler"]),
-        target_name=doc["target_name"],
+        scaler=scaler,
+        target_name=target,
         feature_names=tuple(names),
         loss=Loss(loss_kind, doc.get("quantile_levels", [])),
-        lag=doc.get("lag"),
+        lag=lag,
         horizon=horizon,
-        metadata=doc.get("metadata", {}),
+        metadata=metadata,
     )
 
 

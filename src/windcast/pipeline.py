@@ -36,7 +36,7 @@ from .network import (
 )
 from .optim import StrategyConfig, stack_size, train, train_seeds
 
-CSV_BLOCK_ROWS = 4096  # prediction rows formatted per block
+CSV_BLOCK_ROWS = 4096  # prediction rows formatted and written per block
 
 
 @dataclass
@@ -195,14 +195,15 @@ def explain_lime(
     return doc
 
 
-def predictions_csv(bundle: ModelBundle, prepared: PreparedData) -> str:
-    """Forecast every constructible sample, in original target units."""
+def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
+    """Write a forecast of every constructible sample, in original target
+    units, to the text file fh; returns the number of rows written.
+
+    The header goes first, then the rows a block of CSV_BLOCK_ROWS at a
+    time, so at most one block of text is alive.
+    """
     _check_compatible(bundle, prepared)
     full = prepared.full
-    idx = full.target_indices
-    timestamps = [prepared.raw_frame.timestamps[i].isoformat() for i in idx]
-    y_true = prepared.raw_frame.target[idx]
-
     if bundle.kind == "point":
         scaled = point_forecast(bundle.network, full.x, ())
         header = "timestamp,y_true,prediction"
@@ -210,17 +211,25 @@ def predictions_csv(bundle: ModelBundle, prepared: PreparedData) -> str:
         forecast = predict_quantiles(bundle.network, full.x, bundle.quantile_levels)
         scaled = forecast.values
         header = "timestamp,y_true," + ",".join(f"q{q:g}" for q in forecast.levels)
-    table = np.column_stack([y_true, invert_column(bundle.scaler, bundle.target_name, scaled)])
-    # repr of a Python float is the shortest round-trip form. A block of
-    # rows is formatted column by column, so no Python code runs per row,
-    # and only that block's float objects are alive at a time.
-    blocks = [header]
-    for lo in range(0, len(table), CSV_BLOCK_ROWS):
+    fh.write(header + "\n")
+    idx = full.target_indices
+    for lo in range(0, len(idx), CSV_BLOCK_ROWS):
         hi = lo + CSV_BLOCK_ROWS
-        columns = [map(repr, col) for col in table[lo:hi].T.tolist()]
-        blocks.append("\n".join(map(",".join, zip(timestamps[lo:hi], *columns))))
-    blocks.append("")  # the final newline, without copying the joined text
-    return "\n".join(blocks)
+        fh.write(predictions_csv(bundle, prepared.raw_frame, idx[lo:hi], scaled[lo:hi]))
+    return len(idx)
+
+
+def predictions_csv(bundle: ModelBundle, frame: TimeSeriesFrame, rows, scaled) -> str:
+    """One block of prediction CSV lines: for each frame row in rows, its
+    timestamp, its actual target and its scaled forecast in original units."""
+    table = np.column_stack(
+        [frame.target[rows], invert_column(bundle.scaler, bundle.target_name, scaled)]
+    )
+    # repr of a Python float is the shortest round-trip form. The block is
+    # formatted column by column, so no Python code runs per row.
+    timestamps = [frame.timestamps[i].isoformat() for i in rows]
+    columns = [map(repr, col) for col in table.T.tolist()]
+    return "\n".join(map(",".join, zip(timestamps, *columns))) + "\n"
 
 
 def _split_hash(subset: SupervisedSet) -> str:

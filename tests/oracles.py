@@ -13,6 +13,9 @@ from itertools import permutations
 
 import numpy as np
 
+# np.trapezoid is NumPy 2.0's name for np.trapz, which 2.4 removes
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 
 def finite_difference_gradients(net, x, y, loss, h=1e-6):
     """Central differences of the total loss w.r.t. every parameter."""
@@ -141,7 +144,7 @@ def crps_step_integral(values, y, n_grid=200_001):
     xs = np.linspace(lo, hi, n_grid)
     cdf = np.searchsorted(values, xs, side="right") / values.size
     indicator = (xs >= y).astype(float)
-    return float(np.trapezoid((cdf - indicator) ** 2, xs))
+    return float(_trapezoid((cdf - indicator) ** 2, xs))
 
 
 def weighted_linear_fit(rows, targets, weights):
@@ -210,3 +213,26 @@ def row_wise_load_csv(path, schema):
             for j, name in enumerate(schema.feature_cols)
         },
     )
+
+
+def whole_predictions_csv(bundle, prepared):
+    """The prediction CSV as one string, formatted row by row: the
+    reference for the bytes the streamed writer produces. The forecasts
+    come from the package's own forward pass; only the text is checked."""
+    from windcast.data import invert_column
+    from windcast.network import forward, predict_quantiles
+
+    full, frame = prepared.full, prepared.raw_frame
+    if bundle.kind == "point":
+        scaled = forward(bundle.network, full.x)
+        header = "timestamp,y_true,prediction"
+    else:
+        forecast = predict_quantiles(bundle.network, full.x, bundle.quantile_levels)
+        scaled = forecast.values
+        header = "timestamp,y_true," + ",".join(f"q{q:g}" for q in forecast.levels)
+    values = invert_column(bundle.scaler, bundle.target_name, scaled)
+    lines = [header]
+    for i, row in zip(full.target_indices, values.tolist()):
+        cells = [frame.timestamps[i].isoformat(), repr(float(frame.target[i]))]
+        lines.append(",".join(cells + [repr(v) for v in row]))
+    return "\n".join(lines) + "\n"

@@ -394,6 +394,8 @@ class TestExitCodes:
         ("split", None, [0.8, "a", 0.1]),
         ("split", None, [0.8, float("nan"), 0.1]),
         ("model", "quantile_levels", [0.1, "median", 0.9]),
+        ("data", "feature_cols", "WS10"),
+        ("data", "feature_cols", ["WS10", 3]),
     ])
     def test_bad_config_value_is_schema(self, workdir, capsys, section, key, value):
         cfg = json.loads((workdir / "quantile.json").read_text())
@@ -406,6 +408,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("windcast:")
         assert "Traceback" not in err
+        if section == "data":
+            assert f"config data.{key}" in err
         assert not (workdir / "bv.json").exists()
 
     def test_every_command_validates_the_whole_config(self, trained):

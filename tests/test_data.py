@@ -442,6 +442,13 @@ class TestChronologicalSplit:
         np.testing.assert_array_equal(rebuilt, sset.y)
         assert train.y.max() < val.y.min() < test.y.min()
 
+    def test_splits_are_views_of_the_full_set(self):
+        sset = _supervised(50)
+        sset.target_indices = np.arange(50)
+        for piece in chronological_split(sset):
+            for name in ("x", "y", "target_indices"):
+                assert np.shares_memory(getattr(piece, name), getattr(sset, name))
+
     def test_ratio_validation(self):
         with pytest.raises(SchemaError):
             chronological_split(_supervised(10), ratios=(0.5, 0.4, 0.2))

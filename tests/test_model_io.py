@@ -114,6 +114,11 @@ def test_malformed_file_rejected_naming_it(tmp_path, kind, edit, match):
     (lambda d: d.update(horizon=1.5), "horizon must be an integer >= 1"),
     (lambda d: d.update(horizon="1"), "horizon must be an integer >= 1"),
     (lambda d: d.update(horizon=0), "horizon must be an integer >= 1"),
+    (lambda d: d.update(target_name=5), "target_name must be a string naming a scaler column"),
+    (lambda d: d.update(target_name="energy"), "target_name must be a string naming a scaler"),
+    (lambda d: d.update(lag="x"), "lag must be null or an integer >= 1"),
+    (lambda d: d.update(lag=-3), "lag must be null or an integer >= 1"),
+    (lambda d: d.update(metadata=3), "metadata must be an object"),
 ])
 def test_malformed_scaler_names_and_horizon_rejected(tmp_path, edit, match):
     _rejected(_edited(tmp_path, "point", edit), match)

@@ -1,0 +1,172 @@
+"""The prediction CSV written a block at a time, and the splits that share
+memory with the full supervised set without being written into."""
+
+import json
+import os
+from datetime import datetime, timedelta
+
+import numpy as np
+import pytest
+
+import windcast.pipeline
+from windcast.cli import main
+from windcast.config import load_config
+from windcast.data import TimeSeriesFrame, apply_scaler, fit_scaler, make_nwp_set
+from windcast.metrics import DEFAULT_QUANTILE_LEVELS
+from windcast.model_io import ModelBundle, load_model
+from windcast.network import Architecture, Loss, init_network
+from windcast.pipeline import (
+    CSV_BLOCK_ROWS,
+    PreparedData,
+    build_dataset,
+    evaluate_bundle,
+    explain_lime,
+    explain_pfi,
+    write_predictions,
+)
+
+from oracles import whole_predictions_csv
+from synth import wind_arrays, write_wind_csv
+
+FEATURES = ("WS10", "WD10", "WS100", "WD100")
+LOSSES = {"point": Loss("mse"), "quantile": Loss("pinball", DEFAULT_QUANTILE_LEVELS)}
+ALIGNMENT = 2  # samples start two frame rows in, so timestamps go through target_indices
+
+
+def _prepared(n_samples):
+    n_rows = n_samples + ALIGNMENT
+    cols = wind_arrays(n_rows, seed=8)
+    t0 = datetime(2021, 1, 1)
+    frame = TimeSeriesFrame(
+        timestamps=[t0 + timedelta(minutes=15 * i) for i in range(n_rows)],
+        target=cols["power"],
+        target_name="power",
+        features={name: cols[name] for name in FEATURES},
+    )
+    scaler = fit_scaler(frame)
+    full = make_nwp_set(apply_scaler(frame, scaler), FEATURES, ALIGNMENT)
+    return PreparedData(frame, scaler, full, full, full, full)
+
+
+def _bundle(kind, prepared):
+    loss = LOSSES[kind]
+    arch = Architecture((len(FEATURES), 8, loss.n_outputs), "tanh")
+    return ModelBundle(init_network(arch, 5), prepared.scaler, "power", FEATURES, loss)
+
+
+class RecordingFile:
+    """A text file stand-in that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("kind", sorted(LOSSES))
+@pytest.mark.parametrize("n_samples", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_writer_streams_the_bytes_of_the_whole_csv(kind, n_samples):
+    prepared = _prepared(n_samples)
+    bundle = _bundle(kind, prepared)
+    fh = RecordingFile()
+    assert write_predictions(fh, bundle, prepared) == n_samples
+    header, *blocks = fh.writes
+    assert header.count("\n") == 1
+    assert len(blocks) == -(-n_samples // CSV_BLOCK_ROWS)
+    assert all(0 < block.count("\n") <= CSV_BLOCK_ROWS for block in blocks)
+    assert "".join(fh.writes) == whole_predictions_csv(bundle, prepared)
+
+
+@pytest.fixture(scope="module")
+def two_block_run(tmp_path_factory):
+    """A CSV of more than one block of samples and a model trained on it."""
+    root = tmp_path_factory.mktemp("stream")
+    write_wind_csv(str(root / "wind.csv"), n_rows=CSV_BLOCK_ROWS + 500, seed=3)
+    cfg = {
+        "data": {"path": "wind.csv", "timestamp_col": "timestamp", "target_col": "power",
+                 "mode": "nwp", "feature_cols": list(FEATURES)},
+        "model": {"hidden_sizes": [4], "loss": "pinball"},
+        "training": {"epochs": 1, "seed": 0},
+    }
+    (root / "run.json").write_text(json.dumps(cfg))
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        assert main(["train", "--config", "run.json", "--out", "model.json"]) == 0
+    finally:
+        os.chdir(cwd)
+    return root
+
+
+def _fail_after_first_block(monkeypatch, exc):
+    real = windcast.pipeline.predictions_csv
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(windcast.pipeline, "predictions_csv", failing)
+    return calls
+
+
+@pytest.mark.parametrize("existing", [None, b"kept,bytes\n"])
+@pytest.mark.parametrize("exc, code", [
+    (RuntimeError("interrupted"), None),
+    (OSError(28, "No space left on device"), 3),
+])
+def test_failure_after_the_first_block_leaves_no_partial_file(
+    two_block_run, monkeypatch, capsys, existing, exc, code
+):
+    out = two_block_run / "predictions.csv"
+    if existing is None:
+        out.unlink(missing_ok=True)
+    else:
+        out.write_bytes(existing)
+    calls = _fail_after_first_block(monkeypatch, exc)
+    argv = ["predict", "--model", "model.json", "--config", "run.json",
+            "--out", "predictions.csv"]
+    cwd = os.getcwd()
+    os.chdir(two_block_run)
+    try:
+        if code is None:
+            with pytest.raises(type(exc)):
+                main(argv)
+        else:
+            assert main(argv) == code
+            assert capsys.readouterr().err.startswith(
+                "windcast: DataError: cannot write predictions.csv"
+            )
+    finally:
+        os.chdir(cwd)
+    assert len(calls) == 2
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+    assert not list(two_block_run.glob(".tmp-*"))
+
+
+def test_commands_leave_the_shared_arrays_unchanged(two_block_run):
+    cwd = os.getcwd()
+    os.chdir(two_block_run)
+    try:
+        prepared = build_dataset(load_config("run.json"))
+        bundle = load_model("model.json")
+    finally:
+        os.chdir(cwd)
+    full = prepared.full
+    for split in (prepared.train, prepared.val, prepared.test):
+        assert np.shares_memory(split.x, full.x)
+        assert np.shares_memory(split.y, full.y)
+    before = full.x.tobytes(), full.y.tobytes()
+    evaluate_bundle(bundle, prepared)
+    explain_pfi(bundle, prepared, split="train", repeats=2)
+    explain_pfi(bundle, prepared, split="test", repeats=2)
+    explain_lime(bundle, prepared)
+    write_predictions(RecordingFile(), bundle, prepared)
+    assert (full.x.tobytes(), full.y.tobytes()) == before
