@@ -88,6 +88,13 @@ def trained(workdir):
     return workdir
 
 
+@pytest.fixture(scope="module")
+def lag_trained(workdir):
+    """A lags model trained for horizon 1."""
+    assert run(workdir, "train", "--config", "lags.json", "--out", "lag_h1_model.json") == 0
+    return workdir
+
+
 class TestTrain:
     def test_writes_model_and_trace(self, trained):
         assert (trained / "point_model.json").exists()
@@ -419,6 +426,20 @@ class TestExitCodes:
         for command in ("predict", "evaluate", "explain"):
             assert run(trained, command, "--model", "point_model.json",
                        "--config", "bad_tau.json", "--out", f"bad_{command}.out") == 2
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "explain"])
+    def test_horizon_mismatch_is_schema(self, lag_trained, capsys, command):
+        workdir = lag_trained
+        cfg = json.loads((workdir / "lags.json").read_text())
+        cfg["data"]["horizon"] = 4
+        (workdir / "lags_h4.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(workdir, command, "--model", "lag_h1_model.json",
+                   "--config", "lags_h4.json", "--out", f"h4_{command}.out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: SchemaError: model was trained for horizon 1 ")
+        assert "data.horizon is 4" in err
+        assert not (workdir / f"h4_{command}.out").exists()
 
     def test_bad_model_file_is_schema(self, trained, capsys):
         doc = json.loads((trained / "point_model.json").read_text())

@@ -1,7 +1,9 @@
-"""The prediction CSV written a block at a time, and the splits that share
-memory with the full supervised set without being written into."""
+"""The prediction CSV written a block at a time, in worker processes or in
+this one, and the splits that share memory with the full supervised set
+without being written into."""
 
 import json
+import multiprocessing
 import os
 from datetime import datetime, timedelta
 
@@ -100,18 +102,18 @@ def two_block_run(tmp_path_factory):
     return root
 
 
-def _fail_after_first_block(monkeypatch, exc):
+def _fail_after_first_block(monkeypatch, exc, first_row):
+    """Make formatting every block but the one starting at frame row
+    first_row raise exc. The block is told by its rows, not by a count of
+    calls, as it may be formatted in a worker process."""
     real = windcast.pipeline.predictions_csv
-    calls = []
 
-    def failing(*args):
-        calls.append(1)
-        if len(calls) > 1:
+    def failing(bundle, frame, rows, scaled):
+        if rows[0] != first_row:
             raise exc
-        return real(*args)
+        return real(bundle, frame, rows, scaled)
 
     monkeypatch.setattr(windcast.pipeline, "predictions_csv", failing)
-    return calls
 
 
 @pytest.mark.parametrize("existing", [None, b"kept,bytes\n"])
@@ -127,14 +129,14 @@ def test_failure_after_the_first_block_leaves_no_partial_file(
         out.unlink(missing_ok=True)
     else:
         out.write_bytes(existing)
-    calls = _fail_after_first_block(monkeypatch, exc)
+    _fail_after_first_block(monkeypatch, exc, first_row=0)
     argv = ["predict", "--model", "model.json", "--config", "run.json",
             "--out", "predictions.csv"]
     cwd = os.getcwd()
     os.chdir(two_block_run)
     try:
         if code is None:
-            with pytest.raises(type(exc)):
+            with pytest.raises(type(exc), match=str(exc)):
                 main(argv)
         else:
             assert main(argv) == code
@@ -143,12 +145,75 @@ def test_failure_after_the_first_block_leaves_no_partial_file(
             )
     finally:
         os.chdir(cwd)
-    assert len(calls) == 2
     if existing is None:
         assert not out.exists()
     else:
         assert out.read_bytes() == existing
     assert not list(two_block_run.glob(".tmp-*"))
+    assert not multiprocessing.active_children()
+
+
+BLOCK_ROWS = 8  # blocks this small keep a 25-block CSV quick to check
+
+
+@pytest.fixture(params=[1, 2, 4], ids=lambda n: f"{n}cpu")
+def cpus(request, monkeypatch):
+    """Small blocks, and the writer told that this many CPUs are usable."""
+    monkeypatch.setattr(windcast.pipeline, "CSV_BLOCK_ROWS", BLOCK_ROWS)
+    monkeypatch.setattr(windcast.pipeline, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("kind", sorted(LOSSES))
+@pytest.mark.parametrize("n_blocks", [1, 2, 25])
+def test_every_worker_count_writes_the_bytes_of_the_whole_csv(
+    cpus, monkeypatch, kind, n_blocks
+):
+    prepared = _prepared((n_blocks - 1) * BLOCK_ROWS + 3)
+    bundle = _bundle(kind, prepared)
+    real = windcast.pipeline._block_text
+    here = []  # blocks formatted in this process; a worker's calls stay in the worker
+
+    def counted(blocks, lo):
+        here.append(lo)
+        return real(blocks, lo)
+
+    monkeypatch.setattr(windcast.pipeline, "_block_text", counted)
+    fh = RecordingFile()
+    assert write_predictions(fh, bundle, prepared) == len(prepared.full)
+    assert len(fh.writes) == 1 + n_blocks
+    assert "".join(fh.writes) == whole_predictions_csv(bundle, prepared)
+    in_process = min(cpus, n_blocks) == 1
+    assert len(here) == (n_blocks if in_process else 0)
+    assert not multiprocessing.active_children()
+
+
+def test_a_failing_block_ends_every_worker(cpus, monkeypatch):
+    prepared = _prepared(24 * BLOCK_ROWS)
+    bundle = _bundle("quantile", prepared)
+    _fail_after_first_block(monkeypatch, RuntimeError("interrupted"), first_row=ALIGNMENT)
+    fh = RecordingFile()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_predictions(fh, bundle, prepared)
+    assert len(fh.writes) == 2  # the header and the first block
+    assert not multiprocessing.active_children()
+
+
+class FullDisk(RecordingFile):
+    """Takes the header, then refuses every write."""
+
+    def write(self, text):
+        if self.writes:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+def test_a_failing_write_ends_every_worker(cpus):
+    prepared = _prepared(24 * BLOCK_ROWS)
+    bundle = _bundle("quantile", prepared)
+    with pytest.raises(OSError, match="No space left"):
+        write_predictions(FullDisk(), bundle, prepared)
+    assert not multiprocessing.active_children()
 
 
 def test_commands_leave_the_shared_arrays_unchanged(two_block_run):
