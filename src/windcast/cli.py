@@ -110,7 +110,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     bundle = load_model(args.model)
     config = load_config(args.config)
-    prepared = build_dataset(config)
+    prepared = build_dataset(config, bundle.scaler)
     with atomic_writer(args.out) as fh:
         rows = write_predictions(fh, bundle, prepared)
     print(f"{rows} predictions written to {args.out}")
@@ -122,7 +122,7 @@ def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     if args.probabilistic and bundle.kind != "quantile":
         raise UsageError("--probabilistic needs a quantile model")
-    report = evaluate_bundle(bundle, build_dataset(config))
+    report = evaluate_bundle(bundle, build_dataset(config, bundle.scaler))
     atomic_write_text(args.out, dump_json(report))
     print(
         f"n {report['n']}  r2 {report['r2']:.4f}  "
@@ -135,7 +135,7 @@ def cmd_evaluate(args) -> int:
 def cmd_explain(args) -> int:
     bundle = load_model(args.model)
     config = load_config(args.config)
-    prepared = build_dataset(config)
+    prepared = build_dataset(config, bundle.scaler)
     if args.mode == "pfi":
         report = explain_pfi(
             bundle, prepared, split=args.split, repeats=args.repeats, seed=args.seed

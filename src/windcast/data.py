@@ -222,7 +222,12 @@ def invert_column(scaler: Scaler, name: str, values: np.ndarray) -> np.ndarray:
 
 
 def apply_scaler(frame: TimeSeriesFrame, scaler: Scaler) -> TimeSeriesFrame:
-    """Return a copy of the frame with every column scaled to [0, 1]."""
+    """Return a copy of the frame with every column scaled by the scaler.
+
+    A column the scaler does not know raises SchemaError."""
+    for name in (frame.target_name, *frame.features):
+        if name not in scaler.columns:
+            raise SchemaError(f"the scaler has no column {name!r}")
     return TimeSeriesFrame(
         timestamps=list(frame.timestamps),
         target=apply_column(scaler, frame.target_name, frame.target),

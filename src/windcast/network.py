@@ -106,6 +106,10 @@ class Architecture:
         return [shape for fan_in, fan_out in zip(sizes, sizes[1:])
                 for shape in ((fan_out, fan_in), (fan_out,))]
 
+    def activation(self, k: int) -> str:
+        """The activation of weight layer k: the output's on the last one."""
+        return self.output_activation if k == len(self.layer_sizes) - 2 else self.hidden_activation
+
 
 class Params(list):
     """Views of one flat array, (P,) for one network or (S, P) for a stack:
@@ -172,13 +176,6 @@ class Network:
     def parameters(self) -> Params:
         """[W0, b0, W1, b1, ...], views of flat."""
         return self.params
-
-    def copy(self) -> "Network":
-        return Network(
-            self.architecture,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
 
 
 def stack_networks(nets) -> Network:
@@ -249,18 +246,13 @@ def forward(net: Network, x: np.ndarray, *, want_cache: bool = False,
         )
     n = x.shape[0]
     work = work if want_cache else None
-    last = net.n_layers - 1
     zs = []
     acts = [x]
     a = x
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = np.matmul(a, w.swapaxes(-1, -2), out=None if work is None else work.zs[k][..., :n, :])
         z += b[..., None, :]
-        kind = (
-            net.architecture.output_activation
-            if k == last
-            else net.architecture.hidden_activation
-        )
+        kind = net.architecture.activation(k)
         # without a cache nothing else holds z, so it can take the output
         out = z if not want_cache else (None if work is None else work.acts[k][..., :n, :])
         a = _activate(z, kind, out)
@@ -300,11 +292,7 @@ def backward(net: Network, cache: dict, dloss_dpred: np.ndarray, *,
     last = net.n_layers - 1
     da = dloss_dpred
     for k in range(last, -1, -1):
-        kind = (
-            net.architecture.output_activation
-            if k == last
-            else net.architecture.hidden_activation
-        )
+        kind = net.architecture.activation(k)
         dz = da
         if kind != "identity":  # da is the caller's on the last layer, else this pass's own
             grad = _activate_grad(zs[k], acts[k + 1], kind)

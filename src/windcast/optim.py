@@ -362,17 +362,18 @@ def train_seeds(
     alone. Returns one entry per network: its TrainingTrace, with the
     network's parameters updated, or the DivergenceError that ended its
     run, with the network left as it was. A network leaves the stack when
-    it diverges or stops early; the others go on.
+    it diverges, stops early or ends its last epoch; the others go on.
 
-    A batch_size of None, 0 or at least the training-set size means full
-    batch. There the forward pass on the training set after epoch e's
-    update is the one epoch e+1 differentiates (same parameters, same
-    rows), so it runs once, with a cache, and gives both epoch e's
-    train_loss and epoch e+1's gradient: E epochs cost E + 1 training-set
-    forward passes and loss evaluations instead of 2E. With minibatches,
-    and for the validation loss, each network is evaluated on its own
-    after the epoch's updates, so the stack caches one batch at a time,
-    in a workspace allocated once per stack.
+    An epoch runs its batches in order. A batch_size of None, 0 or at least
+    the training-set size means full batch: one batch of every row. There
+    the forward pass on the training set after epoch e's update is the one
+    epoch e+1 differentiates (same parameters, same rows), so it runs once,
+    with a cache, and gives both epoch e's train_loss and epoch e+1's
+    gradient: E epochs cost E + 1 training-set forward passes and loss
+    evaluations instead of 2E. With minibatches, and for the validation
+    loss, each network is evaluated on its own after the epoch's updates,
+    so the stack caches one batch at a time, in a workspace allocated once
+    per stack.
     """
     if epochs < 0:
         raise SchemaError("epochs must be >= 0")
@@ -396,76 +397,64 @@ def train_seeds(
     slices = unstack_network(stack)
     optimizer = Optimizer(opt_config, strategies, stack.parameters(), noise_seeds)
     ids = list(range(len(nets)))  # the network each stack slice trains
-    results: list = [None] * len(nets)
-    rows: list = [[] for _ in nets]
+    results: list = [TrainingTrace([]) for _ in nets]  # or the DivergenceError that ends a run
     best_val = [math.inf] * len(nets)
     best_params: list = [None] * len(nets)  # flat copies
-    waited = [0] * len(nets)
+    best_epoch = [0] * len(nets)
     n = len(train_set)
     full_batch = not batch_size or batch_size >= n
     step_rows = n if full_batch else batch_size
+    batches = [(train_set.x, train_set.y)] if full_batch else [
+        (train_set.x[lo:lo + batch_size], train_set.y[lo:lo + batch_size])
+        for lo in range(0, n, batch_size)
+    ]
     work, cache = Workspace(stack, step_rows), None
     for epoch in range(1, epochs + 1):
         lr = optimizer.learning_rate(epoch)
-        params = stack.parameters()
+        diverged: dict[int, int] = {}
         # overflow here is not a bug but a diverging run; the non-finite
         # checks below end it with a DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
-            if full_batch:
+            for x, y in batches:
                 if cache is None:
-                    pred, cache = forward(stack, train_set.x, want_cache=True, work=work)
-                    _, dpred = loss.value_and_grad(pred, train_set.y, out=work.dpred)
+                    pred, cache = forward(stack, x, want_cache=True, work=work)
+                    _, dpred = loss.value_and_grad(pred, y, out=work.dpred[:, :cache["n"]])
                 grads = backward(stack, cache, dpred, out=work.grads)
-                diverged = optimizer.step(params, grads, epoch)
+                cache = None
+                for s, k in optimizer.step(stack.params, grads, epoch).items():
+                    diverged.setdefault(s, k)
+            if full_batch:
                 pred, cache = forward(stack, train_set.x, want_cache=True, work=work)
                 train_losses, dpred = loss.value_and_grad(
                     pred, train_set.y, want_grad=epoch < epochs, out=work.dpred
                 )
             else:
-                diverged = {}
-                for lo in range(0, n, batch_size):
-                    sl = slice(lo, min(lo + batch_size, n))
-                    pred, cache = forward(stack, train_set.x[sl], want_cache=True, work=work)
-                    _, dpred = loss.value_and_grad(
-                        pred, train_set.y[sl], out=work.dpred[:, :cache["n"]]
-                    )
-                    grads = backward(stack, cache, dpred, out=work.grads)
-                    failed = optimizer.step(params, grads, epoch)
-                    for s, k in failed.items():
-                        diverged.setdefault(s, k)
                 train_losses = [
                     None if s in diverged else loss.value(forward(net, train_set.x), train_set.y)
                     for s, net in enumerate(slices)
                 ]
 
-        leaving = []
+        keep = []  # the slices that go on
         for s, net in enumerate(slices):
             i = ids[s]
-            if s in diverged:
-                message = f"non-finite gradient in parameter {diverged[s]}"
-            elif not math.isfinite(train_losses[s]):
-                message = f"training loss is {float(train_losses[s])}"
-            else:
-                message = None
-            if message is not None:
-                results[i] = DivergenceError(f"epoch {epoch}: {message}")
-                leaving.append(s)
+            if s in diverged or not math.isfinite(train_losses[s]):
+                cause = (f"non-finite gradient in parameter {diverged[s]}" if s in diverged
+                         else f"training loss is {float(train_losses[s])}")
+                results[i] = DivergenceError(f"epoch {epoch}: {cause}")
                 continue
             val_loss = loss.value(forward(net, val_set.x), val_set.y) if has_val else None
-            rows[i].append((epoch, lr, float(train_losses[s]), val_loss))
-            if early_stop_patience is not None:
-                if val_loss < best_val[i]:
-                    best_val[i] = val_loss
-                    best_params[i] = net.flat.copy()
-                    waited[i] = 0
-                else:
-                    waited[i] += 1
-                    if waited[i] > early_stop_patience:
-                        _finish(nets[i], net, best_params[i])
-                        results[i] = TrainingTrace(rows[i])
-                        leaving.append(s)
-        if leaving:
-            keep = [s for s in range(len(ids)) if s not in leaving]
+            results[i].rows.append((epoch, lr, float(train_losses[s]), val_loss))
+            if early_stop_patience is not None and val_loss < best_val[i]:
+                best_val[i] = val_loss
+                best_params[i] = net.flat.copy()
+                best_epoch[i] = epoch
+            stopped = (early_stop_patience is not None
+                       and epoch - best_epoch[i] > early_stop_patience)
+            if epoch < epochs and not stopped:
+                keep.append(s)
+            else:  # the run ends: its network takes the trained, or best, parameters
+                nets[i].flat[...] = net.flat if best_params[i] is None else best_params[i]
+        if len(keep) < len(ids):
             ids = [ids[s] for s in keep]
             if not ids:
                 break
@@ -476,13 +465,5 @@ def train_seeds(
             # remaining slices, in a workspace sized for them
             pred = cache = dpred = grads = work = None  # never two at once
             work = Workspace(stack, step_rows)
-
-    for s, i in enumerate(ids):
-        _finish(nets[i], slices[s], best_params[i])
-        results[i] = TrainingTrace(rows[i])
     return results
 
-
-def _finish(net: Network, trained: Network, best_params) -> None:
-    """Copy the trained (or, with early stopping, best) parameters into net."""
-    net.flat[...] = best_params if best_params is not None else trained.flat

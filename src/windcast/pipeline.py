@@ -1,7 +1,8 @@
 """End-to-end flows behind the CLI commands.
 
-Everything here works in the scaled [0, 1] space: the scaler is fitted on
-the whole series, the supervised sets and every reported metric use scaled
+Everything here works in the scaled [0, 1] space: train and benchmark fit
+the scaler on the whole series, a trained model's commands apply the one it
+stores, the supervised sets and every reported metric use scaled
 values, and only the prediction CSV converts back to original units.
 """
 
@@ -19,6 +20,7 @@ import numpy as np
 from .config import RunConfig
 from .data import (
     CsvSchema,
+    Scaler,
     SupervisedSet,
     TimeSeriesFrame,
     apply_scaler,
@@ -46,7 +48,7 @@ class PreparedData:
     """Scaled supervised splits plus the raw frame they came from."""
 
     raw_frame: TimeSeriesFrame
-    scaler: object
+    scaler: Scaler
     full: SupervisedSet
     train: SupervisedSet
     val: SupervisedSet
@@ -54,14 +56,21 @@ class PreparedData:
     horizon: int | None = None  # steps ahead of a lag set's targets; None for nwp
 
 
-def build_dataset(config: RunConfig) -> PreparedData:
+def build_dataset(config: RunConfig, scaler: Scaler | None = None) -> PreparedData:
+    """Load the config's CSV, scale it, window it and split it.
+
+    A given scaler, a trained model's, is applied as it is, so a row scales
+    the same whichever file it comes in; without one, min/max are fitted
+    on this file.
+    """
     schema = CsvSchema(
         timestamp_col=config.data.timestamp_col,
         target_col=config.data.target_col,
         feature_cols=tuple(config.data.feature_cols),
     )
     raw = load_csv(config.data_path, schema)
-    scaler = fit_scaler(raw)
+    if scaler is None:
+        scaler = fit_scaler(raw)
     scaled = apply_scaler(raw, scaler)
     if config.data.mode == "lags":
         full = make_lag_windows(scaled.target, config.data.lag, config.data.horizon)
@@ -357,7 +366,9 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     many per stack as optim.stack_size allows, and every run ends bit for
     bit where its solo training would. A run's wall_time_s is therefore
     its stack's training time divided by the number of seeds in the stack.
-    Failed (diverged) runs are recorded but excluded from the medians.
+    Every run trains all training.epochs: training.early_stop_patience is
+    not applied. Failed (diverged) runs are recorded but excluded from the
+    medians.
     """
     if n_seeds < 1:
         raise SchemaError("benchmark needs at least one seed")

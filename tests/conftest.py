@@ -1,5 +1,14 @@
-"""Shared pytest plumbing: collects acceptance-criterion outcomes and
-prints one pass/fail line per criterion at the end of the run."""
+"""Shared pytest plumbing: pins BLAS to one thread, collects
+acceptance-criterion outcomes and prints one pass/fail line per criterion
+at the end of the run."""
+
+import os
+
+# As CI and perfbench do. A multi-threaded BLAS beside a busy CPU burns
+# time that the timing checks count (criterion 10). This file is imported
+# before numpy, so the setting takes effect; a value set outside wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 ACCEPTANCE_RESULTS = []
 

@@ -160,6 +160,26 @@ class TestPredict:
             "--config", "lags.json", "--out", "bad.csv",
         ) == 2
 
+    def test_rows_do_not_depend_on_the_rest_of_the_file(self, workdir, tmp_path):
+        # the model's stored scaler, not one refitted on the file, scales its inputs
+        write_wind_csv(str(tmp_path / "wind.csv"), n_rows=3000, seed=7)
+        lines = (tmp_path / "wind.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "head").mkdir()
+        (tmp_path / "head" / "wind.csv").write_text("".join(lines[:1501]))
+        cfg = json.loads((workdir / "point.json").read_text())
+        cfg["training"]["epochs"] = 3
+        for root in (tmp_path, tmp_path / "head"):
+            (root / "run.json").write_text(json.dumps(cfg))
+        assert run(tmp_path, "train", "--config", "run.json", "--out", "model.json") == 0
+        assert run(tmp_path, "predict", "--model", "model.json",
+                   "--config", "run.json", "--out", "full.csv") == 0
+        assert run(tmp_path / "head", "predict", "--model", "../model.json",
+                   "--config", "run.json", "--out", "head.csv") == 0
+        full = (tmp_path / "full.csv").read_text().splitlines()
+        head = (tmp_path / "head" / "head.csv").read_text().splitlines()
+        assert len(head) == 1501
+        assert head == full[:len(head)]
+
 
 class TestEvaluate:
     def test_point_report(self, trained):
@@ -448,6 +468,17 @@ class TestExitCodes:
         assert run(trained, "predict", "--model", "bad_weight_model.json",
                    "--config", "point.json", "--out", "bad_weight.csv") == 2
         assert "bad_weight_model.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "explain"])
+    def test_column_missing_from_the_models_scaler_is_schema(self, trained, capsys, command):
+        doc = json.loads((trained / "point_model.json").read_text())
+        del doc["scaler"]["WS10"]
+        (trained / "no_ws10_model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(trained, command, "--model", "no_ws10_model.json",
+                   "--config", "point.json", "--out", f"no_ws10_{command}.out") == 2
+        assert "'WS10'" in capsys.readouterr().err
+        assert not (trained / f"no_ws10_{command}.out").exists()
 
     def test_divergence_is_exit_four(self, workdir):
         cfg = {

@@ -536,7 +536,7 @@ class TestTrainMatchesTwoPassReference:
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
     @pytest.mark.parametrize("strategies", [STRATEGIES_ON, StrategyConfig()], ids=["on", "off"])
-    @pytest.mark.parametrize("batch_size", [None, 80, 1000, 32])
+    @pytest.mark.parametrize("batch_size", [None, 79, 80, 1000, 32])  # 80 train rows
     def test_bitwise_equal(self, kind, loss_kind, strategies, batch_size):
         loss = LOSSES[loss_kind]
         arch = Architecture((4, 6, loss.n_outputs))
@@ -639,7 +639,7 @@ class TestTrainSeedsMatchesSolo:
     @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
     @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
     @pytest.mark.parametrize("strategies", [STRATEGIES_ON, StrategyConfig()], ids=["on", "off"])
-    @pytest.mark.parametrize("batch_size", [None, 32, 1000])
+    @pytest.mark.parametrize("batch_size", [None, 32, 79, 80, 1000])  # 80 train rows
     def test_bitwise_equal(self, kind, loss_kind, activation, strategies, batch_size):
         loss = LOSSES[loss_kind]
         arch = Architecture((4, 6, loss.n_outputs), hidden_activation=activation)
