@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, the seeds numpy's generators take."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"a seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="windcast", description="Wind power forecasting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -45,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", default="model.json", help="model output path")
     p_train.add_argument("--trace-out", default=None,
                          help="training trace CSV (default: <out>.trace.csv)")
-    p_train.add_argument("--seed", type=int, default=None, help="override training.seed")
+    p_train.add_argument("--seed", type=_seed, default=None, help="override training.seed")
     p_train.set_defaults(func=cmd_train)
 
     p_predict = sub.add_parser("predict", help="write forecasts for every sample")
@@ -68,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--mode", choices=("pfi", "lime"), default="pfi")
     p_explain.add_argument("--out", default="explanation.json")
     p_explain.add_argument("--svg-out", default=None, help="optional bar chart")
-    p_explain.add_argument("--seed", type=int, default=0)
+    p_explain.add_argument("--seed", type=_seed, default=0)
     p_explain.add_argument("--split", choices=("train", "test"), default="test",
                            help="rows used for pfi")
     p_explain.add_argument("--repeats", type=int, default=5, help="pfi shuffles per feature")
@@ -84,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--seeds", type=int, default=10, help="number of paired runs")
     p_bench.add_argument("--out", default="benchmark.json")
-    p_bench.add_argument("--seed", type=int, default=None, help="override base seed")
+    p_bench.add_argument("--seed", type=_seed, default=None, help="override base seed")
     p_bench.set_defaults(func=cmd_benchmark)
 
     return parser

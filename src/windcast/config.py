@@ -210,6 +210,10 @@ def _parse_training(doc: dict) -> TrainingSection:
         ),
         seed=_typed("training", "seed", doc.get("seed", 0), int),
     )
+    if cfg.epochs < 1:
+        raise SchemaError("config training.epochs must be >= 1")
+    if cfg.seed < 0:
+        raise SchemaError("config training.seed must be >= 0")
     if cfg.batch_size is not None and cfg.batch_size < 1:
         raise SchemaError("config training.batch_size must be >= 1 (leave it out for full batch)")
     if cfg.early_stop_patience is not None and cfg.early_stop_patience < 0:

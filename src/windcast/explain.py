@@ -11,6 +11,7 @@ Two procedures, both taking predict: (n, d) array -> length-n vector:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,12 +118,12 @@ class LimeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.perturb_scale <= 0.0:
-            raise SchemaError("perturb_scale must be > 0")
-        if self.ridge_lambda < 0.0:
-            raise SchemaError("ridge_lambda must be >= 0")
-        if self.kernel_width is not None and self.kernel_width <= 0.0:
-            raise SchemaError("kernel_width must be > 0 or None")
+        if not 0.0 < self.perturb_scale < math.inf:
+            raise SchemaError("perturb_scale must be finite and > 0")
+        if not 0.0 <= self.ridge_lambda < math.inf:
+            raise SchemaError("ridge_lambda must be finite and >= 0")
+        if self.kernel_width is not None and not 0.0 < self.kernel_width < math.inf:
+            raise SchemaError("kernel_width must be finite and > 0, or None")
 
 
 def generate_perturbations(instance, stats, cfg: LimeConfig) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from ._util import read_json, write_json
 from .data import Scaler
 from .errors import SchemaError
-from .network import Architecture, Loss, Network
+from .network import Architecture, Loss, Network, infer, predict_quantiles
 
 FORMAT_NAME = "windcast-model"
 SCHEMA_VERSION = 1
@@ -53,6 +53,17 @@ class ModelBundle:
     @property
     def quantile_levels(self) -> tuple[float, ...]:
         return self.loss.levels
+
+    def forecast(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled (n, k) forecast of x's rows, sorted per row for a quantile
+        model, and its point column: the one output or the level nearest 0.5.
+        Every command forecasts here, on network.infer's fixed blocks."""
+        levels = self.quantile_levels
+        if not levels:
+            values = infer(self.network, x)
+            return values, values[:, 0]
+        values = predict_quantiles(self.network, x, levels).values
+        return values, values[:, int(np.argmin(np.abs(np.subtract(levels, 0.5))))]
 
 
 def save_model(path: str, bundle: ModelBundle) -> None:

@@ -12,6 +12,8 @@ S, all slices see the same input batch, and predictions, gradients and
 per-slice loss values carry the same leading axis. Each slice computes
 bit for bit what its network computes alone.
 
+Every forecast runs through infer, forward on blocks of one fixed shape.
+
 A training loop hands forward, the loss and backward a Workspace, the
 arrays one step writes, allocated once. The values are byte for byte
 those the allocating path gives; only where they are stored differs.
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import CacheError, EmptyDataError, InvalidArchitectureError, SchemaError, ShapeError
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh", "sigmoid")
+INFER_ROWS = 1024  # rows per forward call in infer, the last block zero-padded
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 
@@ -265,6 +268,22 @@ def forward(net: Network, x: np.ndarray, *, want_cache: bool = False,
     return a, {"zs": zs, "acts": acts, "n": n, "das": das}
 
 
+def infer(net: Network, x: np.ndarray) -> np.ndarray:
+    """forward's output, computed in blocks of INFER_ROWS rows, the last
+    zero-padded. BLAS can round a row by how many rows share its call; with
+    one shape for every call, a row's output is the same bytes whichever
+    rows come with it. C order keeps a strided block from leaving BLAS."""
+    x = np.ascontiguousarray(x, dtype=float)
+    out = np.empty((len(x), net.architecture.n_outputs))
+    for lo in range(0, max(len(x), 1), INFER_ROWS):  # an empty x still has its width checked
+        block = x[lo:lo + INFER_ROWS]
+        rows = len(block)
+        if rows < INFER_ROWS:
+            block = np.concatenate([block, np.zeros((INFER_ROWS - rows, *x.shape[1:]))])
+        out[lo:lo + rows] = forward(net, block)[:rows]
+    return out
+
+
 def backward(net: Network, cache: dict, dloss_dpred: np.ndarray, *,
              out: Params | None = None) -> Params:
     """Backpropagate dL/dpred through the cached forward pass.
@@ -453,12 +472,6 @@ class QuantileForecast:
 
 
 def predict_quantiles(net: Network, x: np.ndarray, levels) -> QuantileForecast:
-    """Forward pass plus per-row sort so quantiles never cross."""
-    levels = tuple(float(q) for q in levels)
-    if net.architecture.n_outputs != len(levels):
-        raise ShapeError(
-            f"network emits {net.architecture.n_outputs} outputs "
-            f"for {len(levels)} quantile levels"
-        )
-    raw = forward(net, x)
-    return QuantileForecast(levels, np.sort(raw, axis=1))
+    """infer's output sorted per row, so quantiles never cross.
+    QuantileForecast rejects a network without one output per level."""
+    return QuantileForecast(levels, np.sort(infer(net, x), axis=1))

@@ -89,6 +89,8 @@ class StrategyConfig:
             raise SchemaError("total_epochs must be >= 1")
         if not 0.0 <= 2.0 * self.noise_tau < math.inf:  # the draw spans 2 * tau
             raise SchemaError("noise_tau must be >= 0, with 2 * noise_tau finite")
+        if self.noise_seed < 0:  # numpy's generators take seeds >= 0
+            raise SchemaError("noise_seed must be >= 0")
 
 
 def centralize_gradient(g: np.ndarray) -> np.ndarray:

@@ -35,12 +35,11 @@ from .errors import DivergenceError, SchemaError
 from .explain import LimeConfig, fit_lime, permutation_importance
 from .metrics import deterministic_report, probabilistic_report
 from .model_io import ModelBundle
-from .network import (
-    Architecture, Network, QuantileForecast, forward, init_network, predict_quantiles,
-)
+from .network import INFER_ROWS, Architecture, Network, QuantileForecast, init_network
+from .network import forward  # noqa: F401  perfbench's tracer test reads pipeline.forward
 from .optim import StrategyConfig, stack_size, train, train_seeds
 
-CSV_BLOCK_ROWS = 4096  # prediction rows formatted and written per block
+CSV_BLOCK_ROWS = 4 * INFER_ROWS  # prediction rows forecast, formatted and written per block
 
 
 @dataclass
@@ -105,7 +104,13 @@ def train_from_config(config: RunConfig, prepared: PreparedData | None = None):
         batch_size=config.training.batch_size,
         early_stop_patience=config.training.early_stop_patience,
     )
-    bundle = ModelBundle(
+    return _bundle(config, prepared, net, config.training.seed, len(trace)), trace, prepared
+
+
+def _bundle(config: RunConfig, prepared: PreparedData, net: Network, seed: int,
+            epochs_run: int) -> ModelBundle:
+    """The model of a network trained per the config on prepared's splits."""
+    return ModelBundle(
         network=net,
         scaler=prepared.scaler,
         target_name=config.data.target_col,
@@ -113,13 +118,8 @@ def train_from_config(config: RunConfig, prepared: PreparedData | None = None):
         loss=config.model.loss,
         lag=config.data.lag if config.data.mode == "lags" else None,
         horizon=config.data.horizon,
-        metadata={
-            "mode": config.data.mode,
-            "seed": config.training.seed,
-            "epochs_run": len(trace),
-        },
+        metadata={"mode": config.data.mode, "seed": seed, "epochs_run": epochs_run},
     )
-    return bundle, trace, prepared
 
 
 def _check_compatible(bundle: ModelBundle, prepared: PreparedData) -> None:
@@ -135,30 +135,17 @@ def _check_compatible(bundle: ModelBundle, prepared: PreparedData) -> None:
         )
 
 
-def _median(forecast: QuantileForecast) -> np.ndarray:
-    """The forecast at the level nearest the median."""
-    return forecast.values[:, int(np.argmin(np.abs(np.asarray(forecast.levels) - 0.5)))]
-
-
-def point_forecast(net: Network, x: np.ndarray, levels) -> np.ndarray:
-    """Scaled point forecast: the single output of a point model, or the
-    quantile nearest the median of a quantile model's levels."""
-    if not levels:
-        return forward(net, x)[:, 0]
-    return _median(predict_quantiles(net, x, levels))
-
-
 def evaluate_bundle(bundle: ModelBundle, prepared: PreparedData) -> dict:
     """Test-split metric report; quantile models add probabilistic keys,
-    from the one forecast whose median column the point metrics score."""
+    from the one forecast whose point column the point metrics score."""
     _check_compatible(bundle, prepared)
     test = prepared.test
-    if bundle.kind == "point":
-        return deterministic_report(test.y, point_forecast(bundle.network, test.x, ())).to_dict()
-    forecast = predict_quantiles(bundle.network, test.x, bundle.quantile_levels)
-    report = deterministic_report(test.y, _median(forecast)).to_dict()
-    doc = probabilistic_report(forecast, test.y).to_dict()
-    report.update((key, doc[key]) for key in ("qs", "crps", "per_pinc"))
+    values, point = bundle.forecast(test.x)
+    report = deterministic_report(test.y, point).to_dict()
+    if bundle.quantile_levels:
+        forecast = QuantileForecast(bundle.quantile_levels, values)
+        doc = probabilistic_report(forecast, test.y).to_dict()
+        report.update((key, doc[key]) for key in ("qs", "crps", "per_pinc"))
     return report
 
 
@@ -174,7 +161,7 @@ def explain_pfi(
         raise SchemaError(f"pfi split must be 'train' or 'test', got {split!r}")
     subset = prepared.test if split == "test" else prepared.train
     report = permutation_importance(
-        lambda m: point_forecast(bundle.network, m, bundle.quantile_levels),
+        lambda rows: bundle.forecast(rows)[1],
         subset.x,
         subset.y,
         repeats=repeats,
@@ -201,7 +188,7 @@ def explain_lime(
         )
     stats = prepared.train.x.std(axis=0)
     explanation = fit_lime(
-        lambda m: point_forecast(bundle.network, m, bundle.quantile_levels),
+        lambda rows: bundle.forecast(rows)[1],
         test.x[instance_index],
         stats,
         lime if lime is not None else LimeConfig(),
@@ -218,23 +205,18 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
     units, to the text file fh; returns the number of rows written.
 
     The header goes first, then the rows a block of CSV_BLOCK_ROWS at a
-    time, in order. The blocks are formatted by forked worker processes,
-    one per CPU this process may use, with at most two blocks per worker
-    in flight; with one CPU or one block, or where fork does not exist,
-    they are formatted here. Either way each block is predictions_csv's
-    text, so the bytes do not depend on the route.
+    time, in order. Forked worker processes forecast and format their own
+    blocks, one per CPU this process may use, with at most two blocks per
+    worker in flight; with one CPU or one block, or where fork does not
+    exist, the blocks are done here. Either way each block is
+    predictions_csv's text, and a row's forecast does not depend on the
+    rows around it, so the bytes do not depend on the route.
     """
     _check_compatible(bundle, prepared)
     full = prepared.full
-    if bundle.kind == "point":
-        scaled = point_forecast(bundle.network, full.x, ())
-        header = "timestamp,y_true,prediction"
-    else:
-        forecast = predict_quantiles(bundle.network, full.x, bundle.quantile_levels)
-        scaled = forecast.values
-        header = "timestamp,y_true," + ",".join(f"q{q:g}" for q in forecast.levels)
-    fh.write(header + "\n")
-    blocks = (bundle, prepared.raw_frame, full.target_indices, scaled)
+    names = [f"q{q:g}" for q in bundle.quantile_levels] or ["prediction"]
+    fh.write(",".join(["timestamp", "y_true", *names]) + "\n")
+    blocks = (bundle, prepared.raw_frame, full.target_indices, full.x)
     starts = range(0, len(full.target_indices), CSV_BLOCK_ROWS)
     # imported here: multiprocessing would add 13-16 ms to every command's start
     import multiprocessing
@@ -271,12 +253,12 @@ def _usable_cpus() -> int:
 
 def _block_text(blocks, lo: int) -> str:
     """The CSV text of the block of rows starting at sample lo."""
-    bundle, frame, idx, scaled = blocks
+    bundle, frame, idx, x = blocks
     hi = lo + CSV_BLOCK_ROWS
-    return predictions_csv(bundle, frame, idx[lo:hi], scaled[lo:hi])
+    return predictions_csv(bundle, frame, idx[lo:hi], x[lo:hi])
 
 
-_worker_blocks = None  # a worker's (bundle, frame, idx, scaled), set by _start_worker
+_worker_blocks = None  # a worker's (bundle, frame, idx, x), set by _start_worker
 
 
 def _start_worker(*blocks) -> None:
@@ -292,9 +274,11 @@ def _worker_block_text(lo: int) -> str:
     return _block_text(_worker_blocks, lo)
 
 
-def predictions_csv(bundle: ModelBundle, frame: TimeSeriesFrame, rows, scaled) -> str:
+def predictions_csv(bundle: ModelBundle, frame: TimeSeriesFrame, rows, x) -> str:
     """One block of prediction CSV lines: for each frame row in rows, its
-    timestamp, its actual target and its scaled forecast in original units."""
+    timestamp, its actual target and the forecast of its sample in x, in
+    original units."""
+    scaled, _ = bundle.forecast(x)
     table = np.column_stack(
         [frame.target[rows], invert_column(bundle.scaler, bundle.target_name, scaled)]
     )
@@ -341,11 +325,12 @@ def _benchmark_arm(config, prepared, arch, strategies, seeds) -> list[dict]:
             noise_seeds=[strategies.noise_seed + run_seed for run_seed in chunk],
         )
         wall = (time.perf_counter() - started) / len(chunk)
-        for net, result in zip(nets, results):
+        for run_seed, net, result in zip(chunk, nets, results):
             if isinstance(result, DivergenceError):
                 reports.append({"error": str(result), "wall_time_s": wall})
                 continue
-            yhat = point_forecast(net, prepared.test.x, config.model.loss.levels)
+            bundle = _bundle(config, prepared, net, run_seed, len(result))
+            _, yhat = bundle.forecast(prepared.test.x)
             report = deterministic_report(prepared.test.y, yhat).to_dict()
             val_losses = [row[3] for row in result.rows if row[3] is not None]
             report["wall_time_s"] = wall

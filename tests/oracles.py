@@ -218,18 +218,15 @@ def row_wise_load_csv(path, schema):
 def whole_predictions_csv(bundle, prepared):
     """The prediction CSV as one string, formatted row by row: the
     reference for the bytes the streamed writer produces. The forecasts
-    come from the package's own forward pass; only the text is checked."""
+    come from the package's own forecast; only the text is checked."""
     from windcast.data import invert_column
-    from windcast.network import forward, predict_quantiles
 
     full, frame = prepared.full, prepared.raw_frame
+    scaled, _ = bundle.forecast(full.x)
     if bundle.kind == "point":
-        scaled = forward(bundle.network, full.x)
         header = "timestamp,y_true,prediction"
     else:
-        forecast = predict_quantiles(bundle.network, full.x, bundle.quantile_levels)
-        scaled = forecast.values
-        header = "timestamp,y_true," + ",".join(f"q{q:g}" for q in forecast.levels)
+        header = "timestamp,y_true," + ",".join(f"q{q:g}" for q in bundle.quantile_levels)
     values = invert_column(bundle.scaler, bundle.target_name, scaled)
     lines = [header]
     for i, row in zip(full.target_indices, values.tolist()):

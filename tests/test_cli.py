@@ -9,16 +9,19 @@ import os
 import numpy as np
 import pytest
 
+import windcast.model_io
 import windcast.pipeline
 from windcast._util import atomic_write_text, dump_json
 from windcast.cli import main
 from windcast.config import load_config
+from windcast.data import invert_column
 from windcast.errors import DataError
+from windcast.explain import LimeConfig
 from windcast.metrics import deterministic_report
 from windcast.model_io import load_model
-from windcast.network import Architecture, Loss, forward, init_network, predict_quantiles
+from windcast.network import Architecture, Loss, infer, init_network, predict_quantiles
 from windcast.optim import OptimizerConfig, StrategyConfig, train
-from windcast.pipeline import build_dataset, evaluate_bundle
+from windcast.pipeline import build_dataset, evaluate_bundle, explain_lime
 
 from synth import write_wind_csv
 
@@ -160,25 +163,105 @@ class TestPredict:
             "--config", "lags.json", "--out", "bad.csv",
         ) == 2
 
-    def test_rows_do_not_depend_on_the_rest_of_the_file(self, workdir, tmp_path):
-        # the model's stored scaler, not one refitted on the file, scales its inputs
+    @pytest.mark.parametrize("part", ["prefix", "shifted_suffix"])
+    @pytest.mark.parametrize("loss", ["mse", "pinball"])
+    @pytest.mark.parametrize("config", ["point.json", "lags.json"])
+    def test_rows_do_not_depend_on_the_rest_of_the_file(
+        self, workdir, tmp_path, config, loss, part
+    ):
+        # The model's stored scaler, not one refitted on the file, scales a
+        # row's inputs, and its forecast runs in blocks of one shape, so
+        # neither the rows after it nor those before it change its bytes.
         write_wind_csv(str(tmp_path / "wind.csv"), n_rows=3000, seed=7)
-        lines = (tmp_path / "wind.csv").read_text().splitlines(keepends=True)
-        (tmp_path / "head").mkdir()
-        (tmp_path / "head" / "wind.csv").write_text("".join(lines[:1501]))
-        cfg = json.loads((workdir / "point.json").read_text())
+        header, *body = (tmp_path / "wind.csv").read_text().splitlines(keepends=True)
+        rows = body[:1500] if part == "prefix" else body[333:]
+        (tmp_path / "part").mkdir()
+        (tmp_path / "part" / "wind.csv").write_text(header + "".join(rows))
+        cfg = json.loads((workdir / config).read_text())
+        cfg["model"]["loss"] = loss
         cfg["training"]["epochs"] = 3
-        for root in (tmp_path, tmp_path / "head"):
+        for root in (tmp_path, tmp_path / "part"):
             (root / "run.json").write_text(json.dumps(cfg))
         assert run(tmp_path, "train", "--config", "run.json", "--out", "model.json") == 0
         assert run(tmp_path, "predict", "--model", "model.json",
                    "--config", "run.json", "--out", "full.csv") == 0
-        assert run(tmp_path / "head", "predict", "--model", "../model.json",
-                   "--config", "run.json", "--out", "head.csv") == 0
+        assert run(tmp_path / "part", "predict", "--model", "../model.json",
+                   "--config", "run.json", "--out", "part.csv") == 0
         full = (tmp_path / "full.csv").read_text().splitlines()
-        head = (tmp_path / "head" / "head.csv").read_text().splitlines()
-        assert len(head) == 1501
-        assert head == full[:len(head)]
+        head, *lines = (tmp_path / "part" / "part.csv").read_text().splitlines()
+        lag = cfg["data"]["lag"] if cfg["data"]["mode"] == "lags" else 0
+        assert len(lines) == len(rows) - lag
+        if part == "prefix":
+            assert [head, *lines] == full[:len(lines) + 1]
+        else:
+            assert [head, *lines] == [full[0], *full[-len(lines):]]
+
+
+@pytest.fixture(scope="module", params=[("point.json", "mse"), ("lags.json", "pinball")],
+                ids=["nwp-mse", "lags-pinball"])
+def one_forecast(request, workdir, tmp_path_factory):
+    """A model trained on 600 rows and the prediction CSV of that file."""
+    root = tmp_path_factory.mktemp("one_forecast")
+    write_wind_csv(str(root / "wind.csv"), n_rows=600, seed=11)
+    config, loss = request.param
+    cfg = json.loads((workdir / config).read_text())
+    cfg["model"]["loss"] = loss
+    cfg["training"]["epochs"] = 5
+    (root / "run.json").write_text(json.dumps(cfg))
+    assert run(root, "train", "--config", "run.json", "--out", "model.json") == 0
+    assert run(root, "predict", "--model", "model.json",
+               "--config", "run.json", "--out", "predictions.csv") == 0
+    return root
+
+
+def _csv_cells(bundle, scaled):
+    """Scaled forecasts as the prediction CSV's forecast cells."""
+    values = invert_column(bundle.scaler, bundle.target_name, np.asarray(scaled))
+    return [[repr(v) for v in row] for row in values.reshape(len(values), -1).tolist()]
+
+
+class TestOneForecast:
+    """evaluate and explain score and explain the forecast predict writes."""
+
+    def test_evaluate_scores_the_rows_predict_writes(self, one_forecast, monkeypatch):
+        seen = {}
+        point_report = windcast.pipeline.deterministic_report
+        quantile_report = windcast.pipeline.probabilistic_report
+
+        def record_point(y, yhat):
+            seen["point"] = yhat
+            return point_report(y, yhat)
+
+        def record_quantiles(forecast, y):
+            seen["quantiles"] = forecast.values
+            return quantile_report(forecast, y)
+
+        monkeypatch.setattr(windcast.pipeline, "deterministic_report", record_point)
+        monkeypatch.setattr(windcast.pipeline, "probabilistic_report", record_quantiles)
+        assert run(one_forecast, "evaluate", "--model", "model.json",
+                   "--config", "run.json", "--out", "evaluation.json") == 0
+        bundle = load_model(str(one_forecast / "model.json"))
+        lines = (one_forecast / "predictions.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        tail = [line.split(",") for line in lines[-len(seen["point"]):]]
+        point = header.index("q0.5" if bundle.kind == "quantile" else "prediction")
+        assert _csv_cells(bundle, seen["point"]) == [[row[point]] for row in tail]
+        if bundle.kind == "quantile":
+            assert _csv_cells(bundle, seen["quantiles"]) == [row[2:] for row in tail]
+
+    def test_lime_explains_the_forecast_predict_writes(self, one_forecast):
+        bundle = load_model(str(one_forecast / "model.json"))
+        prepared = build_dataset(load_config(str(one_forecast / "run.json")), bundle.scaler)
+        lines = (one_forecast / "predictions.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        point = header.index("q0.5" if bundle.kind == "quantile" else "prediction")
+        tail = [line.split(",")[point] for line in lines[-len(prepared.test):]]
+        lime = LimeConfig(n_samples=20)
+        explained = [
+            explain_lime(bundle, prepared, i, lime)["model_prediction"]
+            for i in range(len(prepared.test))
+        ]
+        assert [cells[0] for cells in _csv_cells(bundle, explained)] == tail
 
 
 class TestEvaluate:
@@ -213,7 +296,7 @@ class TestEvaluate:
             calls.append(len(x))
             return predict_quantiles(net, x, levels)
 
-        monkeypatch.setattr(windcast.pipeline, "predict_quantiles", counting)
+        monkeypatch.setattr(windcast.model_io, "predict_quantiles", counting)
         bundle = load_model(str(trained / "quantile_model.json"))
         prepared = build_dataset(load_config(str(trained / "quantile.json")))
         report = evaluate_bundle(bundle, prepared)
@@ -350,7 +433,7 @@ def _sequential_benchmark(config_path, n_seeds):
             net, trace = train(init_network(arch, seed), prepared.train, prepared.val,
                                opt_config, strategies, Loss(), config.training.epochs,
                                batch_size=config.training.batch_size)
-            report = deterministic_report(test.y, forward(net, test.x)[:, 0]).to_dict()
+            report = deterministic_report(test.y, infer(net, test.x)[:, 0]).to_dict()
             report["epochs_run"] = len(trace)
             report["best_val_epoch"] = int(np.argmin([row[3] for row in trace.rows])) + 1
             report["split_hash"] = split_hash
@@ -421,6 +504,9 @@ class TestExitCodes:
         ("split", None, [0.8, "a", 0.1]),
         ("split", None, [0.8, float("nan"), 0.1]),
         ("model", "quantile_levels", [0.1, "median", 0.9]),
+        ("training", "seed", -3),
+        ("training", "epochs", 0),
+        ("strategies", "noise_seed", -1),
         ("data", "feature_cols", "WS10"),
         ("data", "feature_cols", ["WS10", 3]),
     ])
@@ -438,6 +524,33 @@ class TestExitCodes:
         if section == "data":
             assert f"config data.{key}" in err
         assert not (workdir / "bv.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--config", "point.json", "--out", "neg.json"),
+        ("benchmark", "--config", "point.json", "--seeds", "1", "--out", "neg.json"),
+        ("explain", "--model", "point_model.json", "--config", "point.json",
+         "--mode", "pfi", "--out", "neg.json"),
+        ("explain", "--model", "point_model.json", "--config", "point.json",
+         "--mode", "lime", "--out", "neg.json"),
+    ], ids=["train", "benchmark", "pfi", "lime"])
+    def test_negative_seed_flag_is_usage(self, trained, capsys, argv):
+        capsys.readouterr()
+        assert run(trained, *argv, "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: UsageError: argument --seed: a seed must be")
+        assert "Traceback" not in err
+        assert not (trained / "neg.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--perturb-scale", "--ridge-lambda", "--kernel-width"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lime_setting_is_schema(self, trained, capsys, flag, value):
+        capsys.readouterr()
+        assert run(trained, "explain", "--model", "point_model.json", "--config", "point.json",
+                   "--mode", "lime", flag, value, "--out", "lime_bad.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: SchemaError: ")
+        assert "must be finite" in err
+        assert not (trained / "lime_bad.json").exists()
 
     def test_every_command_validates_the_whole_config(self, trained):
         cfg = json.loads((trained / "point.json").read_text())

@@ -42,6 +42,11 @@ def test_total_epochs_resolves_to_training_epochs_unless_set():
     assert parse_config(doc).strategies.total_epochs == 45
 
 
+def test_zero_epochs_names_the_key_that_was_set():
+    with pytest.raises(SchemaError, match=r"^config training\.epochs must be >= 1$"):
+        parse_config({"data": DATA, "training": {"epochs": 0}})
+
+
 def test_mse_ignores_quantile_levels():
     doc = {"data": DATA, "model": {"loss": "mse", "quantile_levels": [0.2, 0.8]}}
     assert parse_config(doc).model.loss == Loss("mse")
@@ -54,6 +59,9 @@ def test_mse_ignores_quantile_levels():
     ("model", {"hidden_sizes": 16}),
     ("strategies", {"initial_lr": 0}),
     ("training", []),
+    ("training", {"seed": -3}),
+    ("strategies", {"noise_seed": -1}),
+    ("training", {"epochs": 0}),
 ])
 def test_bad_values_rejected_at_parse(section, body):
     with pytest.raises(SchemaError):

@@ -157,6 +157,12 @@ class TestPerturbations:
         with pytest.raises(SchemaError):
             LimeConfig(kernel_width=0.0)
 
+    @pytest.mark.parametrize("key", ["perturb_scale", "ridge_lambda", "kernel_width"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_setting_rejected(self, key, value):
+        with pytest.raises(SchemaError, match=f"{key} must be finite"):
+            LimeConfig(**{key: value})
+
 
 class TestLime:
     def test_recovers_linear_model_uniform_kernel(self):

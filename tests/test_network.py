@@ -20,6 +20,7 @@ from windcast.network import (
     QuantileForecast,
     backward,
     forward,
+    infer,
     init_network,
     mse_loss,
     pinball_loss,
@@ -481,6 +482,24 @@ class TestLosses:
             Loss(kind="pinball", levels=(0.5, 0.5))
         with pytest.raises(SchemaError):
             Loss(kind="pinball", levels=(0.9, 0.1))
+
+
+class TestInfer:
+    @pytest.mark.parametrize("sizes", [(48, 16, 1), (6, 8, 1), (4, 16, 21)])
+    def test_a_row_does_not_depend_on_its_batch(self, sizes):
+        rng = np.random.default_rng(4)
+        net = init_network(Architecture(sizes), 2)
+        x = rng.random((2 * network.INFER_ROWS + 300, sizes[0]))
+        whole = infer(net, x)
+        for lo, hi in [(0, 1), (1, 1500), (333, len(x)), (700, 701), (5, 2 * network.INFER_ROWS)]:
+            assert infer(net, x[lo:hi]).tobytes() == whole[lo:hi].tobytes()
+        assert infer(net, np.asfortranarray(x)).tobytes() == whole.tobytes()
+
+    def test_checks_the_width_of_an_empty_batch(self):
+        net = init_network(Architecture((3, 2)), 0)
+        assert infer(net, np.zeros((0, 3))).shape == (0, 2)
+        with pytest.raises(ShapeError):
+            infer(net, np.zeros((0, 4)))
 
 
 class TestQuantileForecast:

@@ -108,10 +108,10 @@ def _fail_after_first_block(monkeypatch, exc, first_row):
     calls, as it may be formatted in a worker process."""
     real = windcast.pipeline.predictions_csv
 
-    def failing(bundle, frame, rows, scaled):
+    def failing(bundle, frame, rows, x):
         if rows[0] != first_row:
             raise exc
-        return real(bundle, frame, rows, scaled)
+        return real(bundle, frame, rows, x)
 
     monkeypatch.setattr(windcast.pipeline, "predictions_csv", failing)
 
