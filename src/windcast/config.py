@@ -44,9 +44,9 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .errors import SchemaError, UsageError
+from .errors import InvalidArchitectureError, SchemaError, UsageError
 from .metrics import DEFAULT_QUANTILE_LEVELS
-from .network import HIDDEN_ACTIVATIONS, OUTPUT_ACTIVATIONS, Loss
+from .network import HIDDEN_ACTIVATIONS, OUTPUT_ACTIVATIONS, Architecture, Loss
 from .optim import OptimizerConfig, StrategyConfig
 
 CONFIG_SCHEMA_VERSION = 1
@@ -152,7 +152,7 @@ def _parse_data(doc: dict) -> DataConfig:
     return cfg
 
 
-def _parse_model(doc: dict) -> ModelConfig:
+def _parse_model(doc: dict, n_inputs: int) -> ModelConfig:
     _check_keys("model", doc, (
         "hidden_sizes", "hidden_activation", "output_activation",
         "loss", "quantile_levels",
@@ -169,8 +169,12 @@ def _parse_model(doc: dict) -> ModelConfig:
     levels = doc.get("quantile_levels")
     if levels is None:
         levels = DEFAULT_QUANTILE_LEVELS
-    return ModelConfig(tuple(hidden), hidden_act, output_act,
-                       Loss(kind, levels if kind == "pinball" else ()))
+    loss = Loss(kind, levels if kind == "pinball" else ())
+    try:  # the network these sizes build, within network.MAX_PARAMETERS
+        Architecture((n_inputs, *hidden, loss.n_outputs), hidden_act, output_act)
+    except InvalidArchitectureError as exc:
+        raise SchemaError(f"config model.hidden_sizes: {exc}") from None
+    return ModelConfig(tuple(hidden), hidden_act, output_act, loss)
 
 
 def _parse_optimizer(doc: dict) -> OptimizerConfig:
@@ -238,7 +242,8 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         raise SchemaError("config split must be a list of three ratios")
     split = tuple(_number("split", str(i), r) for i, r in enumerate(split))
     data = _parse_data(doc["data"])
-    model = _parse_model(doc.get("model", {}))
+    model = _parse_model(doc.get("model", {}),
+                         data.lag if data.mode == "lags" else len(data.feature_cols))
     optimizer = _parse_optimizer(doc.get("optimizer", {}))
     training = _parse_training(doc.get("training", {}))
     strategies = _parse_strategies(doc.get("strategies", {}), training.epochs)

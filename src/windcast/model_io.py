@@ -5,6 +5,9 @@ bounds, lag/feature bookkeeping and the training loss. The loss is held
 as one network.Loss and written as three keys derived from it: kind
 ("point" for mse, "quantile" for pinball), loss_kind and quantile_levels.
 load_model reads all three and rejects a file whose keys disagree.
+horizon_alignment, an nwp set's target offset, is written only when it is
+not 0, the value a file without it loads as, so a default model's bytes
+and older files stay as they were.
 Floats are written with their shortest round-trip representation, so
 save -> load reproduces parameters bit for bit.
 """
@@ -36,6 +39,7 @@ class ModelBundle:
     loss: Loss = Loss()
     lag: int | None = None
     horizon: int = 1
+    horizon_alignment: int = 0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -87,6 +91,8 @@ def save_model(path: str, bundle: ModelBundle) -> None:
         "biases": [b.tolist() for b in bundle.network.biases],
         "metadata": bundle.metadata,
     }
+    if bundle.horizon_alignment:
+        doc["horizon_alignment"] = bundle.horizon_alignment
     write_json(path, doc)
 
 
@@ -127,6 +133,8 @@ def _parse_bundle(doc) -> ModelBundle:
     sizes = arch["layer_sizes"]
     if not isinstance(sizes, list) or any(type(n) is not int for n in sizes):
         raise SchemaError("architecture.layer_sizes must be a list of integers")
+    # before any array: this checks the sizes against network.MAX_PARAMETERS
+    architecture = Architecture(tuple(sizes), arch["hidden_activation"], arch["output_activation"])
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError(f"unknown model kind {kind!r}")
@@ -142,6 +150,9 @@ def _parse_bundle(doc) -> ModelBundle:
     horizon = doc.get("horizon", 1)
     if type(horizon) is not int or horizon < 1:
         raise SchemaError(f"horizon must be an integer >= 1, got {horizon!r}")
+    alignment = doc.get("horizon_alignment", 0)
+    if type(alignment) is not int or alignment < 0:
+        raise SchemaError(f"horizon_alignment must be an integer >= 0, got {alignment!r}")
     lag = doc.get("lag")
     if lag is not None and (type(lag) is not int or lag < 1):
         raise SchemaError(f"lag must be null or an integer >= 1, got {lag!r}")
@@ -154,7 +165,7 @@ def _parse_bundle(doc) -> ModelBundle:
         raise SchemaError(f"target_name must be a string naming a scaler column, got {target!r}")
     return ModelBundle(
         network=Network(
-            Architecture(tuple(sizes), arch["hidden_activation"], arch["output_activation"]),
+            architecture,
             [_numbers(f"weights[{k}]", w) for k, w in enumerate(weights)],
             [_numbers(f"biases[{k}]", b) for k, b in enumerate(biases)],
         ),
@@ -164,6 +175,7 @@ def _parse_bundle(doc) -> ModelBundle:
         loss=Loss(loss_kind, doc.get("quantile_levels", [])),
         lag=lag,
         horizon=horizon,
+        horizon_alignment=alignment,
         metadata=metadata,
     )
 

@@ -15,8 +15,15 @@ bit for bit what its network computes alone.
 Every forecast runs through infer, forward on blocks of one fixed shape.
 
 A training loop hands forward, the loss and backward a Workspace, the
-arrays one step writes, allocated once. The values are byte for byte
-those the allocating path gives; only where they are stored differs.
+arrays one block of a training pass writes, allocated once. The values
+are byte for byte those the allocating path gives; only where they are
+stored differs. A loss given the entry count of the whole batch a block
+belongs to returns the block's sum and scales its gradient for the
+batch's mean, so a pass can sum blocks into the batch's loss and gradient
+(optim.train_seeds runs that pass).
+
+An architecture holds at most MAX_PARAMETERS parameters, checked from its
+layer sizes before any array is allocated.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ from .errors import CacheError, EmptyDataError, InvalidArchitectureError, Schema
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh", "sigmoid")
 INFER_ROWS = 1024  # rows per forward call in infer, the last block zero-padded
+MAX_PARAMETERS = 10_000_000
+"""Cap on one network's weights and biases: 80 MB per copy, of which
+training holds several (parameters, gradients, optimizer moments)."""
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 
@@ -93,6 +103,12 @@ class Architecture:
                 f"output activation must be one of {OUTPUT_ACTIVATIONS}"
             )
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        n_params = sum(map(math.prod, self.param_shapes))
+        if n_params > MAX_PARAMETERS:
+            raise InvalidArchitectureError(
+                f"layer sizes {list(self.layer_sizes)} give {n_params:,} parameters, "
+                f"above the cap of {MAX_PARAMETERS:,}"
+            )
 
     @property
     def n_inputs(self) -> int:
@@ -195,12 +211,14 @@ def unstack_network(stack: Network) -> list[Network]:
 
 
 class Workspace:
-    """What one training step of net on up to n rows writes, allocated once.
+    """What one block of up to n rows of a training pass of net writes,
+    allocated once.
 
     zs and acts hold each layer's z and a (an identity output's a is its z),
     das each hidden layer's dL/da, which backward turns into dL/dz in place,
-    dpred the loss gradient and grads the parameter gradient. A batch of
-    fewer rows uses the leading rows of each.
+    dpred the loss gradient and grads the parameter gradient. A block of
+    fewer rows uses the leading rows of each. A pass of several blocks
+    writes each later block's gradient to block_grads and adds it to grads.
     """
 
     def __init__(self, net: Network, n: int):
@@ -212,6 +230,7 @@ class Workspace:
         self.das = [np.empty_like(z) for z in self.zs[:-1]]
         self.dpred = np.empty_like(out)
         self.grads = Params(np.empty_like(net.flat), net.params.shapes)
+        self.block_grads = Params(np.empty_like(net.flat), net.params.shapes)
 
 
 def init_network(architecture: Architecture, seed: int) -> Network:
@@ -323,15 +342,18 @@ def backward(net: Network, cache: dict, dloss_dpred: np.ndarray, *,
     return grads
 
 
-def _slice_mean(a: np.ndarray, stacked: bool):
-    """Mean over all entries, or over each leading slice of a stacked batch."""
+def _slice_sum(a: np.ndarray, stacked: bool):
+    """Sum over all entries, or over each leading slice of a stacked batch.
+    Divided by the entry count, it is bitwise numpy's mean, which sums and
+    then divides."""
     if stacked:
-        return a.reshape(len(a), -1).mean(axis=1)
-    return float(np.mean(a))
+        return a.reshape(len(a), -1).sum(axis=1)
+    return float(np.sum(a))
 
 
 def mse_loss(
-    pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True, out=None
+    pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True, out=None,
+    entries: int | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean squared error over every entry and its gradient w.r.t. pred.
 
@@ -339,6 +361,10 @@ def mse_loss(
     slice, and each slice's gradient is scaled by the size of one slice.
     With want_grad=False the gradient is not built and None stands in.
     The gradient is written into out when given.
+
+    With entries, the entry count of a whole batch that this is one block
+    of, the value is the block's sum of squared errors instead, and the
+    gradient is that of the batch's mean: divided by entries.
     """
     pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -348,16 +374,20 @@ def mse_loss(
     if pred.size == 0:
         raise EmptyDataError("loss of zero samples is undefined")
     diff = np.subtract(pred, y, out=out)
-    loss = _slice_mean(diff * diff, stacked)
+    loss = _slice_sum(diff * diff, stacked)
+    if entries is None:
+        entries = y.size
+        loss = loss / entries
     if not want_grad:
         return loss, None
     diff *= 2.0
-    diff /= y.size
+    diff /= entries
     return loss, diff
 
 
 def pinball_loss(
-    pred: np.ndarray, y: np.ndarray, levels, *, want_grad: bool = True, out=None
+    pred: np.ndarray, y: np.ndarray, levels, *, want_grad: bool = True, out=None,
+    entries: int | None = None,
 ) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean pinball loss across samples and quantile levels.
 
@@ -368,7 +398,8 @@ def pinball_loss(
     and the gradient -w / size. A stacked (S, n, k) pred gives one loss
     per slice, size being that of one slice. With want_grad=False the
     gradient is not built and None stands in. The gradient is written into
-    out when given.
+    out when given. entries turns this into one block of a batch, as in
+    mse_loss: the value is the block's sum and size is entries.
     """
     pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -384,11 +415,14 @@ def pinball_loss(
     diff = y[:, None] - pred
     w = np.subtract(q, ~(diff >= 0.0), out=out)  # q - True is q - 1.0, q - False is q
     diff *= w
-    loss = _slice_mean(diff, pred.ndim == 3)
+    loss = _slice_sum(diff, pred.ndim == 3)
+    if entries is None:
+        entries = y.size * q.size
+        loss = loss / entries
     if not want_grad:
         return loss, None
     # -(q - 1) rounds exactly like 1 - q, so this is where(diff >= 0, -q, 1 - q) / size
-    w /= -(y.size * q.size)
+    w /= -entries
     return loss, w
 
 
@@ -424,7 +458,8 @@ class Loss:
         return len(self.levels) if self.kind == "pinball" else 1
 
     def value_and_grad(
-        self, pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True, out=None
+        self, pred: np.ndarray, y: np.ndarray, *, want_grad: bool = True, out=None,
+        entries: int | None = None,
     ) -> tuple[float | np.ndarray, np.ndarray | None]:
         """Loss value plus its gradient w.r.t. the (n, k) prediction batch.
 
@@ -432,15 +467,19 @@ class Loss:
         compared against it directly. A stacked (S, n, k) batch gives an
         array of S loss values. With want_grad=False the gradient is not
         built and None stands in; otherwise it is written into out when
-        given.
+        given. With entries, the entry count (rows times outputs) of a
+        whole batch that these rows are one block of, the value is the
+        block's sum over its entries and the gradient is divided by
+        entries: the rows' part of the batch's gradient, bitwise.
         """
         pred = np.asarray(pred, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.kind == "pinball":
-            return pinball_loss(pred, y, self.levels, want_grad=want_grad, out=out)
+            return pinball_loss(pred, y, self.levels, want_grad=want_grad, out=out,
+                                entries=entries)
         if pred.ndim in (2, 3) and pred.shape[-1] == 1 and y.ndim == 1:
             y = y[:, None]
-        return mse_loss(pred, y, want_grad=want_grad, out=out)
+        return mse_loss(pred, y, want_grad=want_grad, out=out, entries=entries)
 
     def value(self, pred: np.ndarray, y: np.ndarray) -> float:
         return self.value_and_grad(pred, y, want_grad=False)[0]

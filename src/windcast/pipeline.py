@@ -53,6 +53,7 @@ class PreparedData:
     val: SupervisedSet
     test: SupervisedSet
     horizon: int | None = None  # steps ahead of a lag set's targets; None for nwp
+    horizon_alignment: int | None = None  # an nwp set's target offset; None for lags
 
 
 def build_dataset(config: RunConfig, scaler: Scaler | None = None) -> PreparedData:
@@ -76,8 +77,10 @@ def build_dataset(config: RunConfig, scaler: Scaler | None = None) -> PreparedDa
     else:
         full = make_nwp_set(scaled, config.data.feature_cols, config.data.horizon_alignment)
     train_set, val_set, test_set = chronological_split(full, config.split)
-    horizon = config.data.horizon if config.data.mode == "lags" else None
-    return PreparedData(raw, scaler, full, train_set, val_set, test_set, horizon)
+    lags = config.data.mode == "lags"
+    return PreparedData(raw, scaler, full, train_set, val_set, test_set,
+                        config.data.horizon if lags else None,
+                        None if lags else config.data.horizon_alignment)
 
 
 def _architecture(config: RunConfig, prepared: PreparedData) -> Architecture:
@@ -118,6 +121,7 @@ def _bundle(config: RunConfig, prepared: PreparedData, net: Network, seed: int,
         loss=config.model.loss,
         lag=config.data.lag if config.data.mode == "lags" else None,
         horizon=config.data.horizon,
+        horizon_alignment=config.data.horizon_alignment,
         metadata={"mode": config.data.mode, "seed": seed, "epochs_run": epochs_run},
     )
 
@@ -128,11 +132,12 @@ def _check_compatible(bundle: ModelBundle, prepared: PreparedData) -> None:
             "model and data disagree on features: "
             f"{bundle.feature_names} vs {prepared.full.feature_names}"
         )
-    if prepared.horizon is not None and bundle.horizon != prepared.horizon:
-        raise SchemaError(
-            f"model was trained for horizon {bundle.horizon} "
-            f"but the config's data.horizon is {prepared.horizon}"
-        )
+    for key in ("horizon", "horizon_alignment"):
+        trained, given = getattr(bundle, key), getattr(prepared, key)
+        if given is not None and trained != given:
+            raise SchemaError(
+                f"model was trained for {key} {trained} but the config's data.{key} is {given}"
+            )
 
 
 def evaluate_bundle(bundle: ModelBundle, prepared: PreparedData) -> dict:

@@ -574,6 +574,40 @@ class TestExitCodes:
         assert "data.horizon is 4" in err
         assert not (workdir / f"h4_{command}.out").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "explain"])
+    def test_alignment_mismatch_is_schema(self, trained, capsys, command):
+        cfg = json.loads((trained / "point.json").read_text())
+        cfg["data"]["horizon_alignment"] = 2
+        (trained / "aligned2.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(trained, command, "--model", "point_model.json",
+                   "--config", "aligned2.json", "--out", f"a2_{command}.out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: SchemaError: model was trained for "
+                              "horizon_alignment 0 but the config's data.horizon_alignment is 2")
+        assert not (trained / f"a2_{command}.out").exists()
+
+    def test_aligned_model_keeps_its_alignment(self, workdir):
+        cfg = json.loads((workdir / "point.json").read_text())
+        cfg["data"]["horizon_alignment"] = 2
+        cfg["training"]["epochs"] = 2
+        (workdir / "aligned.json").write_text(json.dumps(cfg))
+        assert run(workdir, "train", "--config", "aligned.json", "--out", "aligned_model.json") == 0
+        assert load_model(str(workdir / "aligned_model.json")).horizon_alignment == 2
+        assert run(workdir, "evaluate", "--model", "aligned_model.json",
+                   "--config", "aligned.json", "--out", "aligned_eval.json") == 0
+
+    def test_oversized_network_is_schema(self, workdir, capsys):
+        cfg = json.loads((workdir / "point.json").read_text())
+        cfg["model"]["hidden_sizes"] = [1_000_000_000]
+        (workdir / "huge.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(workdir, "train", "--config", "huge.json", "--out", "huge_model.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: SchemaError: config model.hidden_sizes: ")
+        assert "above the cap of 10,000,000" in err and "Traceback" not in err
+        assert not (workdir / "huge_model.json").exists()
+
     def test_bad_model_file_is_schema(self, trained, capsys):
         doc = json.loads((trained / "point_model.json").read_text())
         doc["weights"][0][0][0] = "heavy"

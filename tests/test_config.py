@@ -66,3 +66,19 @@ def test_mse_ignores_quantile_levels():
 def test_bad_values_rejected_at_parse(section, body):
     with pytest.raises(SchemaError):
         parse_config({"data": DATA, section: body})
+
+
+@pytest.mark.parametrize("data, hidden, loss, accepted", [
+    ({"mode": "lags", "lag": 1}, 3_333_333, "mse", True),  # 1 -> h -> 1: the cap exactly
+    ({"mode": "lags", "lag": 2}, 3_333_333, "mse", False),  # the inputs count
+    ({"mode": "nwp", "feature_cols": ["a"]}, 3_333_333, "pinball", False),  # so do the outputs
+    ({"mode": "lags", "lag": 48}, 1_000_000_000, "mse", False),
+])
+def test_parameter_cap_checked_at_parse(data, hidden, loss, accepted):
+    doc = {"data": {**DATA, **data}, "model": {"hidden_sizes": [hidden], "loss": loss}}
+    if accepted:
+        assert parse_config(doc).model.hidden_sizes == (hidden,)
+        return
+    with pytest.raises(SchemaError, match=r"^config model\.hidden_sizes: .* above the cap") as exc:
+        parse_config(doc)
+    assert exc.value.exit_code == 2

@@ -10,6 +10,7 @@ and a quantile model 2 -> 3 -> 3 (tanh, seed 12, pinball at levels
 import json
 import os
 
+import numpy as np
 import pytest
 
 from windcast.errors import SchemaError
@@ -114,6 +115,8 @@ def test_malformed_file_rejected_naming_it(tmp_path, kind, edit, match):
     (lambda d: d.update(horizon=1.5), "horizon must be an integer >= 1"),
     (lambda d: d.update(horizon="1"), "horizon must be an integer >= 1"),
     (lambda d: d.update(horizon=0), "horizon must be an integer >= 1"),
+    (lambda d: d.update(horizon_alignment=-1), "horizon_alignment must be an integer >= 0"),
+    (lambda d: d.update(horizon_alignment=True), "horizon_alignment must be an integer >= 0"),
     (lambda d: d.update(target_name=5), "target_name must be a string naming a scaler column"),
     (lambda d: d.update(target_name="energy"), "target_name must be a string naming a scaler"),
     (lambda d: d.update(lag="x"), "lag must be null or an integer >= 1"),
@@ -122,3 +125,25 @@ def test_malformed_file_rejected_naming_it(tmp_path, kind, edit, match):
 ])
 def test_malformed_scaler_names_and_horizon_rejected(tmp_path, edit, match):
     _rejected(_edited(tmp_path, "point", edit), match)
+
+
+def test_horizon_alignment_round_trips_and_defaults_to_zero(tmp_path):
+    bundle = load_model(GOLDEN["point"][0])  # a file without the key
+    assert bundle.horizon_alignment == 0
+    bundle.horizon_alignment = 3
+    out = str(tmp_path / "aligned.json")
+    save_model(out, bundle)
+    assert load_model(out).horizon_alignment == 3
+
+
+def test_parameter_cap_checked_before_any_array(tmp_path, monkeypatch):
+    def edit(doc):
+        doc["architecture"]["layer_sizes"] = [2, 1_000_000_000, 1]
+    path = _edited(tmp_path, "point", edit)
+
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "array", no_arrays)
+    monkeypatch.setattr(np, "empty", no_arrays)
+    _rejected(path, "above the cap of 10,000,000")

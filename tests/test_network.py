@@ -53,6 +53,14 @@ class TestArchitecture:
         assert arch.n_inputs == 5
         assert arch.n_outputs == 3
 
+    def test_parameter_cap(self):
+        # 1 -> h -> 1 holds 3h + 1 parameters; nothing here allocates them
+        assert network.MAX_PARAMETERS == 3 * 3_333_333 + 1
+        Architecture(layer_sizes=(1, 3_333_333, 1))
+        for sizes in [(1, 3_333_334, 1), (4, 1_000_000_000, 1)]:
+            with pytest.raises(InvalidArchitectureError, match="above the cap of 10,000,000"):
+                Architecture(layer_sizes=sizes)
+
 
 class TestInit:
     def test_same_seed_bit_identical(self):
@@ -436,6 +444,24 @@ class TestLosses:
         assert pinball.value(pred, y) == pinball.value_and_grad(pred, y)[0]
         mse = Loss(kind="mse")
         assert mse.value(pred[:, :1], y) == mse.value_and_grad(pred[:, :1], y)[0]
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("loss", [Loss(), Loss(kind="pinball", levels=(0.1, 0.5, 0.9))])
+    def test_blocks_of_a_batch(self, stacked, loss):
+        rng = np.random.default_rng(17)
+        pred = rng.normal(size=(2, 50, loss.n_outputs) if stacked else (50, loss.n_outputs))
+        y = rng.normal(size=50)
+        entries = y.size * loss.n_outputs
+        value, grad = loss.value_and_grad(pred, y)
+        # one block of the whole batch: its sum over the entry count is the mean
+        whole, whole_grad = loss.value_and_grad(pred, y, entries=entries)
+        np.testing.assert_array_equal(whole / entries, value)
+        np.testing.assert_array_equal(whole_grad, grad)
+        # each block's gradient rows are the batch's rows; its sums add up
+        sums, grads = zip(*(loss.value_and_grad(pred[..., lo:lo + 16, :], y[lo:lo + 16],
+                                                entries=entries) for lo in range(0, 50, 16)))
+        np.testing.assert_array_equal(np.concatenate(grads, axis=-2), grad)
+        np.testing.assert_allclose(sum(sums) / entries, value, rtol=1e-14)
 
     def test_fused_pinball_matches_two_masks_bitwise(self):
         rng = np.random.default_rng(15)

@@ -818,3 +818,149 @@ class TestOptimizerState:
         # the bias at the odd position is not centralized although it is 2-D
         assert np.all(b[0] < 0.0)
         np.testing.assert_array_equal(w[0], 0.0)
+
+
+def _blocked_reference_train(net, train_set, val_set, opt_config, strategies, loss, epochs,
+                             rows, batch_size=None):
+    """Reference for training passes over blocks of `rows` rows, on one
+    network: each block runs forward, its loss and backward; a batch's loss
+    is the in-order sum of the blocks' sums divided by the batch's entry
+    count, and its gradient the in-order sum of the blocks' gradients, each
+    block's dL/dpred divided by that count. Each epoch's steps run first and
+    the full-batch train_loss in a separate blocked pass after them; the
+    minibatch train_loss is one unblocked pass. Returns the trace rows."""
+    params = net.parameters()
+    optimizer = Optimizer(opt_config, strategies, params)
+    q = np.asarray(loss.levels)
+
+    def blocked_pass(x, y):
+        entries = len(x) * loss.n_outputs
+        total = grad = None
+        for lo in range(0, len(x), rows):
+            pred, cache = forward(net, x[lo:lo + rows], want_cache=True)
+            yb = y[lo:lo + rows, None]
+            if loss.kind == "mse":
+                d = pred - yb
+                block_sum, dpred = float(np.sum(d * d)), d * 2.0 / entries
+            else:
+                d = yb - pred
+                w = np.where(d >= 0.0, q, q - 1.0)
+                block_sum, dpred = float(np.sum(d * w)), -w / entries
+            block_grad = backward(net, cache, dpred).flat
+            total = block_sum if total is None else total + block_sum
+            grad = block_grad.copy() if grad is None else grad + block_grad
+        return total / entries, Params(grad, params.shapes)
+
+    n = len(train_set)
+    step = batch_size if batch_size and batch_size < n else n
+    trace = []
+    for epoch in range(1, epochs + 1):
+        lr = optimizer.learning_rate(epoch)
+        for lo in range(0, n, step):
+            optimizer.step(params, blocked_pass(train_set.x[lo:lo + step],
+                                                train_set.y[lo:lo + step])[1], epoch)
+        if step == n:
+            train_loss = blocked_pass(train_set.x, train_set.y)[0]
+        else:
+            train_loss = loss.value(forward(net, train_set.x), train_set.y)
+        trace.append((epoch, lr, train_loss, loss.value(forward(net, val_set.x), val_set.y)))
+    return trace
+
+
+class TestBlockedTraining:
+    """Training passes over blocks of TRAIN_ROWS rows, made small here so the
+    80 training rows take several blocks: 32, 32 and 16 rows."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(windcast.optim, "TRAIN_ROWS", 32)
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
+    @pytest.mark.parametrize("batch_size", [None, 48])  # 48 rows: blocks of 32 and 16
+    def test_bitwise_equal_to_blocked_reference(self, kind, loss_kind, batch_size):
+        loss = LOSSES[loss_kind]
+        arch = Architecture((4, 6, loss.n_outputs))
+        train_set, val = _curved_problem()
+        config = OptimizerConfig(kind=kind, fixed_lr=0.01)
+        net = init_network(arch, seed=2)
+        _, trace = train(net, train_set, val, config, STRATEGIES_ON, loss, 12,
+                         batch_size=batch_size)
+        ref_net = init_network(arch, seed=2)
+        rows = _blocked_reference_train(ref_net, train_set, val, config, STRATEGIES_ON, loss,
+                                        12, 32, batch_size=batch_size)
+        assert trace.rows == rows
+        assert net.flat.tobytes() == ref_net.flat.tobytes()
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
+    @pytest.mark.parametrize("batch_size", [None, 48])
+    def test_stacked_equals_solo(self, kind, loss_kind, batch_size):
+        loss = LOSSES[loss_kind]
+        arch = Architecture((4, 6, loss.n_outputs), hidden_activation="tanh")
+        train_set, val = _curved_problem()
+        solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
+            lambda s: init_network(arch, seed=s), (2, 3, 7), train_set, val,
+            OptimizerConfig(kind=kind, fixed_lr=0.01), STRATEGIES_ON, loss, 12,
+            batch_size=batch_size,
+        )
+        assert stacked == solo
+        assert all(len(rows) == 12 for rows in stacked)
+        _assert_same_networks(solo_nets, stacked_nets)
+
+    @pytest.mark.parametrize("batch_size", [None, 48])
+    def test_slices_leave_by_divergence_and_early_stopping(self, batch_size):
+        arch = Architecture((4, 6, 1))
+
+        def make_net(seed):
+            net = init_network(arch, seed=seed)
+            if seed == 3:
+                net.parameters()[3].flat[0] = 1e200  # its training loss is inf
+            if seed == 4:
+                net.weights[0][...] = -10.0  # every relu dead: it soon stops early
+            return net
+
+        train_set, val = _curved_problem()
+        solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
+            make_net, (2, 3, 4, 5, 6), train_set, val, OptimizerConfig(fixed_lr=0.05),
+            StrategyConfig(), Loss(), 30, batch_size=batch_size, early_stop_patience=2,
+        )
+        assert stacked == solo
+        assert stacked[1] == "epoch 1: training loss is inf"
+        lengths = [len(rows) for i, rows in enumerate(stacked) if i != 1]
+        assert min(lengths) < max(lengths)
+        _assert_same_networks(solo_nets, stacked_nets, skip=(1,))
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
+    def test_close_to_one_unblocked_pass(self, kind, loss_kind):
+        # blocks move where partial sums are rounded, nothing else
+        loss = LOSSES[loss_kind]
+        arch = Architecture((4, 6, loss.n_outputs))
+        train_set, val = _curved_problem()
+        config = OptimizerConfig(kind=kind, fixed_lr=0.01)
+        net = init_network(arch, seed=2)
+        _, trace = train(net, train_set, val, config, STRATEGIES_ON, loss, 12)
+        ref_net = init_network(arch, seed=2)
+        rows = _two_pass_train(ref_net, train_set, val, config, STRATEGIES_ON, loss, 12)
+        assert trace.rows != rows  # the blocks did change some rounding
+        np.testing.assert_allclose(np.array(trace.rows, dtype=float),
+                                   np.array(rows, dtype=float), rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(net.flat, ref_net.flat, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("train_rows, batch_size, rows", [
+        (32, None, 32), (32, 48, 32), (32, 16, 16), (4096, None, 80), (4096, 48, 48),
+    ])
+    def test_workspace_holds_one_block(self, monkeypatch, train_rows, batch_size, rows):
+        monkeypatch.setattr(windcast.optim, "TRAIN_ROWS", train_rows)
+        built = []
+
+        def counting(net, n):
+            built.append(n)
+            return Workspace(net, n)
+
+        monkeypatch.setattr(windcast.optim, "Workspace", counting)
+        train_set, val = _curved_problem()
+        train(init_network(Architecture((4, 6, 1)), seed=2), train_set, val,
+              OptimizerConfig(), StrategyConfig(), Loss(), 3, batch_size=batch_size)
+        assert built == [rows]
