@@ -117,7 +117,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     bundle = load_model(args.model)
     config = load_config(args.config)
-    prepared = build_dataset(config, bundle.scaler)
+    prepared = build_dataset(config, bundle)
     with atomic_writer(args.out) as fh:
         rows = write_predictions(fh, bundle, prepared)
     print(f"{rows} predictions written to {args.out}")
@@ -129,7 +129,7 @@ def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     if args.probabilistic and bundle.kind != "quantile":
         raise UsageError("--probabilistic needs a quantile model")
-    report = evaluate_bundle(bundle, build_dataset(config, bundle.scaler))
+    report = evaluate_bundle(bundle, build_dataset(config, bundle))
     atomic_write_text(args.out, dump_json(report))
     print(
         f"n {report['n']}  r2 {report['r2']:.4f}  "
@@ -142,7 +142,7 @@ def cmd_evaluate(args) -> int:
 def cmd_explain(args) -> int:
     bundle = load_model(args.model)
     config = load_config(args.config)
-    prepared = build_dataset(config, bundle.scaler)
+    prepared = build_dataset(config, bundle)
     if args.mode == "pfi":
         report = explain_pfi(
             bundle, prepared, split=args.split, repeats=args.repeats, seed=args.seed

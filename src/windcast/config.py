@@ -3,8 +3,9 @@
 Each section parses straight into the type that acts on it:
 
 * data -> DataConfig (source CSV and featurization mode);
-* model -> ModelConfig (architecture), whose loss and quantile_levels
-  keys become one network.Loss; an mse loss ignores quantile_levels;
+* model -> ModelConfig: one network.Architecture, its inputs set by the
+  data section, and one network.Loss from the loss and quantile_levels
+  keys; an mse loss ignores quantile_levels;
 * optimizer -> optim.OptimizerConfig;
 * strategies -> optim.StrategyConfig (the three optional training
   add-ons); total_epochs defaults to training.epochs;
@@ -13,7 +14,9 @@ Each section parses straight into the type that acts on it:
   data.chronological_split checks against each other.
 
 Every other value is checked when the document is parsed, so a bad
-config fails the same way whichever command loads it. Unknown keys are
+config fails the same way whichever command loads it; a trained model's
+commands then check the data section against the model
+(pipeline.build_dataset), before the CSV is read. Unknown keys are
 rejected so typos fail loudly. CLI flags may override individual fields
 after load.
 
@@ -88,9 +91,7 @@ class DataConfig:
 
 @dataclass
 class ModelConfig:
-    hidden_sizes: tuple[int, ...] = (16,)
-    hidden_activation: str = "relu"
-    output_activation: str = "identity"
+    architecture: Architecture  # inputs from the data section, outputs from the loss
     loss: Loss = Loss()
 
 
@@ -105,7 +106,7 @@ class TrainingSection:
 @dataclass
 class RunConfig:
     data: DataConfig
-    model: ModelConfig = field(default_factory=ModelConfig)
+    model: ModelConfig
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     strategies: StrategyConfig = field(default_factory=StrategyConfig)
     training: TrainingSection = field(default_factory=TrainingSection)
@@ -170,11 +171,11 @@ def _parse_model(doc: dict, n_inputs: int) -> ModelConfig:
     if levels is None:
         levels = DEFAULT_QUANTILE_LEVELS
     loss = Loss(kind, levels if kind == "pinball" else ())
-    try:  # the network these sizes build, within network.MAX_PARAMETERS
-        Architecture((n_inputs, *hidden, loss.n_outputs), hidden_act, output_act)
+    try:  # within network.MAX_PARAMETERS and MAX_LAYER_WIDTH
+        arch = Architecture((n_inputs, *hidden, loss.n_outputs), hidden_act, output_act)
     except InvalidArchitectureError as exc:
         raise SchemaError(f"config model.hidden_sizes: {exc}") from None
-    return ModelConfig(tuple(hidden), hidden_act, output_act, loss)
+    return ModelConfig(arch, loss)
 
 
 def _parse_optimizer(doc: dict) -> OptimizerConfig:

@@ -48,6 +48,10 @@ class ModelBundle:
             raise SchemaError(
                 f"{self.kind} model needs {self.loss.n_outputs} outputs, network has {n_outputs}"
             )
+        n_inputs = self.network.architecture.n_inputs  # a lags model has one input per lag
+        for what, count in (("feature names", len(self.feature_names)), ("lags", self.lag)):
+            if count not in (None, n_inputs):
+                raise SchemaError(f"{count} {what} for a network of {n_inputs} inputs")
 
     @property
     def kind(self) -> str:

@@ -22,8 +22,9 @@ belongs to returns the block's sum and scales its gradient for the
 batch's mean, so a pass can sum blocks into the batch's loss and gradient
 (optim.train_seeds runs that pass).
 
-An architecture holds at most MAX_PARAMETERS parameters, checked from its
-layer sizes before any array is allocated.
+An architecture holds at most MAX_PARAMETERS parameters and at most
+MAX_LAYER_WIDTH units per layer, checked from its layer sizes before any
+array is allocated.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ INFER_ROWS = 1024  # rows per forward call in infer, the last block zero-padded
 MAX_PARAMETERS = 10_000_000
 """Cap on one network's weights and biases: 80 MB per copy, of which
 training holds several (parameters, gradients, optimizer moments)."""
+MAX_LAYER_WIDTH = 8192
+"""Cap on any one layer's units, inputs included: a 4,096-row training block
+holds three float64 arrays per hidden layer, 768 MiB at this width."""
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 
@@ -103,12 +107,14 @@ class Architecture:
                 f"output activation must be one of {OUTPUT_ACTIVATIONS}"
             )
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        n_params = sum(map(math.prod, self.param_shapes))
-        if n_params > MAX_PARAMETERS:
-            raise InvalidArchitectureError(
-                f"layer sizes {list(self.layer_sizes)} give {n_params:,} parameters, "
-                f"above the cap of {MAX_PARAMETERS:,}"
-            )
+        caps = ((sum(map(math.prod, self.param_shapes)), "parameters", MAX_PARAMETERS),
+                (max(self.layer_sizes), "units in one layer", MAX_LAYER_WIDTH))
+        for count, what, cap in caps:
+            if count > cap:
+                raise InvalidArchitectureError(
+                    f"layer sizes {list(self.layer_sizes)} give {count:,} {what}, "
+                    f"above the cap of {cap:,}"
+                )
 
     @property
     def n_inputs(self) -> int:

@@ -339,16 +339,16 @@ def _train_pass(stack: Network, x, y, loss: Loss, work: Workspace, want_grad: bo
 
 
 STACK_BYTES = 32 * 2**20
-"""Cap on the activations one stacked training step caches: a cached
-forward pass keeps a pre-activation and an activation, 8 bytes each, per
-row, unit and network."""
+"""Cap on the activations of one stacked training step, counted over the
+batch's rows: a pre-activation and an activation, 8 bytes each, per row,
+unit and network. The cache holds at most TRAIN_ROWS rows, so this bounds it."""
 
 
 def stack_size(architecture, n_rows: int, batch_size: int | None = None) -> int:
     """How many networks train_seeds should stack to train on n_rows rows.
 
-    As many as keep the cached activations of one batch within
-    STACK_BYTES, and at least one.
+    As many as keep the activations of one batch's rows within STACK_BYTES,
+    an upper bound on the cache of at most TRAIN_ROWS rows, and at least one.
     """
     rows = n_rows if not batch_size or batch_size >= n_rows else batch_size
     per_network = rows * sum(architecture.layer_sizes[1:]) * 16

@@ -4,6 +4,8 @@ Everything here works in the scaled [0, 1] space: train and benchmark fit
 the scaler on the whole series, a trained model's commands apply the one it
 stores, the supervised sets and every reported metric use scaled
 values, and only the prediction CSV converts back to original units.
+build_dataset(config, model) is the one place that checks a config's data
+section against a trained model, before the CSV is read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DataConfig, RunConfig
 from .data import (
     CsvSchema,
     Scaler,
@@ -35,7 +37,7 @@ from .errors import DivergenceError, SchemaError
 from .explain import LimeConfig, fit_lime, permutation_importance
 from .metrics import deterministic_report, probabilistic_report
 from .model_io import ModelBundle
-from .network import INFER_ROWS, Architecture, Network, QuantileForecast, init_network
+from .network import INFER_ROWS, Network, QuantileForecast, init_network
 from .network import forward  # noqa: F401  perfbench's tracer test reads pipeline.forward
 from .optim import StrategyConfig, stack_size, train, train_seeds
 
@@ -52,50 +54,53 @@ class PreparedData:
     train: SupervisedSet
     val: SupervisedSet
     test: SupervisedSet
-    horizon: int | None = None  # steps ahead of a lag set's targets; None for nwp
-    horizon_alignment: int | None = None  # an nwp set's target offset; None for lags
 
 
-def build_dataset(config: RunConfig, scaler: Scaler | None = None) -> PreparedData:
+def build_dataset(config: RunConfig, model: ModelBundle | None = None) -> PreparedData:
     """Load the config's CSV, scale it, window it and split it.
 
-    A given scaler, a trained model's, is applied as it is, so a row scales
-    the same whichever file it comes in; without one, min/max are fitted
-    on this file.
+    Given a trained model, the config's data section must describe the
+    data the model was trained on, checked before the CSV is read, and the
+    model's scaler is applied as it is, so a row scales the same whichever
+    file it comes in; without one, min/max are fitted on this file.
     """
-    schema = CsvSchema(
-        timestamp_col=config.data.timestamp_col,
-        target_col=config.data.target_col,
-        feature_cols=tuple(config.data.feature_cols),
-    )
-    raw = load_csv(config.data_path, schema)
-    if scaler is None:
-        scaler = fit_scaler(raw)
+    data = config.data
+    if model is not None:
+        _check_compatible(model, data)
+    raw = load_csv(config.data_path, CsvSchema(data.timestamp_col, data.target_col,
+                                                 data.feature_cols))
+    scaler = fit_scaler(raw) if model is None else model.scaler
     scaled = apply_scaler(raw, scaler)
-    if config.data.mode == "lags":
-        full = make_lag_windows(scaled.target, config.data.lag, config.data.horizon)
+    if data.mode == "lags":
+        full = make_lag_windows(scaled.target, data.lag, data.horizon)
     else:
-        full = make_nwp_set(scaled, config.data.feature_cols, config.data.horizon_alignment)
-    train_set, val_set, test_set = chronological_split(full, config.split)
-    lags = config.data.mode == "lags"
-    return PreparedData(raw, scaler, full, train_set, val_set, test_set,
-                        config.data.horizon if lags else None,
-                        None if lags else config.data.horizon_alignment)
+        full = make_nwp_set(scaled, data.feature_cols, data.horizon_alignment)
+    return PreparedData(raw, scaler, full, *chronological_split(full, config.split))
 
 
-def _architecture(config: RunConfig, prepared: PreparedData) -> Architecture:
-    return Architecture(
-        (prepared.train.x.shape[1], *config.model.hidden_sizes, config.model.loss.n_outputs),
-        hidden_activation=config.model.hidden_activation,
-        output_activation=config.model.output_activation,
-    )
+def _check_compatible(model: ModelBundle, data: DataConfig) -> None:
+    """Raise SchemaError unless data names what model was trained on: a
+    model whose lag is None is an nwp model."""
+    lags = model.lag is not None
+    trained = {"mode": "lags" if lags else "nwp", "target_col": model.target_name}
+    if lags:
+        trained.update(lag=model.lag, horizon=model.horizon)
+    else:
+        trained.update(feature_cols=model.feature_names,
+                       horizon_alignment=model.horizon_alignment)
+    for key, value in trained.items():
+        given = getattr(data, key)
+        if given != value:
+            raise SchemaError(
+                f"model was trained for {key} {value} but the config's data.{key} is {given}"
+            )
 
 
 def train_from_config(config: RunConfig, prepared: PreparedData | None = None):
     """Train a model per the config; returns (bundle, trace, prepared)."""
     if prepared is None:
         prepared = build_dataset(config)
-    net = init_network(_architecture(config, prepared), config.training.seed)
+    net = init_network(config.model.architecture, config.training.seed)
     net, trace = train(
         net,
         prepared.train,
@@ -126,24 +131,9 @@ def _bundle(config: RunConfig, prepared: PreparedData, net: Network, seed: int,
     )
 
 
-def _check_compatible(bundle: ModelBundle, prepared: PreparedData) -> None:
-    if tuple(bundle.feature_names) != tuple(prepared.full.feature_names):
-        raise SchemaError(
-            "model and data disagree on features: "
-            f"{bundle.feature_names} vs {prepared.full.feature_names}"
-        )
-    for key in ("horizon", "horizon_alignment"):
-        trained, given = getattr(bundle, key), getattr(prepared, key)
-        if given is not None and trained != given:
-            raise SchemaError(
-                f"model was trained for {key} {trained} but the config's data.{key} is {given}"
-            )
-
-
 def evaluate_bundle(bundle: ModelBundle, prepared: PreparedData) -> dict:
     """Test-split metric report; quantile models add probabilistic keys,
     from the one forecast whose point column the point metrics score."""
-    _check_compatible(bundle, prepared)
     test = prepared.test
     values, point = bundle.forecast(test.x)
     report = deterministic_report(test.y, point).to_dict()
@@ -161,7 +151,6 @@ def explain_pfi(
     repeats: int = 5,
     seed: int = 0,
 ) -> dict:
-    _check_compatible(bundle, prepared)
     if split not in ("train", "test"):
         raise SchemaError(f"pfi split must be 'train' or 'test', got {split!r}")
     subset = prepared.test if split == "test" else prepared.train
@@ -184,7 +173,6 @@ def explain_lime(
     instance_index: int = 0,
     lime: LimeConfig | None = None,
 ) -> dict:
-    _check_compatible(bundle, prepared)
     test = prepared.test
     if not 0 <= instance_index < len(test):
         raise SchemaError(
@@ -217,7 +205,6 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
     predictions_csv's text, and a row's forecast does not depend on the
     rows around it, so the bytes do not depend on the route.
     """
-    _check_compatible(bundle, prepared)
     full = prepared.full
     names = [f"q{q:g}" for q in bundle.quantile_levels] or ["prediction"]
     fh.write(",".join(["timestamp", "y_true", *names]) + "\n")
@@ -310,9 +297,10 @@ def _benchmark_strategies(config: RunConfig) -> tuple[StrategyConfig, StrategyCo
     return on, StrategyConfig()
 
 
-def _benchmark_arm(config, prepared, arch, strategies, seeds) -> list[dict]:
+def _benchmark_arm(config, prepared, strategies, seeds) -> list[dict]:
     """One report per seed, its network trained in a stack with others."""
     reports = []
+    arch = config.model.architecture
     per_stack = stack_size(arch, len(prepared.train), config.training.batch_size)
     for lo in range(0, len(seeds), per_stack):
         chunk = seeds[lo:lo + per_stack]
@@ -363,13 +351,12 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     if n_seeds < 1:
         raise SchemaError("benchmark needs at least one seed")
     prepared = build_dataset(config)
-    arch = _architecture(config, prepared)
     split_hash = _split_hash(prepared.test)
     seeds = [config.training.seed + i for i in range(n_seeds)]
     runs = [{"seed": run_seed} for run_seed in seeds]
     arms = zip(("with_strategies", "without_strategies"), _benchmark_strategies(config))
     for arm, strategies in arms:
-        reports = _benchmark_arm(config, prepared, arch, strategies, seeds)
+        reports = _benchmark_arm(config, prepared, strategies, seeds)
         for entry, report in zip(runs, reports):
             entry[arm] = dict(report, split_hash=split_hash)
 

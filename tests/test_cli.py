@@ -251,7 +251,7 @@ class TestOneForecast:
 
     def test_lime_explains_the_forecast_predict_writes(self, one_forecast):
         bundle = load_model(str(one_forecast / "model.json"))
-        prepared = build_dataset(load_config(str(one_forecast / "run.json")), bundle.scaler)
+        prepared = build_dataset(load_config(str(one_forecast / "run.json")), bundle)
         lines = (one_forecast / "predictions.csv").read_text().splitlines()
         header = lines[0].split(",")
         point = header.index("q0.5" if bundle.kind == "quantile" else "prediction")
@@ -417,7 +417,7 @@ def _sequential_benchmark(config_path, n_seeds):
     config = load_config(str(config_path))
     prepared = build_dataset(config)
     test = prepared.test
-    arch = Architecture((test.x.shape[1], *config.model.hidden_sizes, 1))
+    arch = Architecture((test.x.shape[1], *config.model.architecture.layer_sizes[1:-1], 1))
     o, s = config.optimizer, config.strategies
     opt_config = OptimizerConfig(o.kind, o.beta1, o.beta2, o.epsilon, o.fixed_lr)
     on = StrategyConfig(centralize=True, cosine_lr=True, initial_lr=s.initial_lr,
@@ -560,32 +560,71 @@ class TestExitCodes:
             assert run(trained, command, "--model", "point_model.json",
                        "--config", "bad_tau.json", "--out", f"bad_{command}.out") == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param({"horizon": 4}, "horizon 1 but the config's data.horizon is 4",
+                     id="horizon"),
+        pytest.param({"lag": 8}, "lag 6 but the config's data.lag is 8", id="lag"),
+        pytest.param({"target_col": "WS100"},
+                     "target_col power but the config's data.target_col is WS100", id="target"),
+        pytest.param({"mode": "nwp", "feature_cols": ["WS10"]},
+                     "mode lags but the config's data.mode is nwp", id="mode"),
+    ])
     @pytest.mark.parametrize("command", ["predict", "evaluate", "explain"])
-    def test_horizon_mismatch_is_schema(self, lag_trained, capsys, command):
+    def test_horizon_mismatch_is_schema(self, lag_trained, capsys, request, command, edit,
+                                        message):
         workdir = lag_trained
+        name = request.node.callspec.id  # e.g. "predict-lag"
         cfg = json.loads((workdir / "lags.json").read_text())
-        cfg["data"]["horizon"] = 4
-        (workdir / "lags_h4.json").write_text(json.dumps(cfg))
+        cfg["data"].update(edit)
+        (workdir / f"lags_{name}.json").write_text(json.dumps(cfg))
         capsys.readouterr()
         assert run(workdir, command, "--model", "lag_h1_model.json",
-                   "--config", "lags_h4.json", "--out", f"h4_{command}.out") == 2
+                   "--config", f"lags_{name}.json", "--out", f"{name}.out") == 2
         err = capsys.readouterr().err
-        assert err.startswith("windcast: SchemaError: model was trained for horizon 1 ")
-        assert "data.horizon is 4" in err
-        assert not (workdir / f"h4_{command}.out").exists()
+        assert err.startswith("windcast: SchemaError: model was trained for " + message)
+        assert not (workdir / f"{name}.out").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param({"horizon_alignment": 2},
+                     "horizon_alignment 0 but the config's data.horizon_alignment is 2",
+                     id="alignment"),
+        pytest.param({"target_col": "WS100"},
+                     "target_col power but the config's data.target_col is WS100", id="target"),
+        pytest.param({"mode": "lags"}, "mode nwp but the config's data.mode is lags", id="mode"),
+        pytest.param({"feature_cols": ["WD10", "WS10", "WS100", "WD100"]},
+                     "feature_cols ('WS10', 'WD10', 'WS100', 'WD100') but the config's "
+                     "data.feature_cols is ('WD10', 'WS10', 'WS100', 'WD100')", id="reordered"),
+        pytest.param({"feature_cols": ["WS10", "WD10", "WS100"]},
+                     "feature_cols ('WS10', 'WD10', 'WS100', 'WD100') but the config's "
+                     "data.feature_cols is ('WS10', 'WD10', 'WS100')", id="fewer"),
+    ])
     @pytest.mark.parametrize("command", ["predict", "evaluate", "explain"])
-    def test_alignment_mismatch_is_schema(self, trained, capsys, command):
+    def test_alignment_mismatch_is_schema(self, trained, capsys, request, command, edit, message):
+        name = request.node.callspec.id  # e.g. "predict-reordered"
         cfg = json.loads((trained / "point.json").read_text())
-        cfg["data"]["horizon_alignment"] = 2
-        (trained / "aligned2.json").write_text(json.dumps(cfg))
+        cfg["data"].update(edit)
+        (trained / f"point_{name}.json").write_text(json.dumps(cfg))
         capsys.readouterr()
         assert run(trained, command, "--model", "point_model.json",
-                   "--config", "aligned2.json", "--out", f"a2_{command}.out") == 2
+                   "--config", f"point_{name}.json", "--out", f"{name}.out") == 2
         err = capsys.readouterr().err
-        assert err.startswith("windcast: SchemaError: model was trained for "
-                              "horizon_alignment 0 but the config's data.horizon_alignment is 2")
-        assert not (trained / f"a2_{command}.out").exists()
+        assert err.startswith("windcast: SchemaError: model was trained for " + message)
+        assert not (trained / f"{name}.out").exists()
+
+    @pytest.mark.parametrize("csv", ["no_such.csv", "garbage.csv"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "explain"])
+    def test_mismatch_is_schema_before_the_csv_is_read(self, trained, capsys, command, csv):
+        (trained / "garbage.csv").write_text("not,a\nwind,file\n")
+        cfg = json.loads((trained / "point.json").read_text())
+        cfg["data"].update(path=csv, target_col="WS100")
+        (trained / f"target_{csv}.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(trained, command, "--model", "point_model.json",
+                   "--config", f"target_{csv}.json", "--out", f"csv_{command}.out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: SchemaError: model was trained for target_col power "
+                              "but the config's data.target_col is WS100")
+        assert not (trained / f"csv_{command}.out").exists()
 
     def test_aligned_model_keeps_its_alignment(self, workdir):
         cfg = json.loads((workdir / "point.json").read_text())

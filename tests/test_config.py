@@ -1,11 +1,12 @@
 """parse_config builds the optimizer, strategy and loss types directly."""
 
+import numpy as np
 import pytest
 
 from windcast.config import parse_config
 from windcast.errors import SchemaError
 from windcast.metrics import DEFAULT_QUANTILE_LEVELS
-from windcast.network import Loss
+from windcast.network import Architecture, Loss
 from windcast.optim import OptimizerConfig, StrategyConfig
 
 DATA = {"path": "wind.csv", "timestamp_col": "timestamp", "target_col": "power"}
@@ -69,7 +70,7 @@ def test_bad_values_rejected_at_parse(section, body):
 
 
 @pytest.mark.parametrize("data, hidden, loss, accepted", [
-    ({"mode": "lags", "lag": 1}, 3_333_333, "mse", True),  # 1 -> h -> 1: the cap exactly
+    ({"mode": "lags", "lag": 2149}, 4649, "mse", True),  # 2149 -> h -> 1: the cap exactly
     ({"mode": "lags", "lag": 2}, 3_333_333, "mse", False),  # the inputs count
     ({"mode": "nwp", "feature_cols": ["a"]}, 3_333_333, "pinball", False),  # so do the outputs
     ({"mode": "lags", "lag": 48}, 1_000_000_000, "mse", False),
@@ -77,8 +78,34 @@ def test_bad_values_rejected_at_parse(section, body):
 def test_parameter_cap_checked_at_parse(data, hidden, loss, accepted):
     doc = {"data": {**DATA, **data}, "model": {"hidden_sizes": [hidden], "loss": loss}}
     if accepted:
-        assert parse_config(doc).model.hidden_sizes == (hidden,)
+        assert parse_config(doc).model.architecture.layer_sizes[1:-1] == (hidden,)
         return
     with pytest.raises(SchemaError, match=r"^config model\.hidden_sizes: .* above the cap") as exc:
         parse_config(doc)
     assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("data, hidden", [
+    ({"mode": "lags", "lag": 1}, 3_333_333),  # 1 -> h -> 1: within the parameter cap
+    ({"mode": "lags", "lag": 8193}, 1),  # the input layer counts
+])
+def test_layer_width_cap_checked_at_parse(data, hidden, monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "array", no_arrays)
+    monkeypatch.setattr(np, "empty", no_arrays)
+    doc = {"data": {**DATA, **data}, "model": {"hidden_sizes": [hidden]}}
+    with pytest.raises(SchemaError, match=r"^config model\.hidden_sizes: .* units in one "
+                                          r"layer, above the cap of 8,192$") as exc:
+        parse_config(doc)
+    assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("data, loss, sizes", [
+    ({}, "mse", (48, 16, 1)),  # lags mode, lag 48 by default
+    ({"mode": "nwp", "feature_cols": ["ws", "wd"]}, "pinball", (2, 16, 21)),
+])
+def test_model_section_holds_its_architecture(data, loss, sizes):
+    doc = {"data": {**DATA, **data}, "model": {"loss": loss, "hidden_activation": "tanh"}}
+    assert parse_config(doc).model.architecture == Architecture(sizes, "tanh", "identity")

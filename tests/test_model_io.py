@@ -122,6 +122,10 @@ def test_malformed_file_rejected_naming_it(tmp_path, kind, edit, match):
     (lambda d: d.update(lag="x"), "lag must be null or an integer >= 1"),
     (lambda d: d.update(lag=-3), "lag must be null or an integer >= 1"),
     (lambda d: d.update(metadata=3), "metadata must be an object"),
+    (lambda d: d.update(feature_names=["ws"]), "1 feature names for a network of 2 inputs"),
+    (lambda d: d.update(feature_names=["ws", "wd", "ws"]), "3 feature names for a network of 2"),
+    (lambda d: d.update(lag=3), "3 lags for a network of 2 inputs"),
+    (lambda d: d.update(lag=1), "1 lags for a network of 2 inputs"),
 ])
 def test_malformed_scaler_names_and_horizon_rejected(tmp_path, edit, match):
     _rejected(_edited(tmp_path, "point", edit), match)
@@ -147,3 +151,16 @@ def test_parameter_cap_checked_before_any_array(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "array", no_arrays)
     monkeypatch.setattr(np, "empty", no_arrays)
     _rejected(path, "above the cap of 10,000,000")
+
+
+def test_layer_width_cap_checked_before_any_array(tmp_path, monkeypatch):
+    def edit(doc):
+        doc["architecture"]["layer_sizes"] = [1, 3_333_333, 1]  # within the parameter cap
+    path = _edited(tmp_path, "point", edit)
+
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "array", no_arrays)
+    monkeypatch.setattr(np, "empty", no_arrays)
+    _rejected(path, "3,333,333 units in one layer, above the cap of 8,192")

@@ -54,12 +54,21 @@ class TestArchitecture:
         assert arch.n_outputs == 3
 
     def test_parameter_cap(self):
-        # 1 -> h -> 1 holds 3h + 1 parameters; nothing here allocates them
-        assert network.MAX_PARAMETERS == 3 * 3_333_333 + 1
-        Architecture(layer_sizes=(1, 3_333_333, 1))
+        # n -> h -> 1 holds h(n + 2) + 1 parameters; nothing here allocates them
+        assert network.MAX_PARAMETERS == 3 * 3_333_333 + 1 == 4649 * 2151 + 1
+        Architecture(layer_sizes=(2149, 4649, 1))
         for sizes in [(1, 3_333_334, 1), (4, 1_000_000_000, 1)]:
             with pytest.raises(InvalidArchitectureError, match="above the cap of 10,000,000"):
                 Architecture(layer_sizes=sizes)
+
+    @pytest.mark.parametrize("sizes", [(1, 3_333_333, 1), (8193, 1), (4, 16, 8193)])
+    def test_layer_width_cap(self, sizes):
+        # within the parameter cap, each too wide for a training block
+        assert network.MAX_LAYER_WIDTH == 8192
+        Architecture(layer_sizes=(8192, 16, 8192))
+        message = f"give {max(sizes):,} units in one layer, above the cap of 8,192"
+        with pytest.raises(InvalidArchitectureError, match=message):
+            Architecture(layer_sizes=sizes)
 
 
 class TestInit:
