@@ -1,4 +1,5 @@
-"""Small shared helpers: deterministic JSON and atomic file writes."""
+"""Small shared helpers: deterministic JSON, atomic file writes and the
+number of CPUs a command may spread its work over."""
 
 from __future__ import annotations
 
@@ -10,6 +11,14 @@ import tempfile
 import numpy as np
 
 from .errors import DataError, SchemaError
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the system
+    reports one, else the machine's count. Tests fake it here."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def jsonable(obj):

@@ -49,7 +49,9 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidArchitectureError, SchemaError, UsageError
 from .metrics import DEFAULT_QUANTILE_LEVELS
-from .network import HIDDEN_ACTIVATIONS, OUTPUT_ACTIVATIONS, Architecture, Loss
+from .network import (
+    HIDDEN_ACTIVATIONS, MAX_LAYER_WIDTH, OUTPUT_ACTIVATIONS, Architecture, Loss,
+)
 from .optim import OptimizerConfig, StrategyConfig
 
 CONFIG_SCHEMA_VERSION = 1
@@ -153,7 +155,9 @@ def _parse_data(doc: dict) -> DataConfig:
     return cfg
 
 
-def _parse_model(doc: dict, n_inputs: int) -> ModelConfig:
+def _parse_model(doc: dict, n_inputs: int, inputs_key: str) -> ModelConfig:
+    """The model section, for n_inputs inputs set by the data section's
+    inputs_key, which a too-wide input layer is reported under."""
     _check_keys("model", doc, (
         "hidden_sizes", "hidden_activation", "output_activation",
         "loss", "quantile_levels",
@@ -174,7 +178,8 @@ def _parse_model(doc: dict, n_inputs: int) -> ModelConfig:
     try:  # within network.MAX_PARAMETERS and MAX_LAYER_WIDTH
         arch = Architecture((n_inputs, *hidden, loss.n_outputs), hidden_act, output_act)
     except InvalidArchitectureError as exc:
-        raise SchemaError(f"config model.hidden_sizes: {exc}") from None
+        key = inputs_key if n_inputs > MAX_LAYER_WIDTH else "model.hidden_sizes"
+        raise SchemaError(f"config {key}: {exc}") from None
     return ModelConfig(arch, loss)
 
 
@@ -243,8 +248,9 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         raise SchemaError("config split must be a list of three ratios")
     split = tuple(_number("split", str(i), r) for i, r in enumerate(split))
     data = _parse_data(doc["data"])
-    model = _parse_model(doc.get("model", {}),
-                         data.lag if data.mode == "lags" else len(data.feature_cols))
+    lags = data.mode == "lags"
+    model = _parse_model(doc.get("model", {}), data.lag if lags else len(data.feature_cols),
+                         "data.lag" if lags else "data.feature_cols")
     optimizer = _parse_optimizer(doc.get("optimizer", {}))
     training = _parse_training(doc.get("training", {}))
     strategies = _parse_strategies(doc.get("strategies", {}), training.epochs)

@@ -40,20 +40,29 @@ in-order sum of the blocks' sums divided by the batch's entry count, and
 the gradient the in-order sum of the blocks' gradients, each block's
 dL/dpred already divided by that count: only where partial sums are
 rounded differs from one pass.
+
+A full-batch pass of more than one block uses every CPU the process may
+run on: forked workers and the training process take blocks as each
+becomes free and leave every block's loss sum and gradient in shared
+memory, and the training process adds them up in block order, so the
+bytes equal those of a pass run in one process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from .errors import (
     DivergenceError,
     ScheduleOverflowError,
     SchemaError,
     ShapeError,
+    ToolkitError,
 )
 from .network import (
     Loss, Network, Params, Workspace, backward, forward, stack_networks, unstack_network,
@@ -147,6 +156,11 @@ def cosine_lr(t: float, alpha0: float, total_epochs: int) -> float:
     return alpha0 * (1.0 + math.cos(math.pi * t / total_epochs)) / 2.0
 
 
+def _parameter_name(k: int) -> str:
+    """W0, b0, W1, b1, ...: the name of position k of Network.parameters()."""
+    return f"{'Wb'[k % 2]}{k // 2}"
+
+
 def _as_params(arrays, stacked: bool) -> Params:
     """arrays as a Params: itself, or the one view of a lone C-contiguous array."""
     if isinstance(arrays, Params):
@@ -234,7 +248,7 @@ class Optimizer:
                 if not row.all():
                     diverged[s] = int(np.searchsorted(ends, np.argmin(row), side="right"))
             if not self.stacked:
-                raise DivergenceError(f"non-finite gradient in parameter {diverged[0]}")
+                raise DivergenceError(f"non-finite gradient in {_parameter_name(diverged[0])}")
         if self.strategies.centralize:
             for w in grads[0::2]:
                 w[...] = _centralize_rows(w)
@@ -312,36 +326,186 @@ writes 58 MB. 1,024 to 4,096 rows trained equally fast, within noise, on
 a 2-vCPU Xeon; 4,096 keeps every batch of up to 4,096 rows one block."""
 
 
-def _train_pass(stack: Network, x, y, loss: Loss, work: Workspace, want_grad: bool = True):
+def _train_block(stack: Network, x, y, loss: Loss, work: Workspace, entries: int, grads):
+    """One block's loss sum per slice, from forward and the loss run in
+    work; unless grads is None, backward writes the block's gradient there."""
+    pred, cache = forward(stack, x, want_cache=True, work=work)
+    value, dpred = loss.value_and_grad(pred, y, want_grad=grads is not None, entries=entries,
+                                       out=work.dpred[:, :len(x)])
+    if grads is not None:
+        backward(stack, cache, dpred, out=grads)
+    return value
+
+
+def _train_pass(stack: Network, x, y, loss: Loss, work: Workspace, want_grad: bool = True,
+                workers: "_BlockWorkers | None" = None):
     """The loss of stack on (x, y), per slice, and unless want_grad is
     False its gradient (work.grads, else None), from forward, loss and
     backward run on each block of TRAIN_ROWS rows in turn.
 
     Each block adds its sum to the loss and its gradient to the gradient,
     in order; the loss is divided by the batch's entry count at the end.
-    A batch of one block is passed on as it is, not sliced.
+    A batch of one block is passed on as it is, not sliced. workers,
+    started on the same x and y, share the blocks out and give the same
+    bytes.
     """
+    if workers is not None:
+        return workers.run(stack, work, want_grad)
     n = len(x)
     entries = n * loss.n_outputs
     blocks = [(x, y)] if n <= TRAIN_ROWS else [
         (x[lo:lo + TRAIN_ROWS], y[lo:lo + TRAIN_ROWS]) for lo in range(0, n, TRAIN_ROWS)
     ]
     for i, (xb, yb) in enumerate(blocks):
-        pred, cache = forward(stack, xb, want_cache=True, work=work)
-        value, dpred = loss.value_and_grad(pred, yb, want_grad=want_grad, entries=entries,
-                                           out=work.dpred[:, :len(xb)])
+        out = None if not want_grad else work.block_grads if i else work.grads
+        value = _train_block(stack, xb, yb, loss, work, entries, out)
         total = total + value if i else value
-        if want_grad:
-            backward(stack, cache, dpred, out=work.block_grads if i else work.grads)
-            if i:
-                work.grads.flat += work.block_grads.flat
+        if want_grad and i:
+            work.grads.flat += work.block_grads.flat
     return total / entries, work.grads if want_grad else None
+
+
+class _BlockWorkers:
+    """Forked processes that compute blocks of a stack's full-batch
+    training passes beside the training process.
+
+    For each pass the parent puts the parameters in shared memory and
+    sends each worker one byte. Every process then takes the next
+    unclaimed block from a shared counter and leaves its loss sum and
+    gradient in that block's slot, until none is left, and each worker
+    answers one byte. The parent adds the slots up in block order, as
+    _train_pass does, so a descheduled worker delays the pass by at most
+    its block and the sums are bit for bit those of one process. A worker
+    exits at the end of its command pipe; a worker that dies fails the pass.
+    """
+
+    @classmethod
+    def start(cls, stack: Network, x, y, loss: Loss) -> "_BlockWorkers | None":
+        """Workers for the full-batch passes of stack on (x, y), one per
+        usable CPU but this process's, or None where this process does
+        them alone: one block or one CPU, no fork, or block results
+        that would take more than STACK_BYTES."""
+        blocks = -(-len(x) // TRAIN_ROWS)
+        count = min(_util.usable_cpus(), blocks) - 1
+        if count < 1 or 8 * blocks * (stack.flat.size + len(stack.flat)) > STACK_BYTES:
+            return None
+        # imported here: multiprocessing would add 13-16 ms to every command's start
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return None
+        return cls(multiprocessing.get_context("fork"), count, stack, x, y, loss)
+
+    def __init__(self, context, count: int, stack: Network, x, y, loss: Loss):
+        import mmap
+
+        self.x, self.y, self.loss, self.rows = x, y, loss, TRAIN_ROWS
+        self.blocks = -(-len(x) // self.rows)
+        self.entries = len(x) * loss.n_outputs
+        s, p = stack.flat.shape
+        shared = mmap.mmap(-1, 8 * (1 + s * p + self.blocks * s * (1 + p)))
+        self.next_block = np.frombuffer(shared, np.int64, 1)
+        floats = np.frombuffer(shared, np.float64, offset=8)
+        self.params = floats[:s * p].reshape(s, p)
+        self.losses = floats[s * p:s * p + self.blocks * s].reshape(self.blocks, s)
+        self.grads = floats[s * p + self.blocks * s:].reshape(self.blocks, s, p)
+        self.lock = context.Lock()
+        self.procs, self.commands, self.answers = [], [], []
+        try:
+            for _ in range(count):
+                command_r, self_w = os.pipe()
+                self_r, answer_w = os.pipe()
+                self.commands.append(self_w)
+                self.answers.append(self_r)
+                proc = context.Process(target=self._serve, daemon=True,
+                                       args=(stack.architecture, command_r, answer_w))
+                try:
+                    proc.start()
+                finally:
+                    os.close(command_r)
+                    os.close(answer_w)
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def _serve(self, architecture, commands: int, answers: int) -> None:
+        """A worker's loop: a pass per command byte, until the pipe ends."""
+        import signal
+
+        # Ctrl-C reaches the whole process group; the parent alone handles it.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for fd in self.commands + self.answers:  # the parent's ends, its siblings' too
+            os.close(fd)
+        net = Network.viewing(architecture, np.empty(self.params.shape))
+        work = Workspace(net, self.rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while command := os.read(commands, 1):
+                net.flat[...] = self.params
+                self._run_blocks(net, work, command == b"g")
+                os.write(answers, b"d")
+
+    def _run_blocks(self, net: Network, work: Workspace, want_grad: bool) -> None:
+        while True:
+            with self.lock:
+                b = int(self.next_block[0])
+                self.next_block[0] = b + 1
+            if b >= self.blocks:
+                return
+            rows = slice(b * self.rows, (b + 1) * self.rows)
+            grads = work.block_grads if want_grad else None
+            self.losses[b] = _train_block(net, self.x[rows], self.y[rows], self.loss, work,
+                                          self.entries, grads)
+            if want_grad:
+                self.grads[b] = grads.flat
+
+    def run(self, stack: Network, work: Workspace, want_grad: bool):
+        """_train_pass's result for stack, its blocks shared with the workers."""
+        self.params[...] = stack.flat
+        self.next_block[0] = 0
+        for proc, fd in zip(self.procs, self.commands):
+            try:
+                os.write(fd, b"g" if want_grad else b"l")
+            except BrokenPipeError:
+                raise self._lost(proc) from None
+        self._run_blocks(stack, work, want_grad)
+        for proc, fd in zip(self.procs, self.answers):
+            if os.read(fd, 1) != b"d":
+                raise self._lost(proc)
+        total = self.losses[0]
+        for value in self.losses[1:]:
+            total = total + value
+        if want_grad:
+            work.grads.flat[...] = self.grads[0]
+            for grads in self.grads[1:]:
+                work.grads.flat += grads
+        return total / self.entries, work.grads if want_grad else None
+
+    @staticmethod
+    def _lost(proc) -> ToolkitError:
+        proc.join()
+        return ToolkitError(f"training worker process {proc.pid} ended "
+                            f"with exit code {proc.exitcode}")
+
+    def close(self) -> None:
+        """End every worker and reap it: with no block left to claim, each
+        stops after its current block and exits at the end of its pipe."""
+        with self.lock:
+            self.next_block[0] = self.blocks
+        for fd in self.commands:
+            os.close(fd)
+        for proc in self.procs:
+            proc.join()
+        for fd in self.answers:
+            os.close(fd)
+        self.procs, self.commands, self.answers = [], [], []
 
 
 STACK_BYTES = 32 * 2**20
 """Cap on the activations of one stacked training step, counted over the
 batch's rows: a pre-activation and an activation, 8 bytes each, per row,
-unit and network. The cache holds at most TRAIN_ROWS rows, so this bounds it."""
+unit and network. The cache holds at most TRAIN_ROWS rows, so this bounds it.
+It also caps the block results a full-batch pass leaves in shared memory."""
 
 
 def stack_size(architecture, n_rows: int, batch_size: int | None = None) -> int:
@@ -374,7 +538,8 @@ def train(
     parameters of the best validation epoch are restored before
     returning; the cosine schedule still runs against its planned horizon.
     A non-finite gradient or training loss raises DivergenceError naming
-    the epoch.
+    the epoch, the parameter (W0, b0, ...) whose gradient it was, and the
+    last finite train_loss.
 
     This is train_seeds on a stack of one network.
     """
@@ -416,9 +581,11 @@ def train_seeds(
     row. There the pass on the training set after epoch e's update is the
     one epoch e+1 differentiates (same parameters, same rows), so it runs
     once and gives both epoch e's train_loss and epoch e+1's gradient: E
-    epochs cost E + 1 training-set passes instead of 2E. With minibatches,
-    and for the validation loss, each network is evaluated on its own,
-    unblocked, after the epoch's updates.
+    epochs cost E + 1 training-set passes instead of 2E; a pass of several
+    blocks shares them with forked workers, one per other usable CPU,
+    forked once per stack. With minibatches, and for the validation loss,
+    each network is evaluated on its own, unblocked, after the epoch's
+    updates.
     """
     if epochs < 0:
         raise SchemaError("epochs must be >= 0")
@@ -455,57 +622,72 @@ def train_seeds(
     ]
     work_rows = min(step_rows, TRAIN_ROWS)
     work, grads = Workspace(stack, work_rows), None
-    for epoch in range(1, epochs + 1):
-        lr = optimizer.learning_rate(epoch)
-        diverged: dict[int, int] = {}
-        # overflow here is not a bug but a diverging run; the non-finite
-        # checks below end it with a DivergenceError
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x, y in batches:
-                if grads is None:  # else the last full-batch pass left this epoch's
-                    _, grads = _train_pass(stack, x, y, loss, work)
-                for s, k in optimizer.step(stack.params, grads, epoch).items():
-                    diverged.setdefault(s, k)
-                grads = None
-            if full_batch:
-                train_losses, grads = _train_pass(stack, train_set.x, train_set.y, loss, work,
-                                                  want_grad=epoch < epochs)
-            else:
-                train_losses = [
-                    None if s in diverged else loss.value(forward(net, train_set.x), train_set.y)
-                    for s, net in enumerate(slices)
-                ]
+    workers = None
+    try:
+        if full_batch and epochs:
+            workers = _BlockWorkers.start(stack, train_set.x, train_set.y, loss)
+        for epoch in range(1, epochs + 1):
+            lr = optimizer.learning_rate(epoch)
+            diverged: dict[int, int] = {}
+            # overflow here is not a bug but a diverging run; the non-finite
+            # checks below end it with a DivergenceError
+            with np.errstate(over="ignore", invalid="ignore"):
+                for x, y in batches:
+                    if grads is None:  # else the last full-batch pass left this epoch's
+                        _, grads = _train_pass(stack, x, y, loss, work, workers=workers)
+                    for s, k in optimizer.step(stack.params, grads, epoch).items():
+                        diverged.setdefault(s, k)
+                    grads = None
+                if full_batch:
+                    train_losses, grads = _train_pass(stack, train_set.x, train_set.y, loss,
+                                                      work, epoch < epochs, workers)
+                else:
+                    train_losses = [
+                        None if s in diverged
+                        else loss.value(forward(net, train_set.x), train_set.y)
+                        for s, net in enumerate(slices)
+                    ]
 
-        keep = []  # the slices that go on
-        for s, net in enumerate(slices):
-            i = ids[s]
-            if s in diverged or not math.isfinite(train_losses[s]):
-                cause = (f"non-finite gradient in parameter {diverged[s]}" if s in diverged
-                         else f"training loss is {float(train_losses[s])}")
-                results[i] = DivergenceError(f"epoch {epoch}: {cause}")
-                continue
-            val_loss = loss.value(forward(net, val_set.x), val_set.y) if has_val else None
-            results[i].rows.append((epoch, lr, float(train_losses[s]), val_loss))
-            if early_stop_patience is not None and val_loss < best_val[i]:
-                best_val[i] = val_loss
-                best_params[i] = net.flat.copy()
-                best_epoch[i] = epoch
-            stopped = (early_stop_patience is not None
-                       and epoch - best_epoch[i] > early_stop_patience)
-            if epoch < epochs and not stopped:
-                keep.append(s)
-            else:  # the run ends: its network takes the trained, or best, parameters
-                nets[i].flat[...] = net.flat if best_params[i] is None else best_params[i]
-        if len(keep) < len(ids):
-            ids = [ids[s] for s in keep]
-            if not ids:
-                break
-            stack = Network.viewing(stack.architecture, stack.flat[keep])
-            slices = unstack_network(stack)
-            optimizer.keep_slices(keep)
-            # the next epoch recomputes the full-batch pass for the
-            # remaining slices, in a workspace sized for them
-            grads = work = None  # never two at once
-            work = Workspace(stack, work_rows)
+            keep = []  # the slices that go on
+            for s, net in enumerate(slices):
+                i = ids[s]
+                if s in diverged or not math.isfinite(train_losses[s]):
+                    cause = (f"non-finite gradient in {_parameter_name(diverged[s])}"
+                             if s in diverged else f"training loss is {float(train_losses[s])}")
+                    rows = results[i].rows
+                    last = (f"last finite train_loss {rows[-1][2]!r} at epoch {rows[-1][0]}"
+                            if rows else "no finite train_loss yet")
+                    results[i] = DivergenceError(f"epoch {epoch}: {cause}; {last}")
+                    continue
+                val_loss = loss.value(forward(net, val_set.x), val_set.y) if has_val else None
+                results[i].rows.append((epoch, lr, float(train_losses[s]), val_loss))
+                if early_stop_patience is not None and val_loss < best_val[i]:
+                    best_val[i] = val_loss
+                    best_params[i] = net.flat.copy()
+                    best_epoch[i] = epoch
+                stopped = (early_stop_patience is not None
+                           and epoch - best_epoch[i] > early_stop_patience)
+                if epoch < epochs and not stopped:
+                    keep.append(s)
+                else:  # the run ends: its network takes the trained, or best, parameters
+                    nets[i].flat[...] = net.flat if best_params[i] is None else best_params[i]
+            if len(keep) < len(ids):
+                ids = [ids[s] for s in keep]
+                if not ids:
+                    break
+                stack = Network.viewing(stack.architecture, stack.flat[keep])
+                slices = unstack_network(stack)
+                optimizer.keep_slices(keep)
+                # the next epoch recomputes the full-batch pass for the
+                # remaining slices, in a workspace and by workers sized for them
+                grads = work = None  # never two at once
+                work = Workspace(stack, work_rows)
+                if full_batch:
+                    if workers is not None:
+                        workers.close()
+                    workers = _BlockWorkers.start(stack, train_set.x, train_set.y, loss)
+    finally:
+        if workers is not None:
+            workers.close()
     return results
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from .config import DataConfig, RunConfig
 from .data import (
     CsvSchema,
@@ -214,7 +214,7 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(_usable_cpus(), len(starts))
+    workers = min(_util.usable_cpus(), len(starts))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         for lo in starts:
             fh.write(_block_text(blocks, lo))
@@ -235,12 +235,6 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
             while pending:
                 fh.write(pending.popleft().result())
     return len(full.target_indices)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _block_text(blocks, lo: int) -> str:

@@ -4,12 +4,16 @@ taxonomy and byte-level determinism of the written artifacts."""
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
+import windcast._util
 import windcast.model_io
+import windcast.optim
 import windcast.pipeline
 from windcast._util import atomic_write_text, dump_json
 from windcast.cli import main
@@ -467,6 +471,28 @@ class TestExitCodes:
                                  "target_col": "power"}, "surprise": 1})
         )
         assert run(workdir, "train", "--config", "extra.json") == 2
+
+    def test_a_training_worker_that_dies_ends_in_a_windcast_error(self, workdir, capsys,
+                                                                  monkeypatch):
+        # blocks of 32 rows and two usable CPUs: full-batch passes fork a worker
+        monkeypatch.setattr(windcast.optim, "TRAIN_ROWS", 32)
+        monkeypatch.setattr(windcast._util, "usable_cpus", lambda: 2)
+        here, real = os.getpid(), windcast.optim._train_block
+
+        def dying(*args):
+            if os.getpid() != here:
+                os._exit(3)
+            time.sleep(0.01)  # so that the worker claims a block
+            return real(*args)
+
+        monkeypatch.setattr(windcast.optim, "_train_block", dying)
+        assert run(workdir, "train", "--config", "point.json", "--out", "dead.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: ToolkitError: training worker process ")
+        assert err.endswith(" ended with exit code 3\n")
+        assert "Traceback" not in err
+        assert not (workdir / "dead.json").exists()
+        assert not multiprocessing.active_children()
 
     def test_missing_data_file_is_data_error(self, workdir):
         cfg = {"data": {"path": "not_there.csv", "timestamp_col": "timestamp",

@@ -1,5 +1,7 @@
 """parse_config builds the optimizer, strategy and loss types directly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -85,18 +87,21 @@ def test_parameter_cap_checked_at_parse(data, hidden, loss, accepted):
     assert exc.value.exit_code == 2
 
 
-@pytest.mark.parametrize("data, hidden", [
-    ({"mode": "lags", "lag": 1}, 3_333_333),  # 1 -> h -> 1: within the parameter cap
-    ({"mode": "lags", "lag": 8193}, 1),  # the input layer counts
+@pytest.mark.parametrize("data, hidden, key", [
+    # 1 -> h -> 1: within the parameter cap
+    ({"mode": "lags", "lag": 1}, 3_333_333, "model.hidden_sizes"),
+    # the input layer counts, and is set by the data section
+    ({"mode": "lags", "lag": 8193}, 1, "data.lag"),
+    ({"mode": "nwp", "feature_cols": [f"f{i}" for i in range(8193)]}, 1, "data.feature_cols"),
 ])
-def test_layer_width_cap_checked_at_parse(data, hidden, monkeypatch):
+def test_layer_width_cap_checked_at_parse(data, hidden, key, monkeypatch):
     def no_arrays(*args, **kwargs):
         raise AssertionError("an array was built")
 
     monkeypatch.setattr(np, "array", no_arrays)
     monkeypatch.setattr(np, "empty", no_arrays)
     doc = {"data": {**DATA, **data}, "model": {"hidden_sizes": [hidden]}}
-    with pytest.raises(SchemaError, match=r"^config model\.hidden_sizes: .* units in one "
+    with pytest.raises(SchemaError, match=rf"^config {re.escape(key)}: .* units in one "
                                           r"layer, above the cap of 8,192$") as exc:
         parse_config(doc)
     assert exc.value.exit_code == 2

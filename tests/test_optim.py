@@ -3,10 +3,16 @@ training loop."""
 
 import dataclasses
 import math
+import mmap
+import multiprocessing
+import os
+import re
+import time
 
 import numpy as np
 import pytest
 
+import windcast._util
 import windcast.optim
 from windcast.data import SupervisedSet
 from windcast.errors import (
@@ -14,6 +20,7 @@ from windcast.errors import (
     ScheduleOverflowError,
     SchemaError,
     ShapeError,
+    ToolkitError,
 )
 from windcast.network import (
     Architecture, Loss, Network, Params, Workspace, backward, forward, init_network,
@@ -187,6 +194,15 @@ class TestOptimizerSteps:
         with pytest.raises(DivergenceError) as excinfo:
             opt.step([p], [np.array([1.0, np.nan, 0.0])])
         assert excinfo.value.exit_code == 4
+        assert str(excinfo.value) == "non-finite gradient in W0"
+
+    def test_non_finite_bias_gradient_names_the_bias(self):
+        params = Params(np.zeros(15), [(3, 4), (3,)])
+        grads = Params(np.ones(15), [(3, 4), (3,)])
+        grads[1][2] = np.inf
+        opt = Optimizer(OptimizerConfig(), StrategyConfig(), params)
+        with pytest.raises(DivergenceError, match="^non-finite gradient in b0$"):
+            opt.step(params, grads)
 
     def test_config_validation(self):
         with pytest.raises(SchemaError):
@@ -467,6 +483,14 @@ class TestTrainLoop:
         assert len(trace) == 4
 
 
+def _last_finite(rows):
+    """How a DivergenceError names the last finite train_loss of trace rows."""
+    if not rows:
+        return "no finite train_loss yet"
+    epoch, _, train_loss, _ = rows[-1]
+    return f"last finite train_loss {train_loss!r} at epoch {epoch}"
+
+
 def _two_pass_train(net, train_set, val_set, opt_config, strategies, loss, epochs,
                     batch_size=None, early_stop_patience=None):
     """Reference loop that evaluates the training set in a separate forward
@@ -486,9 +510,11 @@ def _two_pass_train(net, train_set, val_set, opt_config, strategies, loss, epoch
                     optimizer.step(params, backward(net, cache, dpred), epoch)
                 train_loss = loss.value(forward(net, train_set.x), train_set.y)
         except DivergenceError as exc:
-            raise DivergenceError(f"epoch {epoch}: {exc}") from None
+            raise DivergenceError(f"epoch {epoch}: {exc}; {_last_finite(rows)}") from None
         if not math.isfinite(train_loss):
-            raise DivergenceError(f"epoch {epoch}: training loss is {train_loss}")
+            raise DivergenceError(
+                f"epoch {epoch}: training loss is {train_loss}; {_last_finite(rows)}"
+            )
         val_loss = None if val_set is None else loss.value(forward(net, val_set.x), val_set.y)
         rows.append((epoch, lr, train_loss, val_loss))
         if early_stop_patience is not None:
@@ -562,12 +588,12 @@ class TestTrainMatchesTwoPassReference:
         "make_net, lr, message",
         [
             (lambda: init_network(Architecture((4, 6, 1)), seed=2), 1e160,
-             "epoch 1: training loss is inf"),
+             r"epoch 1: training loss is inf; no finite train_loss yet"),
             (lambda: init_network(Architecture((4, 6, 1), hidden_activation="tanh"), seed=2),
-             1e153, "epoch 2: training loss is inf"),
+             1e153, r"epoch 2: training loss is inf; last finite train_loss \S+ at epoch 1"),
             (lambda: Network(Architecture((4, 6, 1)), [np.full((6, 4), 1e200), np.full((1, 6), 1e-60)],
                              [np.zeros(6), np.zeros(1)]),
-             0.001, "epoch 1: non-finite gradient in parameter 2"),
+             0.001, r"epoch 1: non-finite gradient in W1; no finite train_loss yet"),
         ],
     )
     def test_divergence_message(self, make_net, lr, message):
@@ -577,7 +603,8 @@ class TestTrainMatchesTwoPassReference:
             train(make_net(), train_set, val, config, StrategyConfig(), Loss(), 30)
         with pytest.raises(DivergenceError) as ref:
             _two_pass_train(make_net(), train_set, val, config, StrategyConfig(), Loss(), 30)
-        assert str(ours.value) == str(ref.value) == message
+        assert str(ours.value) == str(ref.value)
+        assert re.fullmatch(message, str(ours.value))
 
 
 class TestFullBatchForwardCount:
@@ -669,9 +696,9 @@ class TestTrainSeedsMatchesSolo:
 
     @pytest.mark.parametrize("batch_size", [None, 32])
     @pytest.mark.parametrize("param, value, message", [
-        (0, 1e308, "epoch 1: non-finite gradient in parameter 2"),
-        (2, 1e308, "epoch 1: non-finite gradient in parameter 0"),
-        (3, 1e200, "epoch 1: training loss is inf"),
+        (0, 1e308, "epoch 1: non-finite gradient in W1; no finite train_loss yet"),
+        (2, 1e308, "epoch 1: non-finite gradient in W0; no finite train_loss yet"),
+        (3, 1e200, "epoch 1: training loss is inf; no finite train_loss yet"),
     ])
     def test_one_slice_diverges(self, batch_size, param, value, message):
         arch = Architecture((4, 6, 1))
@@ -758,7 +785,7 @@ class TestWorkspace:
             StrategyConfig(), Loss(), 30, batch_size=batch_size, early_stop_patience=2,
         )
         assert stacked == solo
-        assert stacked[1] == "epoch 1: training loss is inf"
+        assert stacked[1] == "epoch 1: training loss is inf; no finite train_loss yet"
         lengths = [len(rows) for i, rows in enumerate(stacked) if i != 1]
         assert min(lengths) < max(lengths)  # the others stop at different epochs
         _assert_same_networks(solo_nets, stacked_nets, skip=(1,))
@@ -867,13 +894,28 @@ def _blocked_reference_train(net, train_set, val_set, opt_config, strategies, lo
     return trace
 
 
+def _fake_cpus(monkeypatch, count):
+    """Tell training that count CPUs are usable; with one, forking fails."""
+    monkeypatch.setattr(windcast._util, "usable_cpus", lambda: count)
+    if count == 1:
+        def no_fork():
+            raise AssertionError("a process was forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+
+
 class TestBlockedTraining:
     """Training passes over blocks of TRAIN_ROWS rows, made small here so the
-    80 training rows take several blocks: 32, 32 and 16 rows."""
+    80 training rows take several blocks: 32, 32 and 16 rows. Each test runs
+    with the CPU count this process really has, and with 1 and 2 usable CPUs
+    faked: a full-batch pass then runs here alone, or shares its blocks with
+    one forked worker, and must give the same bytes either way."""
 
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
+    @pytest.fixture(autouse=True, params=[None, 1, 2], ids=["cpus", "1cpu", "2cpu"])
+    def small_blocks(self, request, monkeypatch):
         monkeypatch.setattr(windcast.optim, "TRAIN_ROWS", 32)
+        if request.param is not None:
+            _fake_cpus(monkeypatch, request.param)
 
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
@@ -926,7 +968,7 @@ class TestBlockedTraining:
             StrategyConfig(), Loss(), 30, batch_size=batch_size, early_stop_patience=2,
         )
         assert stacked == solo
-        assert stacked[1] == "epoch 1: training loss is inf"
+        assert stacked[1] == "epoch 1: training loss is inf; no finite train_loss yet"
         lengths = [len(rows) for i, rows in enumerate(stacked) if i != 1]
         assert min(lengths) < max(lengths)
         _assert_same_networks(solo_nets, stacked_nets, skip=(1,))
@@ -964,3 +1006,130 @@ class TestBlockedTraining:
         train(init_network(Architecture((4, 6, 1)), seed=2), train_set, val,
               OptimizerConfig(), StrategyConfig(), Loss(), 3, batch_size=batch_size)
         assert built == [rows]
+
+
+@pytest.fixture
+def worker_blocks(monkeypatch):
+    """Small blocks, and a count of the training blocks run in other
+    processes, kept in shared memory. This process pauses on each block it
+    runs, so workers get some however the CPUs are scheduled."""
+    monkeypatch.setattr(windcast.optim, "TRAIN_ROWS", 32)
+    count = np.frombuffer(mmap.mmap(-1, 8), np.int64)
+    here = os.getpid()
+    real = windcast.optim._train_block
+
+    def counting(*args):
+        if os.getpid() == here:
+            time.sleep(0.002)
+        else:
+            count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(windcast.optim, "_train_block", counting)
+    return count
+
+
+class TestBlockWorkers:
+    """Full-batch passes of several blocks shared with forked workers: the
+    same bytes at every CPU count, and no process left behind."""
+
+    @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
+    def test_every_cpu_count_gives_the_bytes_of_one_process(self, monkeypatch, worker_blocks,
+                                                              loss_kind):
+        loss = LOSSES[loss_kind]
+        train_set, val = _curved_problem()
+        outcomes = {}
+        for cpus in (2, 4, 1):  # 4: two workers share the three blocks; 1 forbids fork
+            _fake_cpus(monkeypatch, cpus)
+            worker_blocks[0] = 0
+            net = init_network(Architecture((4, 6, loss.n_outputs)), seed=2)
+            _, trace = train(net, train_set, val, OptimizerConfig(fixed_lr=0.01),
+                             STRATEGIES_ON, loss, 12)
+            outcomes[cpus] = (trace.rows, net.flat.tobytes())
+            assert (worker_blocks[0] > 0) == (cpus > 1)
+            assert not multiprocessing.active_children()
+        assert outcomes[1] == outcomes[2] == outcomes[4]
+
+    def test_slices_leave_a_stack_trained_by_workers(self, monkeypatch, worker_blocks):
+        _fake_cpus(monkeypatch, 2)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        arch = Architecture((4, 6, 1))
+
+        def make_net(seed):
+            net = init_network(arch, seed=seed)
+            if seed == 3:
+                net.parameters()[3].flat[0] = 1e200  # its training loss is inf
+            if seed == 4:
+                net.weights[0][...] = -10.0  # every relu dead: it soon stops early
+            return net
+
+        train_set, val = _curved_problem()
+        solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
+            make_net, (2, 3, 4, 5, 6), train_set, val, OptimizerConfig(fixed_lr=0.05),
+            StrategyConfig(), Loss(), 30, early_stop_patience=2,
+        )
+        assert stacked == solo
+        _assert_same_networks(solo_nets, stacked_nets, skip=(1,))
+        assert worker_blocks[0] > 0
+        # one worker per solo run, and per stack: the first, and one more for
+        # each epoch at which some slices leave while others go on
+        lengths = [len(rows) for i, rows in enumerate(stacked) if i != 1]
+        stacks = 1 + len({n for n in lengths if n < max(lengths)} | {1})
+        assert len(forks) == len(solo) + stacks
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("ending", ["success", "divergence", "error here", "worker exit"])
+    def test_no_process_is_left(self, monkeypatch, worker_blocks, ending):
+        _fake_cpus(monkeypatch, 2)
+        here = os.getpid()
+        counting = windcast.optim._train_block
+        blocks_here = []
+
+        def ending_block(*args):
+            if ending == "worker exit" and os.getpid() != here:
+                os._exit(7)
+            if ending == "error here" and os.getpid() == here:
+                blocks_here.append(None)
+                if len(blocks_here) == 5:
+                    raise RuntimeError("interrupted")
+            return counting(*args)
+
+        monkeypatch.setattr(windcast.optim, "_train_block", ending_block)
+        train_set, val = _curved_problem()
+        net = init_network(Architecture((4, 6, 1)), seed=2)
+        lr = 1e160 if ending == "divergence" else 0.01
+        expected = {
+            "success": None,
+            "divergence": pytest.raises(DivergenceError, match="training loss is inf"),
+            "error here": pytest.raises(RuntimeError, match="interrupted"),
+            "worker exit": pytest.raises(
+                ToolkitError, match=r"^training worker process \d+ ended with exit code 7$"
+            ),
+        }[ending]
+        if expected is None:
+            train(net, train_set, val, OptimizerConfig(fixed_lr=lr), StrategyConfig(), Loss(), 6)
+            assert worker_blocks[0] > 0
+        else:
+            with expected:
+                train(net, train_set, val, OptimizerConfig(fixed_lr=lr), StrategyConfig(),
+                      Loss(), 6)
+        assert not multiprocessing.active_children()
+
+    def test_minibatches_fork_nothing(self, monkeypatch, worker_blocks):
+        _fake_cpus(monkeypatch, 2)
+
+        def no_fork():
+            raise AssertionError("a minibatch run forked a process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        train_set, val = _curved_problem()
+        train(init_network(Architecture((4, 6, 1)), seed=2), train_set, val,
+              OptimizerConfig(), StrategyConfig(), Loss(), 3, batch_size=48)
+        assert worker_blocks[0] == 0

@@ -10,6 +10,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+import windcast._util
 import windcast.pipeline
 from windcast.cli import main
 from windcast.config import load_config
@@ -160,7 +161,7 @@ BLOCK_ROWS = 8  # blocks this small keep a 25-block CSV quick to check
 def cpus(request, monkeypatch):
     """Small blocks, and the writer told that this many CPUs are usable."""
     monkeypatch.setattr(windcast.pipeline, "CSV_BLOCK_ROWS", BLOCK_ROWS)
-    monkeypatch.setattr(windcast.pipeline, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(windcast._util, "usable_cpus", lambda: request.param)
     return request.param
 
 
