@@ -381,20 +381,29 @@ class _BlockWorkers:
 
     @classmethod
     def start(cls, stack: Network, x, y, loss: Loss) -> "_BlockWorkers | None":
-        """Workers for the full-batch passes of stack on (x, y), one per
-        usable CPU but this process's, or None where this process does
-        them alone: one block or one CPU, no fork, or block results
-        that would take more than STACK_BYTES."""
-        blocks = -(-len(x) // TRAIN_ROWS)
-        count = min(_util.usable_cpus(), blocks) - 1
-        if count < 1 or 8 * blocks * (stack.flat.size + len(stack.flat)) > STACK_BYTES:
+        """Workers for the full-batch passes of stack on (x, y), or None
+        where this process does them alone (see count)."""
+        count = cls.count(len(x), stack.flat.shape)
+        if not count:
             return None
         # imported here: multiprocessing would add 13-16 ms to every command's start
         import multiprocessing
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return None
         return cls(multiprocessing.get_context("fork"), count, stack, x, y, loss)
+
+    @staticmethod
+    def count(n_rows: int, shape) -> int:
+        """How many workers start forks for a stack whose flat parameters
+        have shape (S, P), on n_rows rows: one per usable CPU but this
+        process's, or 0 where this process does the passes alone: one
+        block or one CPU, no fork, or block results that would take more
+        than STACK_BYTES."""
+        blocks = -(-n_rows // TRAIN_ROWS)
+        count = min(_util.usable_cpus(), blocks) - 1
+        s, p = shape
+        if count < 1 or 8 * blocks * s * (p + 1) > STACK_BYTES or not hasattr(os, "fork"):
+            return 0
+        return count
 
     def __init__(self, context, count: int, stack: Network, x, y, loss: Loss):
         import mmap
@@ -508,15 +517,30 @@ unit and network. The cache holds at most TRAIN_ROWS rows, so this bounds it.
 It also caps the block results a full-batch pass leaves in shared memory."""
 
 
+def _step_rows(n_rows: int, batch_size: int | None) -> int:
+    """The rows of one batch: all n_rows (full batch) where batch_size is
+    None, 0 or at least n_rows."""
+    return n_rows if not batch_size or batch_size >= n_rows else batch_size
+
+
 def stack_size(architecture, n_rows: int, batch_size: int | None = None) -> int:
     """How many networks train_seeds should stack to train on n_rows rows.
 
     As many as keep the activations of one batch's rows within STACK_BYTES,
     an upper bound on the cache of at most TRAIN_ROWS rows, and at least one.
     """
-    rows = n_rows if not batch_size or batch_size >= n_rows else batch_size
-    per_network = rows * sum(architecture.layer_sizes[1:]) * 16
+    per_network = _step_rows(n_rows, batch_size) * sum(architecture.layer_sizes[1:]) * 16
     return max(1, STACK_BYTES // per_network)
+
+
+def forks_workers(architecture, n_rows: int, batch_size: int | None = None) -> bool:
+    """Whether train_seeds, training networks of architecture on n_rows
+    rows in batches of batch_size, may share its passes with forked
+    workers: whether a full-batch stack of one network, the smallest a
+    stack becomes, would start them."""
+    params = sum(map(math.prod, architecture.param_shapes))
+    return (_step_rows(n_rows, batch_size) == n_rows
+            and _BlockWorkers.count(n_rows, (1, params)) > 0)
 
 
 def train(
@@ -614,8 +638,8 @@ def train_seeds(
     best_params: list = [None] * len(nets)  # flat copies
     best_epoch = [0] * len(nets)
     n = len(train_set)
-    full_batch = not batch_size or batch_size >= n
-    step_rows = n if full_batch else batch_size
+    step_rows = _step_rows(n, batch_size)
+    full_batch = step_rows == n
     batches = [(train_set.x, train_set.y)] if full_batch else [
         (train_set.x[lo:lo + batch_size], train_set.y[lo:lo + batch_size])
         for lo in range(0, n, batch_size)

@@ -11,8 +11,11 @@ section against a trained model, before the CSV is read.
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import hashlib
+import os
+import pickle
 import time
 from dataclasses import dataclass
 
@@ -33,13 +36,13 @@ from .data import (
     make_lag_windows,
     make_nwp_set,
 )
-from .errors import DivergenceError, SchemaError
+from .errors import DivergenceError, SchemaError, ToolkitError
 from .explain import LimeConfig, fit_lime, permutation_importance
 from .metrics import deterministic_report, probabilistic_report
 from .model_io import ModelBundle
 from .network import INFER_ROWS, Network, QuantileForecast, init_network
 from .network import forward  # noqa: F401  perfbench's tracer test reads pipeline.forward
-from .optim import StrategyConfig, stack_size, train, train_seeds
+from .optim import StrategyConfig, forks_workers, stack_size, train, train_seeds
 
 CSV_BLOCK_ROWS = 4 * INFER_ROWS  # prediction rows forecast, formatted and written per block
 
@@ -203,7 +206,8 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
     worker in flight; with one CPU or one block, or where fork does not
     exist, the blocks are done here. Either way each block is
     predictions_csv's text, and a row's forecast does not depend on the
-    rows around it, so the bytes do not depend on the route.
+    rows around it, so the bytes do not depend on the route. A worker
+    that dies ends the write with ToolkitError.
     """
     full = prepared.full
     names = [f"q{q:g}" for q in bundle.quantile_levels] or ["prediction"]
@@ -212,7 +216,7 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
     starts = range(0, len(full.target_indices), CSV_BLOCK_ROWS)
     # imported here: multiprocessing would add 13-16 ms to every command's start
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     workers = min(_util.usable_cpus(), len(starts))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
@@ -226,14 +230,18 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
         # holds a queue lock and hang; and a worker that dies fails its
         # blocks instead of leaving them unanswered.
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, context, _start_worker, blocks) as pool:
-            pending = collections.deque()
-            for lo in starts:
-                pending.append(pool.submit(_worker_block_text, lo))
-                if len(pending) == 2 * workers:
+        try:
+            with ProcessPoolExecutor(workers, context, _start_worker, blocks) as pool:
+                pending = collections.deque()
+                for lo in starts:
+                    pending.append(pool.submit(_worker_block_text, lo))
+                    if len(pending) == 2 * workers:
+                        fh.write(pending.popleft().result())
+                while pending:
                     fh.write(pending.popleft().result())
-            while pending:
-                fh.write(pending.popleft().result())
+        except BrokenProcessPool:
+            raise ToolkitError("a prediction worker process ended before "
+                               "its blocks were written") from None
     return len(full.target_indices)
 
 
@@ -329,6 +337,61 @@ def _benchmark_arm(config, prepared, strategies, seeds) -> list[dict]:
     return reports
 
 
+@contextlib.contextmanager
+def _forked(fn, *args):
+    """Run fn(*args) in a forked child process while the with block runs.
+
+    Yields a function that waits for the child and returns what fn
+    returned, or raises what it raised, both pickled to this process over
+    a pipe; a child that ends without its answer raises ToolkitError. The
+    child ignores SIGINT and leaves by os._exit, so it never returns into
+    the caller. If the block ends before the answer is read, the child is
+    killed; either way it is reaped.
+    """
+    import signal  # imported here: no other command needs it
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            # Ctrl-C reaches the whole process group; the parent alone handles it.
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(read_fd)
+            try:
+                outcome = True, fn(*args)
+            except Exception as exc:
+                outcome = False, exc
+            with open(write_fd, "wb") as fh:
+                pickle.dump(outcome, fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    reaped = False
+
+    def answer():
+        nonlocal reaped
+        data = reader.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        code = os.waitstatus_to_exitcode(status)
+        if code or not data:
+            raise ToolkitError(f"benchmark worker process {pid} ended with exit code {code}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    with open(read_fd, "rb") as reader:
+        try:
+            yield answer
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     """Paired A/B comparison: strategies on vs off, matched per-seed inits.
 
@@ -337,10 +400,17 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     Each arm trains its seeds as stacked networks (optim.train_seeds), as
     many per stack as optim.stack_size allows, and every run ends bit for
     bit where its solo training would. A run's wall_time_s is therefore
-    its stack's training time divided by the number of seeds in the stack.
-    Every run trains all training.epochs: training.early_stop_patience is
-    not applied. Failed (diverged) runs are recorded but excluded from the
-    medians.
+    its stack's training time divided by the number of seeds in the stack,
+    timed in the process that trained it. Every run trains all
+    training.epochs: training.early_stop_patience is not applied. Failed
+    (diverged) runs are recorded but excluded from the medians.
+
+    The arms train in two processes: this one trains the on arm while a
+    forked child trains the off arm and sends its reports back. They
+    train one after the other here where this process may use one CPU,
+    fork does not exist, or training would share its passes with forked
+    workers of its own (optim.forks_workers). The report does not depend
+    on the route, but for its wall times.
     """
     if n_seeds < 1:
         raise SchemaError("benchmark needs at least one seed")
@@ -348,10 +418,15 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     split_hash = _split_hash(prepared.test)
     seeds = [config.training.seed + i for i in range(n_seeds)]
     runs = [{"seed": run_seed} for run_seed in seeds]
-    arms = zip(("with_strategies", "without_strategies"), _benchmark_strategies(config))
-    for arm, strategies in arms:
-        reports = _benchmark_arm(config, prepared, strategies, seeds)
-        for entry, report in zip(runs, reports):
+    on, off = _benchmark_strategies(config)
+    if (_util.usable_cpus() < 2 or not hasattr(os, "fork") or forks_workers(
+            config.model.architecture, len(prepared.train), config.training.batch_size)):
+        reports = [_benchmark_arm(config, prepared, arm, seeds) for arm in (on, off)]
+    else:
+        with _forked(_benchmark_arm, config, prepared, off, seeds) as off_reports:
+            reports = [_benchmark_arm(config, prepared, on, seeds), off_reports()]
+    for arm, arm_reports in zip(("with_strategies", "without_strategies"), reports):
+        for entry, report in zip(runs, arm_reports):
             entry[arm] = dict(report, split_hash=split_hash)
 
     medians = {}

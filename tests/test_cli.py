@@ -19,7 +19,7 @@ from windcast._util import atomic_write_text, dump_json
 from windcast.cli import main
 from windcast.config import load_config
 from windcast.data import invert_column
-from windcast.errors import DataError
+from windcast.errors import DataError, ToolkitError
 from windcast.explain import LimeConfig
 from windcast.metrics import deterministic_report
 from windcast.model_io import load_model
@@ -358,6 +358,43 @@ class TestExplain:
         ) == 2
 
 
+def _assert_no_child_left():
+    assert not multiprocessing.active_children()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=[None, 1, 2], ids=["cpus", "1cpu", "2cpu"])
+def forks(request, monkeypatch):
+    """The benchmark told that this many CPUs are usable (None: the real
+    count); the list of forks it made, where with one CPU forking fails."""
+    if request.param is not None:
+        monkeypatch.setattr(windcast._util, "usable_cpus", lambda: request.param)
+    made, real_fork = [], os.fork
+
+    def fork():
+        if request.param == 1:
+            raise AssertionError("a process was forked with one usable CPU")
+        made.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield made
+    _assert_no_child_left()
+
+
+def _arm_in_child(monkeypatch, child):
+    """Run child(*args) for the arm the forked child trains; the parent's
+    arm trains as usual."""
+    monkeypatch.setattr(windcast._util, "usable_cpus", lambda: 2)
+    here, real = os.getpid(), windcast.pipeline._benchmark_arm
+
+    def arm(*args):
+        return real(*args) if os.getpid() == here else child(*args)
+
+    monkeypatch.setattr(windcast.pipeline, "_benchmark_arm", arm)
+
+
 class TestBenchmark:
     def test_report_shape(self, trained):
         assert run(
@@ -381,14 +418,88 @@ class TestBenchmark:
         b = json.loads((trained / "bench2.json").read_text())
         assert a["split_hash"] == b["split_hash"]
 
-    def test_report_matches_sequential_training(self, trained):
+    def test_report_matches_sequential_training(self, trained, forks):
         assert run(
             trained, "benchmark", "--config", "point.json", "--seeds", "3",
             "--out", "bench3.json",
         ) == 0
+        # one block per pass, so no training workers: a child for the off arm
+        assert len(forks) == (windcast._util.usable_cpus() > 1)
         doc = json.loads((trained / "bench3.json").read_text())
         reference = json.loads(dump_json(_sequential_benchmark(trained / "point.json", 3)))
         assert _without_wall_times(doc) == reference
+
+    def test_arms_stay_sequential_where_training_forks_workers(self, trained, monkeypatch):
+        # blocks of 32 rows and two usable CPUs: full-batch passes fork a worker
+        monkeypatch.setattr(windcast.optim, "TRAIN_ROWS", 32)
+        monkeypatch.setattr(windcast._util, "usable_cpus", lambda: 2)
+        pids, real = [], windcast.pipeline._benchmark_arm
+
+        def arm(*args):
+            pids.append(os.getpid())
+            return real(*args)
+
+        monkeypatch.setattr(windcast.pipeline, "_benchmark_arm", arm)
+        assert run(
+            trained, "benchmark", "--config", "point.json", "--seeds", "2",
+            "--out", "bench_blocks.json",
+        ) == 0
+        assert pids == [os.getpid()] * 2
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("child, code", [
+        (lambda *args: os._exit(3), 3),
+        # a megabyte reaches the pipe before pickling fails: an answer cut short
+        (lambda *args: [b"x" * 2**20, lambda: None], 1),
+    ], ids=["exit", "unpicklable"])
+    def test_a_child_that_dies_ends_in_a_windcast_error(self, trained, capsys, monkeypatch,
+                                                       child, code):
+        _arm_in_child(monkeypatch, child)
+        assert run(
+            trained, "benchmark", "--config", "point.json", "--seeds", "2",
+            "--out", "dead_bench.json",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: ToolkitError: benchmark worker process ")
+        assert err.endswith(f" ended with exit code {code}\n")
+        assert "Traceback" not in err
+        assert not (trained / "dead_bench.json").exists()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("exc, code", [(ToolkitError("no off arm"), 1),
+                                           (DataError("no off arm"), 3)])
+    def test_an_error_in_the_childs_arm_is_raised_here(self, trained, capsys, monkeypatch,
+                                                       exc, code):
+        def failing(*args):
+            raise exc
+
+        _arm_in_child(monkeypatch, failing)
+        assert run(
+            trained, "benchmark", "--config", "point.json", "--seeds", "2",
+            "--out", "failed_bench.json",
+        ) == code
+        assert capsys.readouterr().err == f"windcast: {type(exc).__name__}: no off arm\n"
+        assert not (trained / "failed_bench.json").exists()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [RuntimeError("no on arm"), KeyboardInterrupt()])
+    def test_an_error_in_this_process_ends_the_child(self, trained, monkeypatch, exc):
+        monkeypatch.setattr(windcast._util, "usable_cpus", lambda: 2)
+        here = os.getpid()
+
+        def arm(*args):
+            if os.getpid() != here:
+                time.sleep(60)
+            raise exc
+
+        monkeypatch.setattr(windcast.pipeline, "_benchmark_arm", arm)
+        started = time.perf_counter()
+        with pytest.raises(type(exc)):
+            main(["benchmark", "--config", str(trained / "point.json"), "--seeds", "2",
+                  "--out", str(trained / "interrupted_bench.json")])
+        assert time.perf_counter() - started < 30
+        assert not (trained / "interrupted_bench.json").exists()
+        _assert_no_child_left()
 
     def test_workers_flag_is_gone(self, trained, capsys):
         assert run(
@@ -493,6 +604,30 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (workdir / "dead.json").exists()
         assert not multiprocessing.active_children()
+
+    def test_a_prediction_worker_that_dies_ends_in_a_windcast_error(self, trained, capsys,
+                                                                    monkeypatch):
+        # blocks of 8 rows and two usable CPUs: predict formats them in workers
+        monkeypatch.setattr(windcast.pipeline, "CSV_BLOCK_ROWS", 8)
+        monkeypatch.setattr(windcast._util, "usable_cpus", lambda: 2)
+        here, real = os.getpid(), windcast.pipeline.predictions_csv
+
+        def dying(*args):
+            if os.getpid() != here:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(windcast.pipeline, "predictions_csv", dying)
+        assert run(
+            trained, "predict", "--model", "point_model.json", "--config", "point.json",
+            "--out", "dead.csv",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == ("windcast: ToolkitError: a prediction worker process ended "
+                       "before its blocks were written\n")
+        assert not (trained / "dead.csv").exists()
+        assert not list(trained.glob(".tmp-*"))
+        _assert_no_child_left()
 
     def test_missing_data_file_is_data_error(self, workdir):
         cfg = {"data": {"path": "not_there.csv", "timestamp_col": "timestamp",
