@@ -1,16 +1,18 @@
-"""Small shared helpers: deterministic JSON, atomic file writes and the
-number of CPUs a command may spread its work over."""
+"""Small shared helpers: deterministic JSON, atomic file writes, and the
+forked child processes a command spreads its work over."""
 
 from __future__ import annotations
 
 import contextlib
 import json
 import os
+import pickle
+import signal
 import tempfile
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, ToolkitError
 
 
 def usable_cpus() -> int:
@@ -19,6 +21,122 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def children(cap: int, here: bool = False) -> int:
+    """How many children forked starts for work that splits at most cap
+    ways: one per usable CPU, at most cap, less one where this process
+    does a share itself (here); none where fork does not exist or only
+    one process would work."""
+    processes = min(usable_cpus(), cap) if hasattr(os, "fork") else 1
+    return processes - here if processes > 1 else 0
+
+
+class Child:
+    """A forked child as its parent sees it: its pid, the write end of its
+    command pipe and the read end of its answer pipe."""
+
+    def __init__(self, what: str, pid: int, commands: int, answers: int):
+        self.what, self.pid, self.commands = what, pid, commands
+        self.answers = open(answers, "rb")
+        self.code = None  # its exit code, once reaped
+
+    def send(self, command: bytes) -> None:
+        try:
+            os.write(self.commands, command)
+        except BrokenPipeError:
+            raise self._lost() from None
+
+    def receive(self):
+        """The child's next answer, or the exception it raised, raised here;
+        ToolkitError if it ended without one."""
+        try:
+            ok, value = pickle.load(self.answers)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._lost() from None
+        if not ok:
+            raise value
+        return value
+
+    def _lost(self) -> ToolkitError:
+        self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return ToolkitError(f"{self.what} worker process {self.pid} "
+                            f"ended with exit code {self.code}")
+
+
+_ENDING = (signal.SIGINT, signal.SIGTERM)
+
+
+@contextlib.contextmanager
+def forked(what: str, serve, cap: int, here: bool = False):
+    """Run serve in children(cap, here) forked processes while the with
+    block runs; yields their Child handles, none where that count is 0.
+
+    Child i of n sends this process each item serve(i, n, commands) gives,
+    pickled, and the exception if serve raises; commands is the read end
+    of its command pipe. A child ignores SIGINT, which reaches the whole
+    process group, takes SIGTERM's default action, closes every pipe end
+    but its own two, and leaves by os._exit, so it never returns into the
+    caller; an answer it cannot send ends it with exit code 1. When the
+    block ends, every child not yet reaped is killed and reaped. SIGINT
+    and SIGTERM wait while children are forked and ended, so that none
+    outlives this process unknown to it.
+    """
+    if not (n := children(cap, here)):
+        yield []
+        return
+    made = []
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _ENDING)
+    try:
+        for i in range(n):
+            command_r, command_w = os.pipe()
+            answer_r, answer_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                others = [fd for c in made for fd in (c.commands, c.answers.fileno())]
+                _serve(serve, (i, n, command_r), answer_w, mask, [command_w, answer_r, *others])
+            os.close(command_r)
+            os.close(answer_w)
+            made.append(Child(what, pid, command_w, answer_r))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield made
+    finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, _ENDING)
+        for child in made:
+            os.close(child.commands)
+            child.answers.close()
+            if child.code is None:
+                os.kill(child.pid, signal.SIGKILL)
+                os.waitpid(child.pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _serve(serve, args, answers: int, mask, others) -> None:
+    """A forked child's whole life: see forked."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in others:
+            os.close(fd)
+        with open(answers, "wb") as out:
+            for outcome in _outcomes(serve, args):
+                pickle.dump(outcome, out)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _outcomes(serve, args):
+    """(True, item) for each item of serve(*args), and last (False, exc)
+    if serve raised exc."""
+    try:
+        for item in serve(*args):
+            yield True, item
+    except Exception as exc:
+        yield False, exc
 
 
 def jsonable(obj):

@@ -4,13 +4,16 @@ Subcommands: train, predict, evaluate, explain, benchmark. All outputs
 are written atomically; given identical inputs and seeds, every command
 except benchmark (whose reports carry wall times) produces byte-identical
 files. Exit codes: 0 success, 1 usage, 2 schema/shape, 3 data, 4
-numerical failure.
+numerical failure. SIGTERM ends a command as an exception does, so its
+forked children end with it and no partial output is left; the exit
+status is then 143.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 from ._util import atomic_write_text, atomic_writer, dump_json
@@ -186,13 +189,20 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ToolkitError as exc:
         print(f"windcast: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -42,10 +42,10 @@ dL/dpred already divided by that count: only where partial sums are
 rounded differs from one pass.
 
 A full-batch pass of more than one block uses every CPU the process may
-run on: forked workers and the training process take blocks as each
-becomes free and leave every block's loss sum and gradient in shared
-memory, and the training process adds them up in block order, so the
-bytes equal those of a pass run in one process.
+run on: forked workers and the training process claim blocks from a
+shared pipe as each becomes free and leave every block's loss sum and
+gradient in shared memory, and the training process adds them up in
+block order, so the bytes equal those of a pass run in one process.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .errors import (
     ScheduleOverflowError,
     SchemaError,
     ShapeError,
-    ToolkitError,
 )
 from .network import (
     Loss, Network, Params, Workspace, backward, forward, stack_networks, unstack_network,
@@ -367,120 +366,83 @@ def _train_pass(stack: Network, x, y, loss: Loss, work: Workspace, want_grad: bo
 
 class _BlockWorkers:
     """Forked processes that compute blocks of a stack's full-batch
-    training passes beside the training process.
+    training passes beside the training process (_util.forked).
 
-    For each pass the parent puts the parameters in shared memory and
-    sends each worker one byte. Every process then takes the next
-    unclaimed block from a shared counter and leaves its loss sum and
-    gradient in that block's slot, until none is left, and each worker
-    answers one byte. The parent adds the slots up in block order, as
-    _train_pass does, so a descheduled worker delays the pass by at most
-    its block and the sums are bit for bit those of one process. A worker
-    exits at the end of its command pipe; a worker that dies fails the pass.
+    For each pass the parent puts the parameters in shared memory, writes
+    the pass's claims to a pipe that every process reads, and sends each
+    worker one byte. Every process then takes one claim per 8-byte read,
+    until the pipe is empty, and leaves each claimed block's loss sum and
+    gradient in that block's slot of shared memory; each worker then
+    answers. The parent adds the slots up in block order, as _train_pass
+    does, so a descheduled process delays a pass by at most one claim and
+    the sums are bit for bit those of one process. A claim is the first of
+    `step` blocks, so that a pass's claims fit in one write of at most
+    PIPE_BUF bytes, which an empty pipe takes at once. A worker that dies
+    fails the pass; close ends every worker.
     """
 
     @classmethod
     def start(cls, stack: Network, x, y, loss: Loss) -> "_BlockWorkers | None":
         """Workers for the full-batch passes of stack on (x, y), or None
-        where this process does them alone (see count)."""
-        count = cls.count(len(x), stack.flat.shape)
-        if not count:
-            return None
-        # imported here: multiprocessing would add 13-16 ms to every command's start
-        import multiprocessing
+        where this process does them alone (see _ways)."""
+        ways = _ways(len(x), stack.flat.shape)
+        return cls(stack, x, y, loss, ways) if _util.children(ways, here=True) else None
 
-        return cls(multiprocessing.get_context("fork"), count, stack, x, y, loss)
-
-    @staticmethod
-    def count(n_rows: int, shape) -> int:
-        """How many workers start forks for a stack whose flat parameters
-        have shape (S, P), on n_rows rows: one per usable CPU but this
-        process's, or 0 where this process does the passes alone: one
-        block or one CPU, no fork, or block results that would take more
-        than STACK_BYTES."""
-        blocks = -(-n_rows // TRAIN_ROWS)
-        count = min(_util.usable_cpus(), blocks) - 1
-        s, p = shape
-        if count < 1 or 8 * blocks * s * (p + 1) > STACK_BYTES or not hasattr(os, "fork"):
-            return 0
-        return count
-
-    def __init__(self, context, count: int, stack: Network, x, y, loss: Loss):
+    def __init__(self, stack: Network, x, y, loss: Loss, ways: int):
         import mmap
+        import select
 
         self.x, self.y, self.loss, self.rows = x, y, loss, TRAIN_ROWS
         self.blocks = -(-len(x) // self.rows)
         self.entries = len(x) * loss.n_outputs
         s, p = stack.flat.shape
-        shared = mmap.mmap(-1, 8 * (1 + s * p + self.blocks * s * (1 + p)))
-        self.next_block = np.frombuffer(shared, np.int64, 1)
-        floats = np.frombuffer(shared, np.float64, offset=8)
+        shared = mmap.mmap(-1, 8 * (s * p + self.blocks * s * (1 + p)))
+        floats = np.frombuffer(shared, np.float64)
         self.params = floats[:s * p].reshape(s, p)
         self.losses = floats[s * p:s * p + self.blocks * s].reshape(self.blocks, s)
         self.grads = floats[s * p + self.blocks * s:].reshape(self.blocks, s, p)
-        self.lock = context.Lock()
-        self.procs, self.commands, self.answers = [], [], []
-        try:
-            for _ in range(count):
-                command_r, self_w = os.pipe()
-                self_r, answer_w = os.pipe()
-                self.commands.append(self_w)
-                self.answers.append(self_r)
-                proc = context.Process(target=self._serve, daemon=True,
-                                       args=(stack.architecture, command_r, answer_w))
-                try:
-                    proc.start()
-                finally:
-                    os.close(command_r)
-                    os.close(answer_w)
-                self.procs.append(proc)
-        except BaseException:
-            self.close()
-            raise
+        self.architecture = stack.architecture
+        self.step = -(-self.blocks // (select.PIPE_BUF // 8))
+        self.claims = b"".join(lo.to_bytes(8, "little") for lo in range(0, self.blocks, self.step))
+        self.claims_r, self.claims_w = os.pipe()
+        os.set_blocking(self.claims_r, False)
+        self.forks = _util.forked("training", self._serve, ways, here=True)
+        self.workers = self.forks.__enter__()
 
-    def _serve(self, architecture, commands: int, answers: int) -> None:
-        """A worker's loop: a pass per command byte, until the pipe ends."""
-        import signal
-
-        # Ctrl-C reaches the whole process group; the parent alone handles it.
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        for fd in self.commands + self.answers:  # the parent's ends, its siblings' too
-            os.close(fd)
-        net = Network.viewing(architecture, np.empty(self.params.shape))
+    def _serve(self, i: int, n: int, commands: int):
+        """A worker's answers: a pass per command byte, until the pipe ends."""
+        net = Network.viewing(self.architecture, np.empty(self.params.shape))
         work = Workspace(net, self.rows)
         with np.errstate(over="ignore", invalid="ignore"):
             while command := os.read(commands, 1):
                 net.flat[...] = self.params
                 self._run_blocks(net, work, command == b"g")
-                os.write(answers, b"d")
+                yield b"d"
 
     def _run_blocks(self, net: Network, work: Workspace, want_grad: bool) -> None:
+        """Claim blocks and run them, until every claim is taken."""
         while True:
-            with self.lock:
-                b = int(self.next_block[0])
-                self.next_block[0] = b + 1
-            if b >= self.blocks:
+            try:
+                lo = int.from_bytes(os.read(self.claims_r, 8), "little")
+            except BlockingIOError:
                 return
-            rows = slice(b * self.rows, (b + 1) * self.rows)
-            grads = work.block_grads if want_grad else None
-            self.losses[b] = _train_block(net, self.x[rows], self.y[rows], self.loss, work,
-                                          self.entries, grads)
-            if want_grad:
-                self.grads[b] = grads.flat
+            for b in range(lo, min(lo + self.step, self.blocks)):
+                rows = slice(b * self.rows, (b + 1) * self.rows)
+                grads = work.block_grads if want_grad else None
+                self.losses[b] = _train_block(net, self.x[rows], self.y[rows], self.loss, work,
+                                              self.entries, grads)
+                if want_grad:
+                    self.grads[b] = grads.flat
 
     def run(self, stack: Network, work: Workspace, want_grad: bool):
         """_train_pass's result for stack, its blocks shared with the workers."""
         self.params[...] = stack.flat
-        self.next_block[0] = 0
-        for proc, fd in zip(self.procs, self.commands):
-            try:
-                os.write(fd, b"g" if want_grad else b"l")
-            except BrokenPipeError:
-                raise self._lost(proc) from None
+        os.write(self.claims_w, self.claims)
+        for worker in self.workers:
+            worker.send(b"g" if want_grad else b"l")
         self._run_blocks(stack, work, want_grad)
-        for proc, fd in zip(self.procs, self.answers):
-            if os.read(fd, 1) != b"d":
-                raise self._lost(proc)
+        for worker in self.workers:
+            worker.receive()
         total = self.losses[0]
         for value in self.losses[1:]:
             total = total + value
@@ -490,24 +452,11 @@ class _BlockWorkers:
                 work.grads.flat += grads
         return total / self.entries, work.grads if want_grad else None
 
-    @staticmethod
-    def _lost(proc) -> ToolkitError:
-        proc.join()
-        return ToolkitError(f"training worker process {proc.pid} ended "
-                            f"with exit code {proc.exitcode}")
-
     def close(self) -> None:
-        """End every worker and reap it: with no block left to claim, each
-        stops after its current block and exits at the end of its pipe."""
-        with self.lock:
-            self.next_block[0] = self.blocks
-        for fd in self.commands:
-            os.close(fd)
-        for proc in self.procs:
-            proc.join()
-        for fd in self.answers:
-            os.close(fd)
-        self.procs, self.commands, self.answers = [], [], []
+        """End every worker and reap it."""
+        self.forks.__exit__(None, None, None)
+        os.close(self.claims_r)
+        os.close(self.claims_w)
 
 
 STACK_BYTES = 32 * 2**20
@@ -533,6 +482,16 @@ def stack_size(architecture, n_rows: int, batch_size: int | None = None) -> int:
     return max(1, STACK_BYTES // per_network)
 
 
+def _ways(n_rows: int, shape) -> int:
+    """How many ways a full-batch pass on n_rows rows of a stack whose
+    flat parameters have shape (S, P) may be split over processes: one
+    per block, or 1 where the blocks' results would take more than
+    STACK_BYTES."""
+    blocks = -(-n_rows // TRAIN_ROWS)
+    s, p = shape
+    return blocks if 8 * blocks * s * (p + 1) <= STACK_BYTES else 1
+
+
 def forks_workers(architecture, n_rows: int, batch_size: int | None = None) -> bool:
     """Whether train_seeds, training networks of architecture on n_rows
     rows in batches of batch_size, may share its passes with forked
@@ -540,7 +499,7 @@ def forks_workers(architecture, n_rows: int, batch_size: int | None = None) -> b
     stack becomes, would start them."""
     params = sum(map(math.prod, architecture.param_shapes))
     return (_step_rows(n_rows, batch_size) == n_rows
-            and _BlockWorkers.count(n_rows, (1, params)) > 0)
+            and _util.children(_ways(n_rows, (1, params)), here=True) > 0)
 
 
 def train(

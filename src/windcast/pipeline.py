@@ -10,12 +10,8 @@ section against a trained model, before the CSV is read.
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import dataclasses
 import hashlib
-import os
-import pickle
 import time
 from dataclasses import dataclass
 
@@ -36,7 +32,7 @@ from .data import (
     make_lag_windows,
     make_nwp_set,
 )
-from .errors import DivergenceError, SchemaError, ToolkitError
+from .errors import DivergenceError, SchemaError
 from .explain import LimeConfig, fit_lime, permutation_importance
 from .metrics import deterministic_report, probabilistic_report
 from .model_io import ModelBundle
@@ -201,47 +197,28 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
     units, to the text file fh; returns the number of rows written.
 
     The header goes first, then the rows a block of CSV_BLOCK_ROWS at a
-    time, in order. Forked worker processes forecast and format their own
-    blocks, one per CPU this process may use, with at most two blocks per
-    worker in flight; with one CPU or one block, or where fork does not
-    exist, the blocks are done here. Either way each block is
-    predictions_csv's text, and a row's forecast does not depend on the
-    rows around it, so the bytes do not depend on the route. A worker
-    that dies ends the write with ToolkitError.
+    time, in order. Forked children forecast and format the blocks, one
+    per usable CPU (_util.forked), child i of n taking blocks i, i + n,
+    ...; a child formats its next block once the last is in its pipe, so
+    at most about two blocks per child are in flight. With one CPU or one
+    block, or where fork does not exist, the blocks are done here. Either
+    way each block is predictions_csv's text, and a row's forecast does
+    not depend on the rows around it, so the bytes do not depend on the
+    route. A child that dies ends the write with ToolkitError.
     """
     full = prepared.full
     names = [f"q{q:g}" for q in bundle.quantile_levels] or ["prediction"]
     fh.write(",".join(["timestamp", "y_true", *names]) + "\n")
     blocks = (bundle, prepared.raw_frame, full.target_indices, full.x)
     starts = range(0, len(full.target_indices), CSV_BLOCK_ROWS)
-    # imported here: multiprocessing would add 13-16 ms to every command's start
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    workers = min(_util.usable_cpus(), len(starts))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        for lo in starts:
-            fh.write(_block_text(blocks, lo))
-    else:
-        # Forked workers inherit the arrays, so a task is one block start.
-        # An executor, not multiprocessing.Pool: it forks every worker
-        # before it starts a thread; its exit lets the workers finish what
-        # is queued and joins them, where Pool.terminate can kill one that
-        # holds a queue lock and hang; and a worker that dies fails its
-        # blocks instead of leaving them unanswered.
-        context = multiprocessing.get_context("fork")
-        try:
-            with ProcessPoolExecutor(workers, context, _start_worker, blocks) as pool:
-                pending = collections.deque()
-                for lo in starts:
-                    pending.append(pool.submit(_worker_block_text, lo))
-                    if len(pending) == 2 * workers:
-                        fh.write(pending.popleft().result())
-                while pending:
-                    fh.write(pending.popleft().result())
-        except BrokenProcessPool:
-            raise ToolkitError("a prediction worker process ended before "
-                               "its blocks were written") from None
+    def serve(i, n, _):
+        return (_block_text(blocks, lo) for lo in starts[i::n])
+
+    with _util.forked("prediction", serve, len(starts)) as workers:
+        for k, lo in enumerate(starts):
+            fh.write(workers[k % len(workers)].receive() if workers
+                     else _block_text(blocks, lo))
     return len(full.target_indices)
 
 
@@ -250,22 +227,6 @@ def _block_text(blocks, lo: int) -> str:
     bundle, frame, idx, x = blocks
     hi = lo + CSV_BLOCK_ROWS
     return predictions_csv(bundle, frame, idx[lo:hi], x[lo:hi])
-
-
-_worker_blocks = None  # a worker's (bundle, frame, idx, x), set by _start_worker
-
-
-def _start_worker(*blocks) -> None:
-    import signal  # loaded with multiprocessing, so free here
-
-    # Ctrl-C reaches the whole process group; the parent alone handles it.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    global _worker_blocks
-    _worker_blocks = blocks
-
-
-def _worker_block_text(lo: int) -> str:
-    return _block_text(_worker_blocks, lo)
 
 
 def predictions_csv(bundle: ModelBundle, frame: TimeSeriesFrame, rows, x) -> str:
@@ -337,61 +298,6 @@ def _benchmark_arm(config, prepared, strategies, seeds) -> list[dict]:
     return reports
 
 
-@contextlib.contextmanager
-def _forked(fn, *args):
-    """Run fn(*args) in a forked child process while the with block runs.
-
-    Yields a function that waits for the child and returns what fn
-    returned, or raises what it raised, both pickled to this process over
-    a pipe; a child that ends without its answer raises ToolkitError. The
-    child ignores SIGINT and leaves by os._exit, so it never returns into
-    the caller. If the block ends before the answer is read, the child is
-    killed; either way it is reaped.
-    """
-    import signal  # imported here: no other command needs it
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            # Ctrl-C reaches the whole process group; the parent alone handles it.
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            os.close(read_fd)
-            try:
-                outcome = True, fn(*args)
-            except Exception as exc:
-                outcome = False, exc
-            with open(write_fd, "wb") as fh:
-                pickle.dump(outcome, fh)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    reaped = False
-
-    def answer():
-        nonlocal reaped
-        data = reader.read()
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        code = os.waitstatus_to_exitcode(status)
-        if code or not data:
-            raise ToolkitError(f"benchmark worker process {pid} ended with exit code {code}")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    with open(read_fd, "rb") as reader:
-        try:
-            yield answer
-        finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     """Paired A/B comparison: strategies on vs off, matched per-seed inits.
 
@@ -406,11 +312,11 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     (diverged) runs are recorded but excluded from the medians.
 
     The arms train in two processes: this one trains the on arm while a
-    forked child trains the off arm and sends its reports back. They
-    train one after the other here where this process may use one CPU,
-    fork does not exist, or training would share its passes with forked
-    workers of its own (optim.forks_workers). The report does not depend
-    on the route, but for its wall times.
+    forked child (_util.forked) trains the off arm and sends its reports
+    back. They train one after the other here where this process may use
+    one CPU, fork does not exist, or training would share its passes with
+    forked workers of its own (optim.forks_workers). The report does not
+    depend on the route, but for its wall times.
     """
     if n_seeds < 1:
         raise SchemaError("benchmark needs at least one seed")
@@ -418,13 +324,17 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     split_hash = _split_hash(prepared.test)
     seeds = [config.training.seed + i for i in range(n_seeds)]
     runs = [{"seed": run_seed} for run_seed in seeds]
-    on, off = _benchmark_strategies(config)
-    if (_util.usable_cpus() < 2 or not hasattr(os, "fork") or forks_workers(
-            config.model.architecture, len(prepared.train), config.training.batch_size)):
-        reports = [_benchmark_arm(config, prepared, arm, seeds) for arm in (on, off)]
-    else:
-        with _forked(_benchmark_arm, config, prepared, off, seeds) as off_reports:
-            reports = [_benchmark_arm(config, prepared, on, seeds), off_reports()]
+    arms = _benchmark_strategies(config)
+    arch, batch_size = config.model.architecture, config.training.batch_size
+    ways = 1 if forks_workers(arch, len(prepared.train), batch_size) else 2
+
+    def serve(i, n, _):
+        return [_benchmark_arm(config, prepared, arms[1], seeds)]
+
+    with _util.forked("benchmark", serve, ways, here=True) as children:
+        reports = [_benchmark_arm(config, prepared, arm, seeds)
+                   for arm in arms[:2 - len(children)]]
+        reports += [child.receive() for child in children]
     for arm, arm_reports in zip(("with_strategies", "without_strategies"), reports):
         for entry, report in zip(runs, arm_reports):
             entry[arm] = dict(report, split_hash=split_hash)

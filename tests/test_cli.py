@@ -4,8 +4,11 @@ taxonomy and byte-level determinism of the written artifacts."""
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
+import re
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -27,6 +30,7 @@ from windcast.network import Architecture, Loss, infer, init_network, predict_qu
 from windcast.optim import OptimizerConfig, StrategyConfig, train
 from windcast.pipeline import build_dataset, evaluate_bundle, explain_lime
 
+from conftest import assert_no_child_left
 from synth import write_wind_csv
 
 
@@ -358,12 +362,6 @@ class TestExplain:
         ) == 2
 
 
-def _assert_no_child_left():
-    assert not multiprocessing.active_children()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture(params=[None, 1, 2], ids=["cpus", "1cpu", "2cpu"])
 def forks(request, monkeypatch):
     """The benchmark told that this many CPUs are usable (None: the real
@@ -380,7 +378,7 @@ def forks(request, monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     yield made
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _arm_in_child(monkeypatch, child):
@@ -445,7 +443,7 @@ class TestBenchmark:
             "--out", "bench_blocks.json",
         ) == 0
         assert pids == [os.getpid()] * 2
-        _assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("child, code", [
         (lambda *args: os._exit(3), 3),
@@ -464,7 +462,7 @@ class TestBenchmark:
         assert err.endswith(f" ended with exit code {code}\n")
         assert "Traceback" not in err
         assert not (trained / "dead_bench.json").exists()
-        _assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("exc, code", [(ToolkitError("no off arm"), 1),
                                            (DataError("no off arm"), 3)])
@@ -480,7 +478,7 @@ class TestBenchmark:
         ) == code
         assert capsys.readouterr().err == f"windcast: {type(exc).__name__}: no off arm\n"
         assert not (trained / "failed_bench.json").exists()
-        _assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("exc", [RuntimeError("no on arm"), KeyboardInterrupt()])
     def test_an_error_in_this_process_ends_the_child(self, trained, monkeypatch, exc):
@@ -499,7 +497,7 @@ class TestBenchmark:
                   "--out", str(trained / "interrupted_bench.json")])
         assert time.perf_counter() - started < 30
         assert not (trained / "interrupted_bench.json").exists()
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_workers_flag_is_gone(self, trained, capsys):
         assert run(
@@ -516,6 +514,86 @@ class TestBenchmark:
             for arm in ("with_strategies", "without_strategies"):
                 assert run_a[arm]["nrmse"] == run_b[arm]["nrmse"]
                 assert run_a[arm]["r2"] == run_b[arm]["r2"]
+
+
+# windcast's CLI as a user runs it, with two usable CPUs faked and small
+# blocks, so that benchmark, predict and full-batch train fork children on any
+# host. The parent's first fork leaves a file named "forked"; a prediction
+# block takes 0.1 s, so predict's children are still busy when it appears.
+SIGTERM_DRIVER = """
+import os, sys, time
+import windcast._util, windcast.cli, windcast.optim, windcast.pipeline as pipeline
+windcast._util.usable_cpus = lambda: 2
+windcast.optim.TRAIN_ROWS = 32
+pipeline.CSV_BLOCK_ROWS = 8
+block, fork = pipeline.predictions_csv, os.fork
+pipeline.predictions_csv = lambda *args: time.sleep(0.1) or block(*args)
+def marked_fork():
+    pid = fork()
+    if pid:
+        open("forked", "w").close()
+    return pid
+os.fork = marked_fork
+sys.exit(windcast.cli.main(sys.argv[1:]))
+"""
+
+
+def _until(done, seconds: float) -> bool:
+    """Whether done() turns true within seconds, polled."""
+    deadline = time.monotonic() + seconds
+    while not done():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _group_ended(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestSigterm:
+    @pytest.fixture(scope="class")
+    def long_runs(self, trained):
+        """Configs that train for minutes: full batch, and minibatches of 32
+        rows, with which benchmark forks a child for an arm."""
+        cfg = json.loads((trained / "point.json").read_text())
+        cfg["training"]["epochs"] = 100_000
+        (trained / "long.json").write_text(json.dumps(cfg))
+        cfg["training"]["batch_size"] = 32
+        (trained / "long_minibatch.json").write_text(json.dumps(cfg))
+        return trained
+
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--config", "long_minibatch.json", "--seeds", "2"],
+        ["predict", "--model", "point_model.json", "--config", "point.json"],
+        ["train", "--config", "long.json"],
+    ], ids=lambda argv: argv[0])
+    def test_no_process_or_output_is_left(self, long_runs, argv):
+        root, out = long_runs, long_runs / f"sigterm_{argv[0]}.out"
+        (root / "forked").unlink(missing_ok=True)
+        src = os.path.dirname(os.path.dirname(windcast._util.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SIGTERM_DRIVER, *argv, "--out", out.name], cwd=root,
+            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            assert _until(lambda: (root / "forked").exists() or proc.poll() is not None, 60)
+            assert proc.poll() is None, "the command ended before it was sent SIGTERM"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) in (-signal.SIGTERM, 128 + signal.SIGTERM)
+            assert _until(lambda: _group_ended(proc.pid), 5), "a child outlived the command"
+        finally:
+            if not _group_ended(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert not out.exists()
+        assert not list(root.glob(".tmp-*"))
 
 
 def _without_wall_times(doc):
@@ -603,7 +681,7 @@ class TestExitCodes:
         assert err.endswith(" ended with exit code 3\n")
         assert "Traceback" not in err
         assert not (workdir / "dead.json").exists()
-        assert not multiprocessing.active_children()
+        assert_no_child_left()
 
     def test_a_prediction_worker_that_dies_ends_in_a_windcast_error(self, trained, capsys,
                                                                     monkeypatch):
@@ -623,11 +701,11 @@ class TestExitCodes:
             "--out", "dead.csv",
         ) == 1
         err = capsys.readouterr().err
-        assert err == ("windcast: ToolkitError: a prediction worker process ended "
-                       "before its blocks were written\n")
+        assert re.fullmatch(r"windcast: ToolkitError: prediction worker process \d+ "
+                            r"ended with exit code 3\n", err)
         assert not (trained / "dead.csv").exists()
         assert not list(trained.glob(".tmp-*"))
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_missing_data_file_is_data_error(self, workdir):
         cfg = {"data": {"path": "not_there.csv", "timestamp_col": "timestamp",

@@ -1,12 +1,14 @@
 """Tests for the optimizers, the three training strategies and the
 training loop."""
 
+import contextlib
 import dataclasses
 import math
 import mmap
-import multiprocessing
 import os
 import re
+import select
+import signal
 import time
 
 import numpy as np
@@ -39,6 +41,7 @@ from windcast.optim import (
     train_seeds,
 )
 
+from conftest import assert_no_child_left
 from oracles import adam_trajectory, per_parameter_noisy_adam, plain_steps
 
 
@@ -1029,6 +1032,21 @@ def worker_blocks(monkeypatch):
     return count
 
 
+@contextlib.contextmanager
+def _within(seconds: int):
+    """Raise AssertionError where the with block runs longer than seconds."""
+    def late(signum, frame):
+        raise AssertionError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestBlockWorkers:
     """Full-batch passes of several blocks shared with forked workers: the
     same bytes at every CPU count, and no process left behind."""
@@ -1047,8 +1065,24 @@ class TestBlockWorkers:
                              STRATEGIES_ON, loss, 12)
             outcomes[cpus] = (trace.rows, net.flat.tobytes())
             assert (worker_blocks[0] > 0) == (cpus > 1)
-            assert not multiprocessing.active_children()
+            assert_no_child_left()
         assert outcomes[1] == outcomes[2] == outcomes[4]
+
+    def test_claims_of_several_blocks_give_the_bytes_of_one_process(self, monkeypatch,
+                                                                    worker_blocks):
+        # room for two 8-byte claims: the three blocks go as claims of two and one
+        monkeypatch.setattr(select, "PIPE_BUF", 16)
+        train_set, val = _curved_problem()
+        outcomes = []
+        for cpus in (2, 1):
+            _fake_cpus(monkeypatch, cpus)
+            net = init_network(Architecture((4, 6, 1)), seed=2)
+            _, trace = train(net, train_set, val, OptimizerConfig(fixed_lr=0.01),
+                             STRATEGIES_ON, Loss(), 12)
+            outcomes.append((trace.rows, net.flat.tobytes()))
+        assert worker_blocks[0] > 0
+        assert outcomes[0] == outcomes[1]
+        assert_no_child_left()
 
     def test_slices_leave_a_stack_trained_by_workers(self, monkeypatch, worker_blocks):
         _fake_cpus(monkeypatch, 2)
@@ -1083,9 +1117,10 @@ class TestBlockWorkers:
         lengths = [len(rows) for i, rows in enumerate(stacked) if i != 1]
         stacks = 1 + len({n for n in lengths if n < max(lengths)} | {1})
         assert len(forks) == len(solo) + stacks
-        assert not multiprocessing.active_children()
+        assert_no_child_left()
 
-    @pytest.mark.parametrize("ending", ["success", "divergence", "error here", "worker exit"])
+    @pytest.mark.parametrize("ending", ["success", "divergence", "error here", "worker exit",
+                                        "worker killed"])
     def test_no_process_is_left(self, monkeypatch, worker_blocks, ending):
         _fake_cpus(monkeypatch, 2)
         here = os.getpid()
@@ -1095,6 +1130,8 @@ class TestBlockWorkers:
         def ending_block(*args):
             if ending == "worker exit" and os.getpid() != here:
                 os._exit(7)
+            if ending == "worker killed" and os.getpid() != here:
+                os.kill(os.getpid(), signal.SIGKILL)  # with a block taken, its answer owed
             if ending == "error here" and os.getpid() == here:
                 blocks_here.append(None)
                 if len(blocks_here) == 5:
@@ -1112,15 +1149,20 @@ class TestBlockWorkers:
             "worker exit": pytest.raises(
                 ToolkitError, match=r"^training worker process \d+ ended with exit code 7$"
             ),
+            "worker killed": pytest.raises(
+                ToolkitError, match=r"^training worker process \d+ ended with exit code -9$"
+            ),
         }[ending]
-        if expected is None:
-            train(net, train_set, val, OptimizerConfig(fixed_lr=lr), StrategyConfig(), Loss(), 6)
-            assert worker_blocks[0] > 0
-        else:
-            with expected:
+        with _within(30):  # a run that waits on a lost worker fails here, not hangs
+            if expected is None:
                 train(net, train_set, val, OptimizerConfig(fixed_lr=lr), StrategyConfig(),
                       Loss(), 6)
-        assert not multiprocessing.active_children()
+                assert worker_blocks[0] > 0
+            else:
+                with expected:
+                    train(net, train_set, val, OptimizerConfig(fixed_lr=lr), StrategyConfig(),
+                          Loss(), 6)
+        assert_no_child_left()
 
     def test_minibatches_fork_nothing(self, monkeypatch, worker_blocks):
         _fake_cpus(monkeypatch, 2)

@@ -3,7 +3,6 @@ this one, and the splits that share memory with the full supervised set
 without being written into."""
 
 import json
-import multiprocessing
 import os
 from datetime import datetime, timedelta
 
@@ -28,6 +27,7 @@ from windcast.pipeline import (
     write_predictions,
 )
 
+from conftest import assert_no_child_left
 from oracles import whole_predictions_csv
 from synth import wind_arrays, write_wind_csv
 
@@ -151,7 +151,7 @@ def test_failure_after_the_first_block_leaves_no_partial_file(
     else:
         assert out.read_bytes() == existing
     assert not list(two_block_run.glob(".tmp-*"))
-    assert not multiprocessing.active_children()
+    assert_no_child_left()
 
 
 BLOCK_ROWS = 8  # blocks this small keep a 25-block CSV quick to check
@@ -186,7 +186,7 @@ def test_every_worker_count_writes_the_bytes_of_the_whole_csv(
     assert "".join(fh.writes) == whole_predictions_csv(bundle, prepared)
     in_process = min(cpus, n_blocks) == 1
     assert len(here) == (n_blocks if in_process else 0)
-    assert not multiprocessing.active_children()
+    assert_no_child_left()
 
 
 def test_a_failing_block_ends_every_worker(cpus, monkeypatch):
@@ -197,7 +197,7 @@ def test_a_failing_block_ends_every_worker(cpus, monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         write_predictions(fh, bundle, prepared)
     assert len(fh.writes) == 2  # the header and the first block
-    assert not multiprocessing.active_children()
+    assert_no_child_left()
 
 
 class FullDisk(RecordingFile):
@@ -214,7 +214,7 @@ def test_a_failing_write_ends_every_worker(cpus):
     bundle = _bundle("quantile", prepared)
     with pytest.raises(OSError, match="No space left"):
         write_predictions(FullDisk(), bundle, prepared)
-    assert not multiprocessing.active_children()
+    assert_no_child_left()
 
 
 def test_commands_leave_the_shared_arrays_unchanged(two_block_run):
