@@ -91,7 +91,12 @@ def forked(what: str, serve, cap: int, here: bool = False):
         for i in range(n):
             command_r, command_w = os.pipe()
             answer_r, answer_w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (command_r, command_w, answer_r, answer_w):
+                    os.close(fd)
+                raise
             if pid == 0:
                 others = [fd for c in made for fd in (c.commands, c.answers.fileno())]
                 _serve(serve, (i, n, command_r), answer_w, mask, [command_w, answer_r, *others])

@@ -407,7 +407,12 @@ class _BlockWorkers:
         self.claims_r, self.claims_w = os.pipe()
         os.set_blocking(self.claims_r, False)
         self.forks = _util.forked("training", self._serve, ways, here=True)
-        self.workers = self.forks.__enter__()
+        try:
+            self.workers = self.forks.__enter__()
+        except BaseException:
+            os.close(self.claims_r)
+            os.close(self.claims_w)
+            raise
 
     def _serve(self, i: int, n: int, commands: int):
         """A worker's answers: a pass per command byte, until the pipe ends."""

@@ -1164,6 +1164,20 @@ class TestBlockWorkers:
                           Loss(), 6)
         assert_no_child_left()
 
+    def test_a_failed_fork_leaves_no_pipe_open(self, monkeypatch, worker_blocks):
+        _fake_cpus(monkeypatch, 2)
+
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        train_set, val = _curved_problem()
+        open_fds = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            train(init_network(Architecture((4, 6, 1)), seed=2), train_set, val,
+                  OptimizerConfig(), StrategyConfig(), Loss(), 3)
+        assert set(os.listdir("/proc/self/fd")) == open_fds
+
     def test_minibatches_fork_nothing(self, monkeypatch, worker_blocks):
         _fake_cpus(monkeypatch, 2)
 
