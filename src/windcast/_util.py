@@ -71,16 +71,21 @@ _ENDING = (signal.SIGINT, signal.SIGTERM)
 def forked(what: str, serve, cap: int, here: bool = False):
     """Run serve in children(cap, here) forked processes while the with
     block runs; yields their Child handles, none where that count is 0.
+    Where a fork (or a pipe for it) fails, at the process limit say, it
+    yields the children forked before, perhaps none, so a caller must give
+    the same result with any number of them, doing the work itself with
+    none.
 
-    Child i of n sends this process each item serve(i, n, commands) gives,
-    pickled, and the exception if serve raises; commands is the read end
-    of its command pipe. A child ignores SIGINT, which reaches the whole
-    process group, takes SIGTERM's default action, closes every pipe end
-    but its own two, and leaves by os._exit, so it never returns into the
-    caller; an answer it cannot send ends it with exit code 1. When the
-    block ends, every child not yet reaped is killed and reaped. SIGINT
-    and SIGTERM wait while children are forked and ended, so that none
-    outlives this process unknown to it.
+    Child i of the n yielded sends this process each item serve(i, n,
+    commands) gives, pickled, and the exception if serve raises; commands
+    is the read end of its command pipe, whose first 8 bytes, n, this
+    process writes once every fork is done. A child ignores SIGINT, which
+    reaches the whole process group, takes SIGTERM's default action,
+    closes every pipe end but its own two, and leaves by os._exit, so it
+    never returns into the caller; an answer it cannot send ends it with
+    exit code 1. When the block ends, every child not yet reaped is killed
+    and reaped. SIGINT and SIGTERM wait while children are forked and
+    ended, so that none outlives this process unknown to it.
     """
     if not (n := children(cap, here)):
         yield []
@@ -89,20 +94,24 @@ def forked(what: str, serve, cap: int, here: bool = False):
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, _ENDING)
     try:
         for i in range(n):
-            command_r, command_w = os.pipe()
-            answer_r, answer_w = os.pipe()
+            fds = []
             try:
+                fds += os.pipe()
+                fds += os.pipe()
                 pid = os.fork()
             except OSError:
-                for fd in (command_r, command_w, answer_r, answer_w):
+                for fd in fds:
                     os.close(fd)
-                raise
+                break
+            command_r, command_w, answer_r, answer_w = fds
             if pid == 0:
                 others = [fd for c in made for fd in (c.commands, c.answers.fileno())]
-                _serve(serve, (i, n, command_r), answer_w, mask, [command_w, answer_r, *others])
+                _serve(serve, i, command_r, answer_w, mask, [command_w, answer_r, *others])
             os.close(command_r)
             os.close(answer_w)
             made.append(Child(what, pid, command_w, answer_r))
+        for child in made:
+            child.send(len(made).to_bytes(8, "little"))
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield made
     finally:
@@ -116,7 +125,7 @@ def forked(what: str, serve, cap: int, here: bool = False):
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _serve(serve, args, answers: int, mask, others) -> None:
+def _serve(serve, i: int, commands: int, answers: int, mask, others) -> None:
     """A forked child's whole life: see forked."""
     code = 1
     try:
@@ -125,8 +134,9 @@ def _serve(serve, args, answers: int, mask, others) -> None:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for fd in others:
             os.close(fd)
+        n = int.from_bytes(os.read(commands, 8), "little")
         with open(answers, "wb") as out:
-            for outcome in _outcomes(serve, args):
+            for outcome in _outcomes(serve, (i, n, commands)) if n else ():
                 pickle.dump(outcome, out)
                 out.flush()
         code = 0

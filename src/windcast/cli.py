@@ -194,6 +194,10 @@ def _terminated(signum, frame):
 
 
 def main(argv=None) -> int:
+    # numpy loads numpy.random on first use, and a SystemExit raised while
+    # its compiled modules set up is lost: load it before SIGTERM raises one
+    import numpy.random  # noqa: F401
+
     previous = signal.signal(signal.SIGTERM, _terminated)
     try:
         args = build_parser().parse_args(argv)

@@ -241,7 +241,11 @@ def apply_scaler(frame: TimeSeriesFrame, scaler: Scaler) -> TimeSeriesFrame:
 @dataclass
 class SupervisedSet:
     """Feature matrix, target vector and the feature names that label X's
-    columns. target_indices maps each sample back to its frame row."""
+    columns. target_indices maps each sample back to its frame row.
+
+    x may be a read-only view in any memory order (lag windows are a view
+    of their series), so nothing may write into it; whatever hands rows
+    to BLAS makes them C-ordered first."""
 
     x: np.ndarray
     y: np.ndarray
@@ -273,7 +277,8 @@ def make_lag_windows(target, lag: int, horizon: int = 1) -> SupervisedSet:
     and values[i+lag+horizon-1] as the target, giving
     n = len - lag - horizon + 1 samples. Column j holds the value lag-j
     steps before delivery, so the names run lag_L .. lag_1 with lag_1 the
-    most recent observation.
+    most recent observation. x is a read-only view of the series, not a
+    copy: row i + 1 starts one value after row i.
     """
     values = np.asarray(target, dtype=float)
     if lag < 1 or horizon < 1:
@@ -283,7 +288,7 @@ def make_lag_windows(target, lag: int, horizon: int = 1) -> SupervisedSet:
         raise InsufficientDataError(
             f"series of length {len(values)} too short for lag {lag}, horizon {horizon}"
         )
-    x = np.lib.stride_tricks.sliding_window_view(values, lag)[:n].copy()
+    x = np.lib.stride_tricks.sliding_window_view(values, lag)[:n]
     first_target = lag + horizon - 1
     y = values[first_target : first_target + n].copy()
     names = tuple(f"lag_{lag - j}" for j in range(lag))

@@ -12,7 +12,9 @@ S, all slices see the same input batch, and predictions, gradients and
 per-slice loss values carry the same leading axis. Each slice computes
 bit for bit what its network computes alone.
 
-Every forecast runs through infer, forward on blocks of one fixed shape.
+forward takes any 2-D x, a strided view included, and hands BLAS a
+C-ordered copy of an x that is not C-ordered. Every forecast runs through
+infer, forward on blocks of one fixed shape.
 
 A training loop hands forward, the loss and backward a Workspace, the
 arrays one block of a training pass writes, allocated once. The values
@@ -220,8 +222,9 @@ class Workspace:
     """What one block of up to n rows of a training pass of net writes,
     allocated once.
 
-    zs and acts hold each layer's z and a (an identity output's a is its z),
-    das each hidden layer's dL/da, which backward turns into dL/dz in place,
+    x holds the input block where the batch's rows are not C-ordered, zs
+    and acts each layer's z and a (an identity output's a is its z), das
+    each hidden layer's dL/da, which backward turns into dL/dz in place,
     dpred the loss gradient and grads the parameter gradient. A block of
     fewer rows uses the leading rows of each. A pass of several blocks
     writes each later block's gradient to block_grads and adds it to grads.
@@ -229,6 +232,7 @@ class Workspace:
 
     def __init__(self, net: Network, n: int):
         arch = net.architecture
+        self.x = np.empty((n, arch.n_inputs))
         self.zs = [np.empty((*net.flat.shape[:-1], n, h)) for h in arch.layer_sizes[1:]]
         self.acts = [np.empty_like(z) for z in self.zs[:-1]]
         out = self.zs[-1]
@@ -261,9 +265,9 @@ def forward(net: Network, x: np.ndarray, *, want_cache: bool = False,
 
     Returns predictions (n, n_outputs), plus a cache dict when asked. The
     cache stores the input and each layer's pre-activation z and output a;
-    with a workspace they are stored in its arrays. A stacked network runs
-    the same (n, features) batch through every slice and returns
-    (S, n, n_outputs).
+    with a workspace they are stored in its arrays, an x that is not
+    C-ordered copied to its x. A stacked network runs the same (n,
+    features) batch through every slice and returns (S, n, n_outputs).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -274,10 +278,16 @@ def forward(net: Network, x: np.ndarray, *, want_cache: bool = False,
         )
     n = x.shape[0]
     work = work if want_cache else None
+    if work is not None and not x.flags.c_contiguous:
+        work.x[:n] = x
+        x = work.x[:n]
+    x = np.ascontiguousarray(x)  # faster than matmul's own handling of a strided x
     zs = []
     acts = [x]
     a = x
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        # a C-ordered copy of W.T is faster at some shapes, but OpenBLAS
+        # rounds it unlike the view at others (see TestBlasOperands)
         z = np.matmul(a, w.swapaxes(-1, -2), out=None if work is None else work.zs[k][..., :n, :])
         z += b[..., None, :]
         kind = net.architecture.activation(k)
@@ -297,8 +307,9 @@ def infer(net: Network, x: np.ndarray) -> np.ndarray:
     """forward's output, computed in blocks of INFER_ROWS rows, the last
     zero-padded. BLAS can round a row by how many rows share its call; with
     one shape for every call, a row's output is the same bytes whichever
-    rows come with it. C order keeps a strided block from leaving BLAS."""
-    x = np.ascontiguousarray(x, dtype=float)
+    rows come with it. forward makes each block C-ordered, so a strided x
+    is copied a block at a time."""
+    x = np.asarray(x, dtype=float)
     out = np.empty((len(x), net.architecture.n_outputs))
     for lo in range(0, max(len(x), 1), INFER_ROWS):  # an empty x still has its width checked
         block = x[lo:lo + INFER_ROWS]
@@ -344,8 +355,20 @@ def backward(net: Network, cache: dict, dloss_dpred: np.ndarray, *,
         np.matmul(dz.swapaxes(-1, -2), acts[k], out=grads[2 * k])
         dz.sum(axis=-2, out=grads[2 * k + 1])
         if k > 0:
-            da = np.matmul(dz, net.weights[k], out=None if das is None else das[k - 1])
+            da = _times_weights(dz, net.weights[k], None if das is None else das[k - 1])
     return grads
+
+
+def _times_weights(dz: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.matmul(dz, w, out=out), bit for bit. Where dz is one column wide
+    the product is an outer product, which numpy's matmul computes outside
+    BLAS as 0.0 + a * b per entry; a multiplication gives those bits
+    faster, once adding 0.0 turns a -0.0 product into 0.0."""
+    if dz.shape[-1] != 1:
+        return np.matmul(dz, w, out=out)
+    out = np.multiply(dz, w, out=out)
+    out += 0.0
+    return out
 
 
 def _slice_sum(a: np.ndarray, stacked: bool):

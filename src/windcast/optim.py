@@ -377,8 +377,10 @@ class _BlockWorkers:
     does, so a descheduled process delays a pass by at most one claim and
     the sums are bit for bit those of one process. A claim is the first of
     `step` blocks, so that a pass's claims fit in one write of at most
-    PIPE_BUF bytes, which an empty pipe takes at once. A worker that dies
-    fails the pass; close ends every worker.
+    PIPE_BUF bytes, which an empty pipe takes at once. A block of rows
+    that are not C-ordered is copied into the workspace of the process
+    that runs it. Where no worker could be forked the parent claims every
+    block. A worker that dies fails the pass; close ends every worker.
     """
 
     @classmethod
@@ -604,8 +606,13 @@ def train_seeds(
     n = len(train_set)
     step_rows = _step_rows(n, batch_size)
     full_batch = step_rows == n
-    batches = [(train_set.x, train_set.y)] if full_batch else [
-        (train_set.x[lo:lo + batch_size], train_set.y[lo:lo + batch_size])
+    # forward copies rows that are not C-ordered; rows it sees every epoch
+    # are copied once here instead, but for a full batch's, which a pass
+    # copies a block at a time
+    train_x = train_set.x if full_batch else np.ascontiguousarray(train_set.x)
+    val_x = np.ascontiguousarray(val_set.x) if has_val else None
+    batches = [(train_x, train_set.y)] if full_batch else [
+        (train_x[lo:lo + batch_size], train_set.y[lo:lo + batch_size])
         for lo in range(0, n, batch_size)
     ]
     work_rows = min(step_rows, TRAIN_ROWS)
@@ -613,7 +620,7 @@ def train_seeds(
     workers = None
     try:
         if full_batch and epochs:
-            workers = _BlockWorkers.start(stack, train_set.x, train_set.y, loss)
+            workers = _BlockWorkers.start(stack, train_x, train_set.y, loss)
         for epoch in range(1, epochs + 1):
             lr = optimizer.learning_rate(epoch)
             diverged: dict[int, int] = {}
@@ -627,12 +634,12 @@ def train_seeds(
                         diverged.setdefault(s, k)
                     grads = None
                 if full_batch:
-                    train_losses, grads = _train_pass(stack, train_set.x, train_set.y, loss,
+                    train_losses, grads = _train_pass(stack, train_x, train_set.y, loss,
                                                       work, epoch < epochs, workers)
                 else:
                     train_losses = [
                         None if s in diverged
-                        else loss.value(forward(net, train_set.x), train_set.y)
+                        else loss.value(forward(net, train_x), train_set.y)
                         for s, net in enumerate(slices)
                     ]
 
@@ -647,7 +654,7 @@ def train_seeds(
                             if rows else "no finite train_loss yet")
                     results[i] = DivergenceError(f"epoch {epoch}: {cause}; {last}")
                     continue
-                val_loss = loss.value(forward(net, val_set.x), val_set.y) if has_val else None
+                val_loss = loss.value(forward(net, val_x), val_set.y) if has_val else None
                 results[i].rows.append((epoch, lr, float(train_losses[s]), val_loss))
                 if early_stop_patience is not None and val_loss < best_val[i]:
                     best_val[i] = val_loss
@@ -673,7 +680,7 @@ def train_seeds(
                 if full_batch:
                     if workers is not None:
                         workers.close()
-                    workers = _BlockWorkers.start(stack, train_set.x, train_set.y, loss)
+                    workers = _BlockWorkers.start(stack, train_x, train_set.y, loss)
     finally:
         if workers is not None:
             workers.close()

@@ -178,7 +178,7 @@ def explain_lime(
             f"instance index {instance_index} outside the test split "
             f"(0..{len(test) - 1})"
         )
-    stats = prepared.train.x.std(axis=0)
+    stats = _column_std(prepared.train.x)
     explanation = fit_lime(
         lambda rows: bundle.forecast(rows)[1],
         test.x[instance_index],
@@ -192,6 +192,38 @@ def explain_lime(
     return doc
 
 
+def _column_std(x: np.ndarray, rows: int = CSV_BLOCK_ROWS) -> np.ndarray:
+    """x.std(axis=0) bit for bit, from C-ordered copies of rows rows at a
+    time instead of a full-size x - mean.
+
+    numpy sums a C-ordered array's columns down the rows, one row after
+    another, starting from 0.0; each block's sum carries on from the last
+    by taking the running sum as its first row. One column numpy sums
+    pairwise instead, so that goes to numpy whole; its x - mean is only a
+    column.
+    """
+    n, k = x.shape
+    if k == 1:
+        return x.std(axis=0)
+    buf = np.empty((min(n, rows) + 1, k))
+
+    def total(fill):
+        acc = np.zeros(k)
+        for lo in range(0, n, rows):
+            block = buf[:min(rows, n - lo) + 1]
+            block[0] = acc
+            fill(block[1:], x[lo:lo + rows])
+            acc = block.sum(axis=0)
+        return acc
+
+    mean = total(np.copyto) / n
+
+    def squared_deviations(out, part):
+        np.square(np.subtract(part, mean, out=out), out=out)
+
+    return np.sqrt(total(squared_deviations) / n)
+
+
 def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
     """Write a forecast of every constructible sample, in original target
     units, to the text file fh; returns the number of rows written.
@@ -201,10 +233,10 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
     per usable CPU (_util.forked), child i of n taking blocks i, i + n,
     ...; a child formats its next block once the last is in its pipe, so
     at most about two blocks per child are in flight. With one CPU or one
-    block, or where fork does not exist, the blocks are done here. Either
-    way each block is predictions_csv's text, and a row's forecast does
-    not depend on the rows around it, so the bytes do not depend on the
-    route. A child that dies ends the write with ToolkitError.
+    block, or where fork does not exist or fails, the blocks are done
+    here. Either way each block is predictions_csv's text, and a row's
+    forecast does not depend on the rows around it, so the bytes do not
+    depend on the route. A child that dies ends the write with ToolkitError.
     """
     full = prepared.full
     names = [f"q{q:g}" for q in bundle.quantile_levels] or ["prediction"]
@@ -314,9 +346,9 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     The arms train in two processes: this one trains the on arm while a
     forked child (_util.forked) trains the off arm and sends its reports
     back. They train one after the other here where this process may use
-    one CPU, fork does not exist, or training would share its passes with
-    forked workers of its own (optim.forks_workers). The report does not
-    depend on the route, but for its wall times.
+    one CPU, fork does not exist or fails, or training would share its
+    passes with forked workers of its own (optim.forks_workers). The
+    report does not depend on the route, but for its wall times.
     """
     if n_seeds < 1:
         raise SchemaError("benchmark needs at least one seed")

@@ -13,12 +13,30 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 ACCEPTANCE_RESULTS = []
+_FORK = os.fork  # before any test replaces it
 
 
 def assert_no_child_left() -> None:
     """Assert that this process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def fork_fails_after(monkeypatch, forks: int) -> None:
+    """Let os.fork make forks children, then fail as at the process limit."""
+    made = []
+
+    def fork():
+        if len(made) == forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        made.append(None)
+        return _FORK()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def open_descriptors() -> set:
+    return set(os.listdir("/proc/self/fd"))
 
 
 def record_criterion(number: int, label: str, passed: bool, detail: str = "") -> None:

@@ -30,7 +30,7 @@ from windcast.network import Architecture, Loss, infer, init_network, predict_qu
 from windcast.optim import OptimizerConfig, StrategyConfig, train
 from windcast.pipeline import build_dataset, evaluate_bundle, explain_lime
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, fork_fails_after, open_descriptors
 from synth import write_wind_csv
 
 
@@ -514,6 +514,41 @@ class TestBenchmark:
             for arm in ("with_strategies", "without_strategies"):
                 assert run_a[arm]["nrmse"] == run_b[arm]["nrmse"]
                 assert run_a[arm]["r2"] == run_b[arm]["r2"]
+
+
+class TestForkFailure:
+    """A fork that fails, as at the process limit, leaves the work to the
+    children already forked, or to this process: the command exits 0 with
+    the bytes it writes on one CPU, and no descriptor is left open."""
+
+    def _one_cpu_then_failing_forks(self, trained, monkeypatch, forks, cpus, *argv):
+        monkeypatch.setattr(windcast._util, "usable_cpus", lambda: 1)
+        assert run(trained, *argv, "--out", "one_cpu.out") == 0
+        monkeypatch.setattr(windcast._util, "usable_cpus", lambda: cpus)
+        fork_fails_after(monkeypatch, forks)
+        open_fds = open_descriptors()
+        assert run(trained, *argv, "--out", "failed_fork.out") == 0
+        assert open_descriptors() == open_fds
+        assert_no_child_left()
+        return [(trained / name).read_text() for name in ("one_cpu.out", "failed_fork.out")]
+
+    @pytest.mark.parametrize("forks", [0, 1])
+    def test_predict(self, trained, monkeypatch, forks):
+        # 64-row blocks: seven for the 400 rows, three children planned
+        monkeypatch.setattr(windcast.pipeline, "CSV_BLOCK_ROWS", 64)
+        one_cpu, failed = self._one_cpu_then_failing_forks(
+            trained, monkeypatch, forks, 3,
+            "predict", "--model", "quantile_model.json", "--config", "quantile.json",
+        )
+        assert failed == one_cpu
+
+    def test_benchmark(self, trained, monkeypatch):
+        one_cpu, failed = self._one_cpu_then_failing_forks(
+            trained, monkeypatch, 0, 2,
+            "benchmark", "--config", "point.json", "--seeds", "2",
+        )
+        assert _without_wall_times(json.loads(failed)) == _without_wall_times(
+            json.loads(one_cpu))
 
 
 # windcast's CLI as a user runs it, with two usable CPUs faked and small

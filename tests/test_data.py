@@ -386,6 +386,17 @@ class TestLagWindows:
         sset = make_lag_windows(values, lag=3, horizon=1)
         np.testing.assert_array_equal(values[sset.target_indices], sset.y)
 
+    def test_windows_are_a_read_only_view_of_the_series(self):
+        # rows x lag values would be a copy of the series lag times over
+        values = np.random.default_rng(2).random(1000)
+        sset = make_lag_windows(values, lag=48, horizon=2)
+        assert np.shares_memory(sset.x, values)
+        assert not sset.x.flags.writeable
+        assert not np.shares_memory(sset.y, values)
+        np.testing.assert_array_equal(
+            sset.x, [values[i:i + 48] for i in range(len(sset))]
+        )
+
     def test_too_short_series(self):
         with pytest.raises(InsufficientDataError):
             make_lag_windows([1.0, 2.0, 3.0], lag=3, horizon=1)

@@ -16,7 +16,7 @@ import pytest
 
 import windcast._util
 import windcast.optim
-from windcast.data import SupervisedSet
+from windcast.data import SupervisedSet, make_lag_windows
 from windcast.errors import (
     DivergenceError,
     ScheduleOverflowError,
@@ -25,7 +25,7 @@ from windcast.errors import (
     ToolkitError,
 )
 from windcast.network import (
-    Architecture, Loss, Network, Params, Workspace, backward, forward, init_network,
+    Architecture, Loss, Network, Params, Workspace, backward, forward, infer, init_network,
 )
 from windcast.optim import (
     OPTIMIZER_KINDS,
@@ -41,7 +41,7 @@ from windcast.optim import (
     train_seeds,
 )
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, fork_fails_after, open_descriptors
 from oracles import adam_trajectory, per_parameter_noisy_adam, plain_steps
 
 
@@ -1164,19 +1164,36 @@ class TestBlockWorkers:
                           Loss(), 6)
         assert_no_child_left()
 
-    def test_a_failed_fork_leaves_no_pipe_open(self, monkeypatch, worker_blocks):
-        _fake_cpus(monkeypatch, 2)
-
-        def failing_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", failing_fork)
+    @staticmethod
+    def _one_run():
         train_set, val = _curved_problem()
-        open_fds = set(os.listdir("/proc/self/fd"))
-        with pytest.raises(BlockingIOError):
-            train(init_network(Architecture((4, 6, 1)), seed=2), train_set, val,
-                  OptimizerConfig(), StrategyConfig(), Loss(), 3)
-        assert set(os.listdir("/proc/self/fd")) == open_fds
+        net = init_network(Architecture((4, 6, 1)), seed=2)
+        _, trace = train(net, train_set, val, OptimizerConfig(), StrategyConfig(), Loss(), 3)
+        return trace.rows, net.flat.tobytes()
+
+    def test_a_failed_fork_leaves_no_pipe_open(self, monkeypatch, worker_blocks):
+        # at the process limit the run trains every block here, as on one CPU
+        _fake_cpus(monkeypatch, 1)
+        one_cpu = self._one_run()
+        _fake_cpus(monkeypatch, 2)
+        fork_fails_after(monkeypatch, 0)
+        open_fds = open_descriptors()
+        assert self._one_run() == one_cpu
+        assert worker_blocks[0] == 0
+        assert open_descriptors() == open_fds
+
+    def test_a_fork_failing_after_the_first_trains_with_the_worker_made(self, monkeypatch,
+                                                                        worker_blocks):
+        # four CPUs: two workers planned for the three blocks, one forked
+        _fake_cpus(monkeypatch, 1)
+        one_cpu = self._one_run()
+        _fake_cpus(monkeypatch, 4)
+        fork_fails_after(monkeypatch, 1)
+        open_fds = open_descriptors()
+        assert self._one_run() == one_cpu
+        assert worker_blocks[0] > 0
+        assert open_descriptors() == open_fds
+        assert_no_child_left()
 
     def test_minibatches_fork_nothing(self, monkeypatch, worker_blocks):
         _fake_cpus(monkeypatch, 2)
@@ -1189,3 +1206,47 @@ class TestBlockWorkers:
         train(init_network(Architecture((4, 6, 1)), seed=2), train_set, val,
               OptimizerConfig(), StrategyConfig(), Loss(), 3, batch_size=48)
         assert worker_blocks[0] == 0
+
+
+def _window_sets(as_copies: bool, lag: int = 6):
+    """80 training and 16 validation samples of lag windows: the read-only
+    views make_lag_windows gives, or C-ordered copies of them."""
+    t = np.arange(96 + lag)
+    series = 0.5 + 0.4 * np.sin(t / 5.0) + np.random.default_rng(6).normal(0.0, 0.02, len(t))
+    full = make_lag_windows(series, lag)
+    x = np.ascontiguousarray(full.x) if as_copies else full.x
+    return (SupervisedSet(x[:80], full.y[:80], full.feature_names),
+            SupervisedSet(x[80:], full.y[80:], full.feature_names))
+
+
+class TestStridedInputs:
+    """Lag windows are a strided view of their series; training and
+    forecasts copy the rows they hand BLAS into C order, and give the bytes
+    they give on a C-ordered copy of the windows."""
+
+    @pytest.mark.parametrize("loss_kind", sorted(LOSSES))
+    @pytest.mark.parametrize("batch_size", [None, 48])  # 48 rows: blocks of 32 and 16
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_training_gives_the_bytes_of_a_c_ordered_copy(self, monkeypatch, worker_blocks,
+                                                          loss_kind, batch_size, cpus):
+        _fake_cpus(monkeypatch, cpus)
+        loss = LOSSES[loss_kind]
+        assert not _window_sets(as_copies=False)[0].x.flags.c_contiguous
+        outcomes = []
+        for as_copies in (False, True):
+            train_set, val = _window_sets(as_copies)
+            net = init_network(Architecture((6, 8, loss.n_outputs)), seed=2)
+            _, trace = train(net, train_set, val, OptimizerConfig(fixed_lr=0.01),
+                             STRATEGIES_ON, loss, 12, batch_size=batch_size)
+            outcomes.append((trace.rows, net.flat.tobytes()))
+        assert outcomes[0] == outcomes[1]
+        # two CPUs share a full batch's blocks with a forked worker
+        assert (worker_blocks[0] > 0) == (cpus == 2 and batch_size is None)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("sizes", [(48, 16, 1), (48, 8, 3)])
+    def test_infer_gives_the_bytes_of_a_c_ordered_copy(self, sizes):
+        series = np.random.default_rng(8).random(2500)
+        view = make_lag_windows(series, sizes[0]).x  # 2,452 rows: a padded last block
+        net = init_network(Architecture(sizes), seed=3)
+        assert infer(net, view).tobytes() == infer(net, np.ascontiguousarray(view)).tobytes()

@@ -4,6 +4,7 @@ without being written into."""
 
 import json
 import os
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -13,7 +14,9 @@ import windcast._util
 import windcast.pipeline
 from windcast.cli import main
 from windcast.config import load_config
-from windcast.data import TimeSeriesFrame, apply_scaler, fit_scaler, make_nwp_set
+from windcast.data import (
+    TimeSeriesFrame, apply_scaler, fit_scaler, make_lag_windows, make_nwp_set,
+)
 from windcast.metrics import DEFAULT_QUANTILE_LEVELS
 from windcast.model_io import ModelBundle, load_model
 from windcast.network import Architecture, Loss, init_network
@@ -236,3 +239,35 @@ def test_commands_leave_the_shared_arrays_unchanged(two_block_run):
     explain_lime(bundle, prepared)
     write_predictions(RecordingFile(), bundle, prepared)
     assert (full.x.tobytes(), full.y.tobytes()) == before
+
+
+def _spreads():
+    """Arrays whose column spread LIME takes: C-ordered ones of several
+    shapes, row counts around multiples of the 7-row blocks used here, and
+    lag-window views of a series."""
+    rng = np.random.default_rng(12)
+    for rows, cols in [(1, 3), (6, 2), (7, 2), (8, 5), (50, 1), (64, 48), (4097, 4)]:
+        yield rng.normal(3.0, 2.0, size=(rows, cols)) * rng.uniform(0.01, 100.0, cols)
+    series = rng.random(300)
+    for lag in (1, 2, 48):
+        yield make_lag_windows(series, lag).x
+
+
+@pytest.mark.parametrize("rows", [7, CSV_BLOCK_ROWS])
+def test_the_streamed_spread_is_numpys_std_bit_for_bit(rows):
+    for x in _spreads():
+        expected = np.ascontiguousarray(x).std(axis=0)
+        assert windcast.pipeline._column_std(x, rows).tobytes() == expected.tobytes()
+        assert x.std(axis=0).tobytes() == expected.tobytes()
+
+
+def test_the_streamed_spread_allocates_a_block_not_the_windows():
+    # x - mean of 80,000 x 48 windows would take 30.7 MB
+    x = make_lag_windows(np.random.default_rng(1).random(80_047), 48).x
+    tracemalloc.start()
+    try:
+        windcast.pipeline._column_std(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * CSV_BLOCK_ROWS * 48 * 8
