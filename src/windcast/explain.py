@@ -229,9 +229,10 @@ def render_bar_chart(names, values, title: str) -> str:
 
     Fixed viewport, one bar per feature, negative values drawn left of a
     zero axis. No timestamps or random ids, so equal inputs give equal
-    bytes.
+    bytes. The names and the title are XML-escaped.
     """
-    names = list(names)
+    from html import escape  # as xml.sax.saxutils.escape, which imports urllib.request
+    names = [escape(str(name), quote=False) for name in names]
     values = [float(v) for v in values]
     if len(names) != len(values):
         raise ShapeError("one name per value required")
@@ -248,7 +249,7 @@ def render_bar_chart(names, values, title: str) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">',
-        f'<text x="{label_w}" y="18" font-size="14">{title}</text>',
+        f'<text x="{label_w}" y="18" font-size="14">{escape(title, quote=False)}</text>',
         f'<line x1="{zero_x:.2f}" y1="{top - 6}" x2="{zero_x:.2f}" '
         f'y2="{height - 20}" stroke="#444" stroke-width="1"/>',
     ]

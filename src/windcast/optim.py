@@ -24,7 +24,8 @@ Note eps sits inside the square root for adam/nadam/rmsprop.
 
 Every formula works element by element and centralization row by row, so
 the optimizer and the training loop run S networks as one stack (see
-network.py) with each slice following its solo trajectory bit for bit.
+network.py) with each slice following its solo trajectory bit for bit;
+a slice whose run has ended stays in the stack, unread, to the end.
 
 The state shares the parameters' flat layout (see network.py): a step
 applies its formula once to (P,) or (S, P) arrays, and a slice's noise is
@@ -32,8 +33,8 @@ one P-value draw, equal to per-parameter draws from the same stream.
 
 The training loop gets every batch's loss and gradient from one training
 pass over row blocks of at most TRAIN_ROWS rows: forward, loss and
-backward run block by block in a network.Workspace of one block, kept per
-stack, so a full batch of any size streams block-sized arrays through the
+backward run block by block in the stack's one network.Workspace of one
+block, so a full batch of any size streams block-sized arrays through the
 cache. A batch of up to TRAIN_ROWS rows is one block and gives bit for
 bit what one unblocked pass gives. Over several blocks, the loss is the
 in-order sum of the blocks' sums divided by the batch's entry count, and
@@ -213,16 +214,6 @@ class Optimizer:
         if self.strategies.cosine_lr:
             return cosine_lr(epoch, self.strategies.initial_lr, self.strategies.total_epochs)
         return self.config.fixed_lr
-
-    def keep_slices(self, keep) -> None:
-        """Retain the state of the given stack slices only, in that order."""
-        for name in ("m", "v", "u"):
-            state = getattr(self, name)
-            if state is not None:
-                setattr(self, name, Params(state.flat[keep], state.shapes))
-        self.flat_shape = (len(keep), *self.flat_shape[1:])
-        if self._noise_rngs is not None:
-            self._noise_rngs = [self._noise_rngs[s] for s in keep]
 
     def step(self, params, grads, epoch: int = 1) -> dict[int, int]:
         """Update every parameter in place, in one pass over the flat arrays.
@@ -503,7 +494,7 @@ def forks_workers(architecture, n_rows: int, batch_size: int | None = None) -> b
     """Whether train_seeds, training networks of architecture on n_rows
     rows in batches of batch_size, may share its passes with forked
     workers: whether a full-batch stack of one network, the smallest a
-    stack becomes, would start them."""
+    stack can be, would start them."""
     params = sum(map(math.prod, architecture.param_shapes))
     return (_step_rows(n_rows, batch_size) == n_rows
             and _util.children(_ways(n_rows, (1, params)), here=True) > 0)
@@ -561,21 +552,21 @@ def train_seeds(
     otherwise each follows bit for bit the trajectory train() gives it
     alone. Returns one entry per network: its TrainingTrace, with the
     network's parameters updated, or the DivergenceError that ended its
-    run, with the network left as it was. A network leaves the stack when
-    it diverges, stops early or ends its last epoch; the others go on.
+    run, with the network left as it was. A run ends when it diverges,
+    stops early or ends its last epoch; its slice trains on with a zero
+    gradient, so one stack shape serves the call until every run has ended.
 
     An epoch runs its batches in order, each through one training pass
     (see the module docstring) in a workspace of min(batch rows,
-    TRAIN_ROWS) rows, allocated once per stack. A batch_size of None, 0 or
-    at least the training-set size means full batch: one batch of every
-    row. There the pass on the training set after epoch e's update is the
-    one epoch e+1 differentiates (same parameters, same rows), so it runs
-    once and gives both epoch e's train_loss and epoch e+1's gradient: E
-    epochs cost E + 1 training-set passes instead of 2E; a pass of several
-    blocks shares them with forked workers, one per other usable CPU,
-    forked once per stack. With minibatches, and for the validation loss,
-    each network is evaluated on its own, unblocked, after the epoch's
-    updates.
+    TRAIN_ROWS) rows. A batch_size of None, 0 or at least the training-set
+    size means full batch: one batch of every row. There the pass on the
+    training set after epoch e's update is the one epoch e+1
+    differentiates (same parameters, same rows), so it runs once and gives
+    both epoch e's train_loss and epoch e+1's gradient: E epochs cost
+    E + 1 training-set passes instead of 2E; a pass of several blocks
+    shares them with forked workers, one per other usable CPU. With
+    minibatches, and for the validation loss, each network is evaluated on
+    its own, unblocked, after the epoch's updates.
     """
     if epochs < 0:
         raise SchemaError("epochs must be >= 0")
@@ -598,7 +589,7 @@ def train_seeds(
     stack = stack_networks(nets)
     slices = unstack_network(stack)
     optimizer = Optimizer(opt_config, strategies, stack.parameters(), noise_seeds)
-    ids = list(range(len(nets)))  # the network each stack slice trains
+    ended: list = []  # the slices whose runs have ended
     results: list = [TrainingTrace([]) for _ in nets]  # or the DivergenceError that ends a run
     best_val = [math.inf] * len(nets)
     best_params: list = [None] * len(nets)  # flat copies
@@ -615,8 +606,7 @@ def train_seeds(
         (train_x[lo:lo + batch_size], train_set.y[lo:lo + batch_size])
         for lo in range(0, n, batch_size)
     ]
-    work_rows = min(step_rows, TRAIN_ROWS)
-    work, grads = Workspace(stack, work_rows), None
+    work, grads = Workspace(stack, min(step_rows, TRAIN_ROWS)), None
     workers = None
     try:
         if full_batch and epochs:
@@ -630,6 +620,8 @@ def train_seeds(
                 for x, y in batches:
                     if grads is None:  # else the last full-batch pass left this epoch's
                         _, grads = _train_pass(stack, x, y, loss, work, workers=workers)
+                    if ended:  # a diverged slice's rows would never settle in centralization
+                        grads.flat[ended] = 0.0
                     for s, k in optimizer.step(stack.params, grads, epoch).items():
                         diverged.setdefault(s, k)
                     grads = None
@@ -638,49 +630,36 @@ def train_seeds(
                                                       work, epoch < epochs, workers)
                 else:
                     train_losses = [
-                        None if s in diverged
+                        None if s in diverged or s in ended
                         else loss.value(forward(net, train_x), train_set.y)
                         for s, net in enumerate(slices)
                     ]
 
-            keep = []  # the slices that go on
             for s, net in enumerate(slices):
-                i = ids[s]
+                if s in ended:
+                    continue
                 if s in diverged or not math.isfinite(train_losses[s]):
                     cause = (f"non-finite gradient in {_parameter_name(diverged[s])}"
                              if s in diverged else f"training loss is {float(train_losses[s])}")
-                    rows = results[i].rows
+                    rows = results[s].rows
                     last = (f"last finite train_loss {rows[-1][2]!r} at epoch {rows[-1][0]}"
                             if rows else "no finite train_loss yet")
-                    results[i] = DivergenceError(f"epoch {epoch}: {cause}; {last}")
+                    results[s] = DivergenceError(f"epoch {epoch}: {cause}; {last}")
+                    ended.append(s)
                     continue
                 val_loss = loss.value(forward(net, val_x), val_set.y) if has_val else None
-                results[i].rows.append((epoch, lr, float(train_losses[s]), val_loss))
-                if early_stop_patience is not None and val_loss < best_val[i]:
-                    best_val[i] = val_loss
-                    best_params[i] = net.flat.copy()
-                    best_epoch[i] = epoch
+                results[s].rows.append((epoch, lr, float(train_losses[s]), val_loss))
+                if early_stop_patience is not None and val_loss < best_val[s]:
+                    best_val[s] = val_loss
+                    best_params[s] = net.flat.copy()
+                    best_epoch[s] = epoch
                 stopped = (early_stop_patience is not None
-                           and epoch - best_epoch[i] > early_stop_patience)
-                if epoch < epochs and not stopped:
-                    keep.append(s)
-                else:  # the run ends: its network takes the trained, or best, parameters
-                    nets[i].flat[...] = net.flat if best_params[i] is None else best_params[i]
-            if len(keep) < len(ids):
-                ids = [ids[s] for s in keep]
-                if not ids:
-                    break
-                stack = Network.viewing(stack.architecture, stack.flat[keep])
-                slices = unstack_network(stack)
-                optimizer.keep_slices(keep)
-                # the next epoch recomputes the full-batch pass for the
-                # remaining slices, in a workspace and by workers sized for them
-                grads = work = None  # never two at once
-                work = Workspace(stack, work_rows)
-                if full_batch:
-                    if workers is not None:
-                        workers.close()
-                    workers = _BlockWorkers.start(stack, train_x, train_set.y, loss)
+                           and epoch - best_epoch[s] > early_stop_patience)
+                if stopped or epoch == epochs:  # its network takes the trained or best parameters
+                    nets[s].flat[...] = net.flat if best_params[s] is None else best_params[s]
+                    ended.append(s)
+            if len(ended) == len(nets):
+                break
     finally:
         if workers is not None:
             workers.close()

@@ -293,6 +293,18 @@ class TestEvaluate:
         for block in doc["per_pinc"].values():
             assert {"picp", "ace", "pinaw", "winkler"} <= set(block)
 
+    def test_quantile_report_does_not_need_the_flag(self, trained):
+        # the flag only checks the model kind: every quantile report has the
+        # interval metrics
+        for name, flag in (("qeval_flag.json", ["--probabilistic"]), ("qeval_plain.json", [])):
+            assert run(
+                trained, "evaluate", "--model", "quantile_model.json",
+                "--config", "quantile.json", "--out", name, *flag,
+            ) == 0
+        plain = (trained / "qeval_plain.json").read_bytes()
+        assert plain == (trained / "qeval_flag.json").read_bytes()
+        assert {"qs", "crps", "per_pinc"} <= set(json.loads(plain))
+
     def test_quantile_model_forecasts_the_test_split_once(self, trained, monkeypatch):
         assert run(
             trained, "evaluate", "--model", "quantile_model.json",

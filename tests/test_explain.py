@@ -1,6 +1,8 @@
 """Tests for permutation importance, the local linear surrogate and the
 SVG bar chart renderer."""
 
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -270,3 +272,13 @@ class TestBarChart:
     def test_name_value_mismatch(self):
         with pytest.raises(ShapeError):
             render_bar_chart(["a"], [1.0, 2.0], "t")
+
+    def test_markup_in_names_and_title_is_escaped(self):
+        names = ["WS<10", "a&b", "c>d", "WS10"]
+        svg = render_bar_chart(names, [1.0, -2.0, 3.0, 4.0], "PFI <a&b>")
+        root = ElementTree.fromstring(svg)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "PFI <a&b>"
+        assert texts[1::2] == names
+        # a plain name keeps its bytes
+        assert 'text-anchor="end">WS10</text>' in svg

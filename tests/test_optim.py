@@ -324,8 +324,7 @@ class TestFlatStep:
         for state in (opt.m, opt.v):
             assert [a.shape for a in state] == [(3, *shape) for shape in self.SHAPES]
             assert all(np.shares_memory(a, state.flat) for a in state)
-        opt.keep_slices([2, 0])
-        assert opt.m.flat.shape == opt.v.flat.shape == (2, 32)
+        assert opt.m.flat.shape == opt.v.flat.shape == (3, 32)
 
     def test_lists_of_several_separate_arrays_are_rejected(self):
         w, b = np.zeros((2, 3)), np.zeros(2)
@@ -654,6 +653,20 @@ def _solo_and_stacked(make_net, seeds, train_set, val, opt_config, strategies, l
     return solo, stacked, solo_nets, stacked_nets
 
 
+def _ending_early(arch):
+    """init_network, but seed 3's training loss is inf at once and seed 4,
+    every relu dead, soon stops early."""
+    def make_net(seed):
+        net = init_network(arch, seed=seed)
+        if seed == 3:
+            net.parameters()[3].flat[0] = 1e200
+        if seed == 4:
+            net.weights[0][...] = -10.0
+        return net
+
+    return make_net
+
+
 def _assert_same_networks(nets_a, nets_b, skip=()):
     for i, (a, b) in enumerate(zip(nets_a, nets_b)):
         if i in skip:
@@ -724,6 +737,23 @@ class TestTrainSeedsMatchesSolo:
         # a diverged network is handed back as it was
         assert stacked_nets[1].parameters()[param].flat[0] == value
 
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    @pytest.mark.parametrize("batch_size", [None, 32])
+    def test_runs_ending_early_with_strategies_on(self, kind, batch_size):
+        # ended slices ride along in the stack, one of them non-finite
+        strategies = dataclasses.replace(STRATEGIES_ON, total_epochs=30)
+        train_set, val = _curved_problem()
+        solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
+            _ending_early(Architecture((4, 6, 1))), (2, 3, 4, 5, 6), train_set, val,
+            OptimizerConfig(kind=kind), strategies, Loss(), 30, batch_size=batch_size,
+            early_stop_patience=2,
+        )
+        assert stacked == solo
+        assert stacked[1] == "epoch 1: training loss is inf; no finite train_loss yet"
+        lengths = [len(rows) for i, rows in enumerate(stacked) if i != 1]
+        assert min(lengths) < max(lengths)
+        _assert_same_networks(solo_nets, stacked_nets, skip=(1,))
+
     def test_no_networks(self):
         train_set, val = _curved_problem()
         assert train_seeds([], train_set, val, OptimizerConfig(), StrategyConfig(),
@@ -738,7 +768,7 @@ class TestTrainSeedsMatchesSolo:
 
 
 class TestWorkspace:
-    """train_seeds keeps one workspace per stack; every slice still ends bit
+    """train_seeds builds one workspace per call; every slice still ends bit
     for bit where its solo run does."""
 
     @pytest.fixture
@@ -769,35 +799,21 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     @pytest.mark.parametrize("batch_size", [None, 32])
-    def test_slices_leave_by_divergence_and_early_stopping(self, workspaces, kind,
-                                                           batch_size):
-        arch = Architecture((4, 6, 1))
-
-        def make_net(seed):
-            net = init_network(arch, seed=seed)
-            if seed == 3:
-                net.parameters()[3].flat[0] = 1e200  # its training loss is inf
-            if seed == 4:
-                net.weights[0][...] = -10.0  # every relu dead: it soon stops early
-            return net
-
+    def test_runs_ending_early_keep_one_workspace(self, workspaces, kind, batch_size):
         train_set, val = _curved_problem()
         seeds = (2, 3, 4, 5, 6)
         solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
-            make_net, seeds, train_set, val, OptimizerConfig(kind=kind, fixed_lr=0.05),
-            StrategyConfig(), Loss(), 30, batch_size=batch_size, early_stop_patience=2,
+            _ending_early(Architecture((4, 6, 1))), seeds, train_set, val,
+            OptimizerConfig(kind=kind, fixed_lr=0.05), StrategyConfig(), Loss(), 30,
+            batch_size=batch_size, early_stop_patience=2,
         )
         assert stacked == solo
         assert stacked[1] == "epoch 1: training loss is inf; no finite train_loss yet"
         lengths = [len(rows) for i, rows in enumerate(stacked) if i != 1]
         assert min(lengths) < max(lengths)  # the others stop at different epochs
         _assert_same_networks(solo_nets, stacked_nets, skip=(1,))
-        # the stack's workspace is rebuilt at each epoch that some slice leaves
-        # while others go on, sized for those that remain
-        stack_sizes = [size for size, _ in workspaces[len(seeds):]]
-        assert stack_sizes[0] == len(seeds) and stack_sizes[1] == len(seeds) - 1
-        assert stack_sizes == sorted(stack_sizes, reverse=True)
-        assert len(stack_sizes) == 1 + len({n for n in lengths if n < max(lengths)} | {1})
+        # the stack keeps its shape, and its workspace, while runs end
+        assert workspaces[len(seeds):] == [(len(seeds), batch_size or len(train_set))]
 
 
 class TestStackSize:
@@ -954,21 +970,12 @@ class TestBlockedTraining:
         _assert_same_networks(solo_nets, stacked_nets)
 
     @pytest.mark.parametrize("batch_size", [None, 48])
-    def test_slices_leave_by_divergence_and_early_stopping(self, batch_size):
-        arch = Architecture((4, 6, 1))
-
-        def make_net(seed):
-            net = init_network(arch, seed=seed)
-            if seed == 3:
-                net.parameters()[3].flat[0] = 1e200  # its training loss is inf
-            if seed == 4:
-                net.weights[0][...] = -10.0  # every relu dead: it soon stops early
-            return net
-
+    def test_runs_end_by_divergence_and_early_stopping(self, batch_size):
         train_set, val = _curved_problem()
         solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
-            make_net, (2, 3, 4, 5, 6), train_set, val, OptimizerConfig(fixed_lr=0.05),
-            StrategyConfig(), Loss(), 30, batch_size=batch_size, early_stop_patience=2,
+            _ending_early(Architecture((4, 6, 1))), (2, 3, 4, 5, 6), train_set, val,
+            OptimizerConfig(fixed_lr=0.05), StrategyConfig(), Loss(), 30,
+            batch_size=batch_size, early_stop_patience=2,
         )
         assert stacked == solo
         assert stacked[1] == "epoch 1: training loss is inf; no finite train_loss yet"
@@ -1084,7 +1091,7 @@ class TestBlockWorkers:
         assert outcomes[0] == outcomes[1]
         assert_no_child_left()
 
-    def test_slices_leave_a_stack_trained_by_workers(self, monkeypatch, worker_blocks):
+    def test_runs_ending_early_fork_workers_once(self, monkeypatch, worker_blocks):
         _fake_cpus(monkeypatch, 2)
         forks = []
         real_fork = os.fork
@@ -1094,29 +1101,18 @@ class TestBlockWorkers:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", counting_fork)
-        arch = Architecture((4, 6, 1))
-
-        def make_net(seed):
-            net = init_network(arch, seed=seed)
-            if seed == 3:
-                net.parameters()[3].flat[0] = 1e200  # its training loss is inf
-            if seed == 4:
-                net.weights[0][...] = -10.0  # every relu dead: it soon stops early
-            return net
-
         train_set, val = _curved_problem()
         solo, stacked, solo_nets, stacked_nets = _solo_and_stacked(
-            make_net, (2, 3, 4, 5, 6), train_set, val, OptimizerConfig(fixed_lr=0.05),
-            StrategyConfig(), Loss(), 30, early_stop_patience=2,
+            _ending_early(Architecture((4, 6, 1))), (2, 3, 4, 5, 6), train_set, val,
+            OptimizerConfig(fixed_lr=0.05), StrategyConfig(), Loss(), 30, early_stop_patience=2,
         )
         assert stacked == solo
         _assert_same_networks(solo_nets, stacked_nets, skip=(1,))
         assert worker_blocks[0] > 0
-        # one worker per solo run, and per stack: the first, and one more for
-        # each epoch at which some slices leave while others go on
+        # one worker per solo run and one for the stack, which keeps it while runs end
         lengths = [len(rows) for i, rows in enumerate(stacked) if i != 1]
-        stacks = 1 + len({n for n in lengths if n < max(lengths)} | {1})
-        assert len(forks) == len(solo) + stacks
+        assert min(lengths) < max(lengths)
+        assert len(forks) == len(solo) + 1
         assert_no_child_left()
 
     @pytest.mark.parametrize("ending", ["success", "divergence", "error here", "worker exit",
