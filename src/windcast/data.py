@@ -40,9 +40,12 @@ class CsvSchema:
 @dataclass
 class TimeSeriesFrame:
     """One time series: strictly increasing timestamps, a target column
-    and equally long named feature columns."""
+    and equally long named feature columns.
 
-    timestamps: list[datetime]
+    timestamps is an (n,) bytes array holding each row's time as the ASCII
+    text of datetime.isoformat(), the text the prediction CSV writes."""
+
+    timestamps: np.ndarray
     target: np.ndarray
     target_name: str
     features: dict[str, np.ndarray] = field(default_factory=dict)
@@ -60,8 +63,13 @@ def load_csv(path: str, schema: CsvSchema) -> TimeSeriesFrame:
 
     The columns are read in bulk by numpy's C reader, which converts
     numbers with the same routine as ``float()`` and splits cells like the
-    csv module. When it rejects the file, a row-by-row walk with the csv
-    module finds the first bad row and names it.
+    csv module. A file whose timestamps are all canonical naive
+    ``YYYY-MM-DDTHH:MM:SS`` text in strictly increasing order is read in
+    one pass, its timestamp cells checked by numpy and kept as they are,
+    which is their isoformat() text; any other file is read again and its
+    cells parsed with datetime.fromisoformat, sorted and checked for
+    duplicates. When numpy's reader rejects the file, a row-by-row walk
+    with the csv module finds the first bad row and names it.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -104,6 +112,11 @@ def _load_columns(fh, path: str, schema: CsvSchema) -> TimeSeriesFrame:
     ts_col = header.index(schema.timestamp_col)
     value_cols = [header.index(c) for c in (schema.target_col, *schema.feature_cols)]
 
+    canonical = _read_canonical(fh, path, ts_col, value_cols)
+    if canonical is not None:
+        return _frame(schema, *canonical)
+    fh.seek(0)
+    _read_header(fh, path)
     try:
         values = _read_cells(fh, value_cols, float, ndmin=2)
         if len(values) == 0:
@@ -132,13 +145,118 @@ def _load_columns(fh, path: str, schema: CsvSchema) -> TimeSeriesFrame:
         # the walk found every row good, so report what numpy's reader said
         raise ParseError(f"{path}: {exc}") from None
 
-    columns = values.T.copy()
+    text = np.array([stamp.isoformat() for stamp in stamps], dtype=bytes)
+    return _frame(schema, text, [col.copy() for col in values.T])
+
+
+def _frame(schema: CsvSchema, stamps: np.ndarray, columns: list) -> TimeSeriesFrame:
+    """The frame of the schema's columns, target first. Each column is an
+    array of its own, so dropping one frees its memory."""
+    target, *features = columns
     return TimeSeriesFrame(
         timestamps=stamps,
-        target=columns[0],
+        target=target,
         target_name=schema.target_col,
-        features=dict(zip(schema.feature_cols, columns[1:])),
+        features=dict(zip(schema.feature_cols, features)),
     )
+
+
+# The canonical fast path. A timestamp cell is read into a _CELL_BYTES-wide
+# bytes field, which pads shorter text with NUL bytes and truncates longer
+# text, so a cell that fills every byte may have been cut. Canonical text
+# is YYYY-MM-DDTHH:MM:SS, _ISO_CHARS bytes. The tables are built without
+# numpy arithmetic: each numpy routine a command runs first adds its code
+# pages to the command's resident memory.
+_CELL_BYTES = 32
+_ISO_CHARS = 19
+_CHECK_ROWS = 4096  # cells checked per block, so the check's arrays stay small
+# the lowest and highest byte canonical text holds at each place: a digit
+# (bounded as far as one digit bounds its number), a separator or padding
+_LOW = np.frombuffer(b"0000-00-00T00:00:00".ljust(_CELL_BYTES, b"\0"), dtype=np.uint8)
+_HIGH = np.frombuffer(b"9999-19-39T29:59:59".ljust(_CELL_BYTES, b"\0"), dtype=np.uint8)
+_DIGIT_AT = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_MULTIPLE_OF_4 = np.frombuffer(bytes(i % 4 == 0 for i in range(256)), dtype=np.bool_)
+
+
+def _days_by_month(leap: bool) -> bytes:
+    days = [31, 28 + leap, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+    return bytes([0, *days]).ljust(256, b"\0")
+
+
+# [leap year, month] -> days in the month; 0 for a byte that is no month
+_MONTH_DAYS = np.frombuffer(_days_by_month(False) + _days_by_month(True),
+                            dtype=np.uint8).reshape(2, 256)
+
+
+def _read_canonical(fh, path: str, ts_col: int, value_cols: list[int]):
+    """(timestamp text, value columns) of a file read in one pass, or None
+    unless it has data rows, every value is finite, every timestamp cell is
+    canonical and the timestamps strictly increase.
+
+    None leaves the file to the general path, which accepts every file
+    accepted here and reads it to the same frame. A file with a NUL byte
+    goes there too: the bytes field would drop a cell's trailing NULs."""
+    if _has_nul(path):
+        return None
+    fields = [("stamp", f"S{_CELL_BYTES}")] + [(f"v{j}", float) for j in range(len(value_cols))]
+    try:
+        table = _read_cells(fh, [ts_col, *value_cols], np.dtype(fields), ndmin=1)
+    except UnicodeDecodeError:
+        raise
+    except (ValueError, TypeError):  # e.g. a bad number, or a cell bytes cannot hold
+        return None
+    if len(table) == 0:
+        return None
+    columns = [table[name].copy() for name, _ in fields[1:]]
+    if not all(np.isfinite(col).all() for col in columns):
+        return None
+    # the stamp field is each record's first _CELL_BYTES bytes
+    cells = table.view(np.uint8).reshape(len(table), -1)[:, :_CELL_BYTES]
+    stamps = _canonical_text(cells)
+    return None if stamps is None else (stamps, columns)
+
+
+def _has_nul(path: str) -> bool:
+    with open(path, "rb") as raw:
+        return any(b"\0" in chunk for chunk in iter(lambda: raw.read(1 << 14), b""))
+
+
+def _canonical_text(cells: np.ndarray) -> np.ndarray | None:
+    """The (n,) S19 text of (n, _CELL_BYTES) uint8 rows of timestamp
+    cells, if every cell is canonical and the cells strictly increase;
+    None otherwise.
+
+    Checked _CHECK_ROWS cells at a time. For a canonical cell c,
+    datetime.fromisoformat(c).isoformat() == c, and as canonical text is
+    fixed-width and zero-padded, its byte order is the order of the times
+    it names."""
+    n = len(cells)
+    text = np.empty(n, dtype=f"S{_ISO_CHARS}")
+    chars = text.view(np.uint8).reshape(n, _ISO_CHARS)
+    for lo in range(0, n, _CHECK_ROWS):
+        block = cells[lo:lo + _CHECK_ROWS]
+        if not _canonical(block).all():
+            return None
+        chars[lo:lo + _CHECK_ROWS] = block[:, :_ISO_CHARS]
+        run = text[max(lo - 1, 0):lo + _CHECK_ROWS]  # with the last cell of the block before
+        if not (run[1:] > run[:-1]).all():
+            return None
+    return text
+
+
+def _canonical(block: np.ndarray) -> np.ndarray:
+    """For (m, _CELL_BYTES) uint8 rows of timestamp cells, whether each is
+    canonical naive YYYY-MM-DDTHH:MM:SS text of a time that exists: year
+    >= 1, a day its month has, hour <= 23, minute and second <= 59."""
+    ok = ((_LOW <= block) & (block <= _HIGH)).all(axis=1)
+    digits = block[:, _DIGIT_AT] - np.uint8(ord("0"))
+    # two-digit numbers, as uint8; they wrap only where a digit is not one
+    century, yy, month, day, hour = (digits[:, 0:10:2] * 10 + digits[:, 1:10:2]).T
+    # year % 4 is yy % 4, as 100 is a multiple of 4
+    leap = _MULTIPLE_OF_4[yy] & ((1 <= yy) | _MULTIPLE_OF_4[century])
+    ok &= (1 <= century) | (1 <= yy)
+    ok &= (1 <= day) & (day <= _MONTH_DAYS[leap.view(np.uint8), month]) & (hour <= 23)
+    return ok
 
 
 def _number(cell: str) -> float:
@@ -222,14 +340,15 @@ def invert_column(scaler: Scaler, name: str, values: np.ndarray) -> np.ndarray:
 
 
 def apply_scaler(frame: TimeSeriesFrame, scaler: Scaler) -> TimeSeriesFrame:
-    """Return a copy of the frame with every column scaled by the scaler.
+    """Return a frame with every column of this one scaled by the scaler.
 
-    A column the scaler does not know raises SchemaError."""
+    The new frame shares this one's timestamps array, which nothing
+    writes into. A column the scaler does not know raises SchemaError."""
     for name in (frame.target_name, *frame.features):
         if name not in scaler.columns:
             raise SchemaError(f"the scaler has no column {name!r}")
     return TimeSeriesFrame(
-        timestamps=list(frame.timestamps),
+        timestamps=frame.timestamps,
         target=apply_column(scaler, frame.target_name, frame.target),
         target_name=frame.target_name,
         features={

@@ -23,6 +23,9 @@ from .errors import (
     SchemaError,
     ShapeError,
 )
+from .network import INFER_ROWS
+
+PFI_BLOCK_ROWS = 4 * INFER_ROWS  # permuted rows handed to predict per call
 
 
 def _mse(y: np.ndarray, pred: np.ndarray) -> float:
@@ -68,8 +71,11 @@ def permutation_importance(
 
     Every (feature, repeat) pair draws its permutation from a generator
     seeded with [seed, feature, repeat], so results do not depend on
-    evaluation order. One scratch copy of x is reused across iterations;
-    predict must not hold onto the array it is handed.
+    evaluation order. predict sees x whole once, for the unshuffled error;
+    after that it is called on row blocks of at most PFI_BLOCK_ROWS
+    permuted rows, filled in one reused buffer, so a predict whose rows do
+    not depend on each other gives the errors of whole-x calls. predict
+    must not hold onto the array it is handed.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -88,14 +94,18 @@ def permutation_importance(
     e_ori = _mse(y, np.asarray(predict(x), dtype=float))
     e_per_mean = np.empty(d)
     fi_std = np.empty(d)
-    shuffled = x.copy()
+    block = np.empty((min(n, PFI_BLOCK_ROWS), d))
+    pred = np.empty(n)
     for i in range(d):
         errors = np.empty(repeats)
         for r in range(repeats):
-            rng = np.random.default_rng([seed, i, r])
-            shuffled[:, i] = x[rng.permutation(n), i]
-            errors[r] = _mse(y, np.asarray(predict(shuffled), dtype=float))
-        shuffled[:, i] = x[:, i]
+            perm = np.random.default_rng([seed, i, r]).permutation(n)
+            for lo in range(0, n, PFI_BLOCK_ROWS):
+                rows = block[:min(PFI_BLOCK_ROWS, n - lo)]
+                rows[:] = x[lo:lo + PFI_BLOCK_ROWS]
+                rows[:, i] = x[perm[lo:lo + PFI_BLOCK_ROWS], i]
+                pred[lo:lo + PFI_BLOCK_ROWS] = predict(rows)
+            errors[r] = _mse(y, pred)
         e_per_mean[i] = errors.mean()
         fi_std[i] = errors.std(ddof=1) if repeats > 1 else 0.0
     return FeatureImportanceReport(

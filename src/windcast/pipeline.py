@@ -45,7 +45,8 @@ CSV_BLOCK_ROWS = 4 * INFER_ROWS  # prediction rows forecast, formatted and writt
 
 @dataclass
 class PreparedData:
-    """Scaled supervised splits plus the raw frame they came from."""
+    """Scaled supervised splits plus what predict reads back of the raw
+    frame they came from: its timestamps and its unscaled target."""
 
     raw_frame: TimeSeriesFrame
     scaler: Scaler
@@ -70,6 +71,8 @@ def build_dataset(config: RunConfig, model: ModelBundle | None = None) -> Prepar
                                                  data.feature_cols))
     scaler = fit_scaler(raw) if model is None else model.scaler
     scaled = apply_scaler(raw, scaler)
+    # predict reads back only the timestamps and the raw target
+    raw = TimeSeriesFrame(raw.timestamps, raw.target, raw.target_name)
     if data.mode == "lags":
         full = make_lag_windows(scaled.target, data.lag, data.horizon)
     else:
@@ -264,14 +267,15 @@ def _block_text(blocks, lo: int) -> str:
 def predictions_csv(bundle: ModelBundle, frame: TimeSeriesFrame, rows, x) -> str:
     """One block of prediction CSV lines: for each frame row in rows, its
     timestamp, its actual target and the forecast of its sample in x, in
-    original units."""
+    original units. The timestamp is the frame's isoformat() text, written
+    as it is stored."""
     scaled, _ = bundle.forecast(x)
     table = np.column_stack(
         [frame.target[rows], invert_column(bundle.scaler, bundle.target_name, scaled)]
     )
     # repr of a Python float is the shortest round-trip form. The block is
     # formatted column by column, so no Python code runs per row.
-    timestamps = [frame.timestamps[i].isoformat() for i in rows]
+    timestamps = frame.timestamps[rows].astype(str).tolist()
     columns = [map(repr, col) for col in table.T.tolist()]
     return "\n".join(map(",".join, zip(timestamps, *columns))) + "\n"
 

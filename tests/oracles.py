@@ -132,6 +132,20 @@ def exhaustive_permutation_errors(predict, x, y, feature):
     return np.array(errors)
 
 
+def whole_permutation_errors(predict, x, y, repeats, seed):
+    """The (d, repeats) errors of permutation importance, each from one
+    predict call on a whole shuffled copy of x, with the permutation of
+    (feature i, repeat r) drawn from a generator seeded [seed, i, r]."""
+    n, d = x.shape
+    errors = np.empty((d, repeats))
+    for i in range(d):
+        for r in range(repeats):
+            shuffled = np.array(x)
+            shuffled[:, i] = x[np.random.default_rng([seed, i, r]).permutation(n), i]
+            errors[i, r] = mse(y, predict(shuffled))
+    return errors
+
+
 def crps_step_integral(values, y, n_grid=200_001):
     """CRPS of the empirical step CDF of one quantile row against point y.
 
@@ -215,10 +229,12 @@ def row_wise_load_csv(path, schema):
     )
 
 
-def whole_predictions_csv(bundle, prepared):
+def whole_predictions_csv(bundle, prepared, timestamps):
     """The prediction CSV as one string, formatted row by row: the
-    reference for the bytes the streamed writer produces. The forecasts
-    come from the package's own forecast; only the text is checked."""
+    reference for the bytes the streamed writer produces. timestamps are
+    the datetimes of the frame's rows, each written as its isoformat().
+    The forecasts come from the package's own forecast; only the text is
+    checked."""
     from windcast.data import invert_column
 
     full, frame = prepared.full, prepared.raw_frame
@@ -230,6 +246,6 @@ def whole_predictions_csv(bundle, prepared):
     values = invert_column(bundle.scaler, bundle.target_name, scaled)
     lines = [header]
     for i, row in zip(full.target_indices, values.tolist()):
-        cells = [frame.timestamps[i].isoformat(), repr(float(frame.target[i]))]
+        cells = [timestamps[i].isoformat(), repr(float(frame.target[i]))]
         lines.append(",".join(cells + [repr(v) for v in row]))
     return "\n".join(lines) + "\n"

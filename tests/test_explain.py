@@ -1,11 +1,14 @@
 """Tests for permutation importance, the local linear surrogate and the
 SVG bar chart renderer."""
 
+import tracemalloc
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+import windcast.explain
+from windcast.data import make_lag_windows
 from windcast.errors import (
     DegeneratePerturbationError,
     InsufficientDataError,
@@ -21,7 +24,9 @@ from windcast.explain import (
     render_bar_chart,
 )
 
-from oracles import exhaustive_permutation_errors, mse, weighted_linear_fit
+from oracles import (
+    exhaustive_permutation_errors, mse, weighted_linear_fit, whole_permutation_errors,
+)
 
 
 def linear_predict(x):
@@ -110,6 +115,36 @@ class TestPermutationImportance:
         assert doc["kind"] == "pfi"
         assert doc["feature_names"] == ["ws", "wd"]
         assert len(doc["values"]) == 2
+
+    @pytest.mark.parametrize("n", [2, 16, 17, 53])
+    def test_row_blocks_give_the_errors_of_whole_calls(self, monkeypatch, n):
+        monkeypatch.setattr(windcast.explain, "PFI_BLOCK_ROWS", 16)
+        x = standardized_columns(n, 3, seed=25)
+        y = linear_predict(x) + np.random.default_rng(26).normal(0, 0.3, n)
+        sizes = []
+
+        def predict(rows):
+            sizes.append(len(rows))
+            return linear_predict(rows)
+
+        report = permutation_importance(predict, x, y, repeats=3, seed=4)
+        errors = whole_permutation_errors(linear_predict, x, y, repeats=3, seed=4)
+        assert report.e_per_mean.tobytes() == errors.mean(axis=1).tobytes()
+        assert report.fi_std.tobytes() == errors.std(axis=1, ddof=1).tobytes()
+        assert sizes[0] == n and max(sizes[1:]) == min(n, 16)
+        assert len(sizes) == 1 + 3 * 3 * -(-n // 16)
+
+    def test_permuted_rows_take_a_block_not_a_copy_of_x(self):
+        # a copy of 80,000 x 48 lag windows would take 30.7 MB
+        x = make_lag_windows(np.random.default_rng(27).random(80_047), 48).x
+        y = x[:, -1] + x[:, 0]
+        tracemalloc.start()
+        try:
+            permutation_importance(lambda rows: rows[:, -1] + rows[:, 0], x, y, repeats=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * windcast.explain.PFI_BLOCK_ROWS * 48 * 8, peak
 
     def test_input_validation(self):
         x = standardized_columns(10, 2, seed=23)

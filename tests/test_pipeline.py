@@ -15,7 +15,7 @@ import windcast.pipeline
 from windcast.cli import main
 from windcast.config import load_config
 from windcast.data import (
-    TimeSeriesFrame, apply_scaler, fit_scaler, make_lag_windows, make_nwp_set,
+    CsvSchema, TimeSeriesFrame, apply_scaler, fit_scaler, make_lag_windows, make_nwp_set,
 )
 from windcast.metrics import DEFAULT_QUANTILE_LEVELS
 from windcast.model_io import ModelBundle, load_model
@@ -31,7 +31,7 @@ from windcast.pipeline import (
 )
 
 from conftest import assert_no_child_left
-from oracles import whole_predictions_csv
+from oracles import row_wise_load_csv, whole_predictions_csv
 from synth import wind_arrays, write_wind_csv
 
 FEATURES = ("WS10", "WD10", "WS100", "WD100")
@@ -39,12 +39,21 @@ LOSSES = {"point": Loss("mse"), "quantile": Loss("pinball", DEFAULT_QUANTILE_LEV
 ALIGNMENT = 2  # samples start two frame rows in, so timestamps go through target_indices
 
 
+def _stamps(n_rows):
+    t0 = datetime(2021, 1, 1)
+    return [t0 + timedelta(minutes=15 * i) for i in range(n_rows)]
+
+
+def _whole_csv(bundle, prepared):
+    """The oracle's CSV of a frame made by _prepared."""
+    return whole_predictions_csv(bundle, prepared, _stamps(len(prepared.raw_frame)))
+
+
 def _prepared(n_samples):
     n_rows = n_samples + ALIGNMENT
     cols = wind_arrays(n_rows, seed=8)
-    t0 = datetime(2021, 1, 1)
     frame = TimeSeriesFrame(
-        timestamps=[t0 + timedelta(minutes=15 * i) for i in range(n_rows)],
+        timestamps=np.array([t.isoformat() for t in _stamps(n_rows)], dtype=bytes),
         target=cols["power"],
         target_name="power",
         features={name: cols[name] for name in FEATURES},
@@ -82,7 +91,7 @@ def test_writer_streams_the_bytes_of_the_whole_csv(kind, n_samples):
     assert header.count("\n") == 1
     assert len(blocks) == -(-n_samples // CSV_BLOCK_ROWS)
     assert all(0 < block.count("\n") <= CSV_BLOCK_ROWS for block in blocks)
-    assert "".join(fh.writes) == whole_predictions_csv(bundle, prepared)
+    assert "".join(fh.writes) == _whole_csv(bundle, prepared)
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +195,38 @@ def test_every_worker_count_writes_the_bytes_of_the_whole_csv(
     fh = RecordingFile()
     assert write_predictions(fh, bundle, prepared) == len(prepared.full)
     assert len(fh.writes) == 1 + n_blocks
-    assert "".join(fh.writes) == whole_predictions_csv(bundle, prepared)
+    assert "".join(fh.writes) == _whole_csv(bundle, prepared)
     in_process = min(cpus, n_blocks) == 1
     assert len(here) == (n_blocks if in_process else 0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("kind", sorted(LOSSES))
+def test_a_timezone_aware_file_writes_its_isoformat_text(cpus, tmp_path, kind):
+    # offsets and Z suffixes leave the canonical fast path, and the offsets
+    # put the rows out of order; the CSV carries each row's isoformat(),
+    # +00:00 for Z
+    write_wind_csv(str(tmp_path / "plain.csv"), n_rows=5 * BLOCK_ROWS + 3, seed=9)
+    lines = (tmp_path / "plain.csv").read_text(encoding="utf-8").splitlines()
+    suffixes = ("-05:30", "Z", "-05:30", "+00:00")
+    aware = [lines[0]] + [
+        line.replace(",", suffixes[i % 4] + ",", 1) for i, line in enumerate(lines[1:])
+    ]
+    (tmp_path / "wind.csv").write_text("\n".join(aware) + "\n", encoding="utf-8")
+    doc = {"data": {"path": str(tmp_path / "wind.csv"), "timestamp_col": "timestamp",
+                    "target_col": "power", "mode": "nwp", "feature_cols": list(FEATURES),
+                    "horizon_alignment": ALIGNMENT}}
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    config = load_config(str(tmp_path / "run.json"))
+    prepared = build_dataset(config)
+    bundle = _bundle(kind, prepared)
+    fh = RecordingFile()
+    write_predictions(fh, bundle, prepared)
+    schema = CsvSchema("timestamp", "power", FEATURES)
+    stamps = row_wise_load_csv(config.data_path, schema).timestamps
+    text = "".join(fh.writes)
+    assert text == whole_predictions_csv(bundle, prepared, stamps)
+    assert "+00:00," in text and "-05:30," in text and "Z," not in text
     assert_no_child_left()
 
 
@@ -218,6 +256,18 @@ def test_a_failing_write_ends_every_worker(cpus):
     with pytest.raises(OSError, match="No space left"):
         write_predictions(FullDisk(), bundle, prepared)
     assert_no_child_left()
+
+
+def test_prepared_data_keeps_only_the_raw_columns_predict_reads(two_block_run):
+    cwd = os.getcwd()
+    os.chdir(two_block_run)
+    try:
+        prepared = build_dataset(load_config("run.json"))
+    finally:
+        os.chdir(cwd)
+    raw = prepared.raw_frame
+    assert raw.features == {}
+    assert raw.timestamps.dtype == np.dtype("S19") and len(raw.target) == len(raw)
 
 
 def test_commands_leave_the_shared_arrays_unchanged(two_block_run):
