@@ -5,7 +5,17 @@ Adam-family optimizer with gradient centralization, cosine learning-rate
 decay and uniform parameter noise (optim), CSV windowing and splits
 (data), deterministic and interval metrics (metrics), permutation
 importance and local linear surrogates (explain), and a CLI (cli).
+
+Importing windcast pins BLAS to one thread unless the environment says
+otherwise: commands fork one worker per usable CPU, and workers that each
+run a multi-threaded BLAS on the same CPUs spin against each other. The
+setting takes effect only where numpy is not imported yet.
 """
+
+import os as _os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 from .data import (
     CsvSchema,

@@ -8,6 +8,7 @@ either lag-window samples (autoregressive mode) or feature-aligned samples
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import operator
@@ -67,9 +68,10 @@ def load_csv(path: str, schema: CsvSchema) -> TimeSeriesFrame:
     ``YYYY-MM-DDTHH:MM:SS`` text in strictly increasing order is read in
     one pass, its timestamp cells checked by numpy and kept as they are,
     which is their isoformat() text; any other file is read again and its
-    cells parsed with datetime.fromisoformat, sorted and checked for
-    duplicates. When numpy's reader rejects the file, a row-by-row walk
-    with the csv module finds the first bad row and names it.
+    cells parsed with datetime.fromisoformat, a trailing Z read as +00:00
+    on every Python, sorted and checked for duplicates. When numpy's
+    reader rejects the file, a row-by-row walk with the csv module finds
+    the first bad row and names it.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -124,7 +126,7 @@ def _load_columns(fh, path: str, schema: CsvSchema) -> TimeSeriesFrame:
         fh.seek(0)
         _read_header(fh, path)
         cells = _read_cells(fh, ts_col, object, ndmin=1).tolist()
-        stamps = list(map(datetime.fromisoformat, cells))
+        stamps = list(map(_parse_time, cells))
         if not np.isfinite(values).all():
             raise ValueError("non-finite value")
         if not all(map(operator.lt, stamps, stamps[1:])):
@@ -259,6 +261,23 @@ def _canonical(block: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _parse_time(text: str) -> datetime:
+    """datetime.fromisoformat(text), but with a trailing Z read as +00:00
+    on every Python: 3.11 reads it so, 3.10 rejects it. A text that
+    fromisoformat rejects, with and without the rewrite, raises its
+    ValueError for the text as given; so does a Z after a date alone,
+    which 3.11 rejects but would read as naive once rewritten."""
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        if text.endswith("Z"):
+            with contextlib.suppress(ValueError):
+                stamp = datetime.fromisoformat(text[:-1] + "+00:00")
+                if stamp.tzinfo is not None:
+                    return stamp
+        raise
+
+
 def _number(cell: str) -> float:
     """float(), less the spellings numpy's reader rejects: underscores
     between digits and non-ASCII digits."""
@@ -276,7 +295,7 @@ def _raise_first_bad_row(reader, path: str, ts_col: int, value_cols: list[int]) 
             if not row:
                 continue
             try:
-                ts = datetime.fromisoformat(row[ts_col])
+                ts = _parse_time(row[ts_col])
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
             try:

@@ -64,18 +64,51 @@ class FeatureImportanceReport:
         }
 
 
+def feature_errors(predict, x, y, features, repeats: int, seed: int) -> list[np.ndarray]:
+    """The (repeats,) array of mean squared errors after each permutation
+    of each feature in features, in order.
+
+    Every (feature, repeat) pair draws its permutation from a generator
+    seeded with [seed, feature, repeat], so a feature's errors do not
+    depend on which other features are computed, or where. predict is
+    called on row blocks of at most PFI_BLOCK_ROWS permuted rows, filled
+    in one reused buffer, so a predict whose rows do not depend on each
+    other gives the errors of whole-x calls. predict must not hold onto
+    the array it is handed. x and y are as permutation_importance checks
+    them.
+    """
+    n, d = x.shape
+    block = np.empty((min(n, PFI_BLOCK_ROWS), d))
+    pred = np.empty(n)
+    out = []
+    for i in features:
+        errors = np.empty(repeats)
+        for r in range(repeats):
+            perm = np.random.default_rng([seed, i, r]).permutation(n)
+            for lo in range(0, n, PFI_BLOCK_ROWS):
+                rows = block[:min(PFI_BLOCK_ROWS, n - lo)]
+                rows[:] = x[lo:lo + PFI_BLOCK_ROWS]
+                rows[:, i] = x[perm[lo:lo + PFI_BLOCK_ROWS], i]
+                pred[lo:lo + PFI_BLOCK_ROWS] = predict(rows)
+            errors[r] = _mse(y, pred)
+        out.append(errors)
+    return out
+
+
 def permutation_importance(
-    predict, x, y, repeats: int = 5, seed: int = 0, feature_names=None
+    predict, x, y, repeats: int = 5, seed: int = 0, feature_names=None,
+    errors=feature_errors,
 ) -> FeatureImportanceReport:
     """Shuffle each feature column and measure the error increase.
 
-    Every (feature, repeat) pair draws its permutation from a generator
-    seeded with [seed, feature, repeat], so results do not depend on
-    evaluation order. predict sees x whole once, for the unshuffled error;
-    after that it is called on row blocks of at most PFI_BLOCK_ROWS
-    permuted rows, filled in one reused buffer, so a predict whose rows do
-    not depend on each other gives the errors of whole-x calls. predict
-    must not hold onto the array it is handed.
+    predict sees x whole once, for the unshuffled error. The errors after
+    permutation come from errors(predict, x, y, range(d), repeats, seed):
+    feature_errors, run in this process, unless the caller passes a
+    function that gives the same answer another way, as
+    pipeline.explain_pfi does to spread the features over forked
+    processes. Nothing here forks, so predict never crosses a fork that
+    its caller did not ask for. e_per_mean and fi_std are each feature's
+    errors' mean and sample standard deviation (0 for one repeat).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -94,20 +127,9 @@ def permutation_importance(
     e_ori = _mse(y, np.asarray(predict(x), dtype=float))
     e_per_mean = np.empty(d)
     fi_std = np.empty(d)
-    block = np.empty((min(n, PFI_BLOCK_ROWS), d))
-    pred = np.empty(n)
-    for i in range(d):
-        errors = np.empty(repeats)
-        for r in range(repeats):
-            perm = np.random.default_rng([seed, i, r]).permutation(n)
-            for lo in range(0, n, PFI_BLOCK_ROWS):
-                rows = block[:min(PFI_BLOCK_ROWS, n - lo)]
-                rows[:] = x[lo:lo + PFI_BLOCK_ROWS]
-                rows[:, i] = x[perm[lo:lo + PFI_BLOCK_ROWS], i]
-                pred[lo:lo + PFI_BLOCK_ROWS] = predict(rows)
-            errors[r] = _mse(y, pred)
-        e_per_mean[i] = errors.mean()
-        fi_std[i] = errors.std(ddof=1) if repeats > 1 else 0.0
+    for i, per in enumerate(errors(predict, x, y, range(d), repeats, seed)):
+        e_per_mean[i] = per.mean()
+        fi_std[i] = per.std(ddof=1) if repeats > 1 else 0.0
     return FeatureImportanceReport(
         feature_names=tuple(feature_names),
         e_ori=e_ori,

@@ -33,7 +33,7 @@ from .data import (
     make_nwp_set,
 )
 from .errors import DivergenceError, SchemaError
-from .explain import LimeConfig, fit_lime, permutation_importance
+from .explain import LimeConfig, feature_errors, fit_lime, permutation_importance
 from .metrics import deterministic_report, probabilistic_report
 from .model_io import ModelBundle
 from .network import INFER_ROWS, Network, QuantileForecast, init_network
@@ -153,6 +153,18 @@ def explain_pfi(
     repeats: int = 5,
     seed: int = 0,
 ) -> dict:
+    """permutation_importance's report of the model on the split's rows.
+
+    The features are spread over forked processes, one per usable CPU
+    (_util.forked), this one included: of n processes, process i
+    computes the errors of features i, i + n, ... and this one
+    assembles the report in feature order. Each (feature, repeat) pair
+    draws its own permutation and a row's forecast does not depend on
+    the rows around it, so the bytes do not depend on the route. With
+    one CPU or one feature, or where fork does not exist or fails, the
+    features are done here. A child that dies ends the command with
+    ToolkitError.
+    """
     if split not in ("train", "test"):
         raise SchemaError(f"pfi split must be 'train' or 'test', got {split!r}")
     subset = prepared.test if split == "test" else prepared.train
@@ -163,10 +175,27 @@ def explain_pfi(
         repeats=repeats,
         seed=seed,
         feature_names=bundle.feature_names,
+        errors=_forked_feature_errors,
     )
     doc = report.to_dict()
     doc["split"] = split
     return doc
+
+
+def _forked_feature_errors(predict, x, y, features, repeats: int, seed: int) -> list:
+    """feature_errors's answer, its features spread over forked processes
+    as explain_pfi says."""
+
+    def share(i, n):
+        return feature_errors(predict, x, y, features[i::n], repeats, seed)
+
+    def serve(i, n, _):
+        return [share(i + 1, n + 1)]
+
+    with _util.forked("permutation importance", serve, len(features), here=True) as workers:
+        n = 1 + len(workers)
+        shares = [share(0, n), *(worker.receive() for worker in workers)]
+    return [shares[k % n][k // n] for k in range(len(features))]
 
 
 def explain_lime(

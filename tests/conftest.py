@@ -1,19 +1,47 @@
 """Shared pytest plumbing: pins BLAS to one thread, checks that no child
-process is left, collects acceptance-criterion outcomes and prints one
-pass/fail line per criterion at the end of the run."""
+process is left, stands in for Python 3.10's fromisoformat on request
+(--py310-fromisoformat), collects acceptance-criterion outcomes and
+prints one pass/fail line per criterion at the end of the run."""
 
 import os
+from datetime import datetime
 
 import pytest
 
-# As CI and perfbench do. A multi-threaded BLAS beside a busy CPU burns
-# time that the timing checks count (criterion 10). This file is imported
-# before numpy, so the setting takes effect; a value set outside wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# Pins BLAS to one thread where the environment does not set it: this file
+# is imported before any test module imports numpy. A multi-threaded BLAS
+# beside a busy CPU burns time that the timing checks count (criterion 10).
+import windcast  # noqa: F401
 
 ACCEPTANCE_RESULTS = []
 _FORK = os.fork  # before any test replaces it
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--py310-fromisoformat", action="store_true",
+        help="load CSVs with a stand-in for Python 3.10's datetime.fromisoformat",
+    )
+
+
+class Py310Datetime:
+    """datetime as windcast.data uses it, but whose fromisoformat rejects
+    a Z, as Python 3.10's does."""
+
+    @staticmethod
+    def fromisoformat(text):
+        if "Z" in text:
+            raise ValueError(f"Invalid isoformat string: {text!r}")
+        return datetime.fromisoformat(text)
+
+
+@pytest.fixture(autouse=True)
+def _py310_fromisoformat(request, monkeypatch):
+    """With --py310-fromisoformat, every test loads CSVs through Py310Datetime."""
+    if request.config.getoption("--py310-fromisoformat"):
+        import windcast.data
+
+        monkeypatch.setattr(windcast.data, "datetime", Py310Datetime)
 
 
 def assert_no_child_left() -> None:

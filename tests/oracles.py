@@ -8,7 +8,6 @@ exactly what a derivative check needs).
 
 import csv
 import math
-from datetime import datetime
 from itertools import permutations
 
 import numpy as np
@@ -171,8 +170,9 @@ def weighted_linear_fit(rows, targets, weights):
 
 def row_wise_load_csv(path, schema):
     """The csv-module loader that parsed every row in Python: the reference
-    for the bulk reader's arrays, timestamps and error messages."""
-    from windcast.data import TimeSeriesFrame
+    for the bulk reader's arrays, timestamps and error messages. A
+    timestamp is read as windcast reads one, by data._parse_time."""
+    from windcast.data import TimeSeriesFrame, _parse_time
     from windcast.errors import (
         DataError, EmptyDataError, IntegrityError, ParseError, SchemaError,
     )
@@ -198,7 +198,7 @@ def row_wise_load_csv(path, schema):
             if not row:
                 continue
             try:
-                ts = datetime.fromisoformat(row[idx[schema.timestamp_col]])
+                ts = _parse_time(row[idx[schema.timestamp_col]])
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
             try:

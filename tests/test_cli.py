@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import windcast._util
+import windcast.explain
 import windcast.model_io
 import windcast.optim
 import windcast.pipeline
@@ -354,6 +355,33 @@ class TestExplain:
         assert run(trained, *args, "--out", "pfi_b.json") == 0
         assert (trained / "pfi_a.json").read_bytes() == (trained / "pfi_b.json").read_bytes()
 
+    @pytest.fixture(scope="class")
+    def wide(self, workdir):
+        """A lags model of 8 features, so that each of 4 processes permutes two."""
+        cfg = json.loads((workdir / "lags.json").read_text())
+        cfg["data"]["lag"] = 8
+        (workdir / "lags8.json").write_text(json.dumps(cfg))
+        assert run(workdir, "train", "--config", "lags8.json", "--out", "lag8_model.json") == 0
+        return workdir
+
+    def test_pfi_bytes_do_not_depend_on_the_cpu_count(self, wide, monkeypatch):
+        # 16-row blocks: the 40-row test split is 3 blocks per permutation
+        monkeypatch.setattr(windcast.explain, "PFI_BLOCK_ROWS", 16)
+        made, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(None) or fork())
+        args = ("explain", "--model", "lag8_model.json", "--config", "lags8.json",
+                "--mode", "pfi", "--repeats", "3", "--seed", "2")
+        outputs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(windcast._util, "usable_cpus", lambda: cpus)
+            made.clear()
+            assert run(wide, *args, "--out", f"pfi_{cpus}cpu.json") == 0
+            assert len(made) == cpus - 1
+            assert_no_child_left()
+            outputs.append((wide / f"pfi_{cpus}cpu.json").read_bytes())
+        assert len(json.loads(outputs[0])["values"]) == 8
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_lime_report(self, trained):
         assert run(
             trained, "explain", "--model", "point_model.json", "--config", "point.json",
@@ -554,6 +582,15 @@ class TestForkFailure:
         )
         assert failed == one_cpu
 
+    @pytest.mark.parametrize("forks", [0, 1])
+    def test_explain(self, trained, monkeypatch, forks):
+        # four features, three processes planned
+        one_cpu, failed = self._one_cpu_then_failing_forks(
+            trained, monkeypatch, forks, 3,
+            "explain", "--model", "point_model.json", "--config", "point.json", "--mode", "pfi",
+        )
+        assert failed == one_cpu
+
     def test_benchmark(self, trained, monkeypatch):
         one_cpu, failed = self._one_cpu_then_failing_forks(
             trained, monkeypatch, 0, 2,
@@ -564,17 +601,19 @@ class TestForkFailure:
 
 
 # windcast's CLI as a user runs it, with two usable CPUs faked and small
-# blocks, so that benchmark, predict and full-batch train fork children on any
-# host. The parent's first fork leaves a file named "forked"; a prediction
-# block takes 0.1 s, so predict's children are still busy when it appears.
+# blocks, so that benchmark, predict, explain and full-batch train fork
+# children on any host. The parent's first fork leaves a file named "forked";
+# a forecast takes 0.1 s, so predict's and explain's children are still busy
+# when it appears.
 SIGTERM_DRIVER = """
 import os, sys, time
 import windcast._util, windcast.cli, windcast.optim, windcast.pipeline as pipeline
+from windcast.model_io import ModelBundle
 windcast._util.usable_cpus = lambda: 2
 windcast.optim.TRAIN_ROWS = 32
 pipeline.CSV_BLOCK_ROWS = 8
-block, fork = pipeline.predictions_csv, os.fork
-pipeline.predictions_csv = lambda *args: time.sleep(0.1) or block(*args)
+forecast, fork = ModelBundle.forecast, os.fork
+ModelBundle.forecast = lambda *args: time.sleep(0.1) or forecast(*args)
 def marked_fork():
     pid = fork()
     if pid:
@@ -618,6 +657,7 @@ class TestSigterm:
     @pytest.mark.parametrize("argv", [
         ["benchmark", "--config", "long_minibatch.json", "--seeds", "2"],
         ["predict", "--model", "point_model.json", "--config", "point.json"],
+        ["explain", "--model", "point_model.json", "--config", "point.json", "--mode", "pfi"],
         ["train", "--config", "long.json"],
     ], ids=lambda argv: argv[0])
     def test_no_process_or_output_is_left(self, long_runs, argv):
@@ -641,6 +681,51 @@ class TestSigterm:
             proc.wait()
         assert not out.exists()
         assert not list(root.glob(".tmp-*"))
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasPin:
+    """Importing windcast pins BLAS to one thread where the environment
+    sets no thread count, so training writes the bytes of a one-thread run;
+    a count set outside wins."""
+
+    @staticmethod
+    def _env(**blas):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        src = os.path.dirname(os.path.dirname(windcast._util.__file__))
+        return dict(env, PYTHONPATH=src, **blas)
+
+    @pytest.mark.parametrize("blas, want", [
+        ({}, ["1", "1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+    ], ids=["unset", "openblas_2"])
+    def test_import_sets_only_unset_variables(self, blas, want):
+        probe = "import json, os, windcast; print(json.dumps([os.environ.get(v) for v in %r]))"
+        out = subprocess.run([sys.executable, "-c", probe % (BLAS_VARS,)], env=self._env(**blas),
+                             capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == want
+
+    def test_unpinned_training_writes_the_bytes_of_one_thread(self, tmp_path):
+        # products of 48 x 64 weights over 2,000-row batches: large enough
+        # for a multi-threaded BLAS to split them, so on a host with more
+        # than one CPU an unpinned run would give other bytes; under
+        # TRAIN_ROWS rows, so no training worker is forked
+        write_wind_csv(str(tmp_path / "wind.csv"), n_rows=3000, seed=7)
+        cfg = {"data": {"path": "wind.csv", "timestamp_col": "timestamp", "target_col": "power",
+                        "mode": "lags", "lag": 48, "horizon": 1},
+               "model": {"hidden_sizes": [64], "loss": "mse"},
+               "training": {"epochs": 5, "seed": 1}}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        outputs = []
+        for name, blas in (("unset", {}), ("pinned", dict.fromkeys(BLAS_VARS, "1"))):
+            subprocess.run([sys.executable, "-m", "windcast.cli", "train", "--config", "run.json",
+                            "--out", f"{name}.json"], cwd=tmp_path, env=self._env(**blas),
+                           capture_output=True, check=True)
+            outputs.append([(tmp_path / f"{name}{ext}").read_bytes()
+                            for ext in (".json", ".trace.csv")])
+        assert outputs[0] == outputs[1]
 
 
 def _without_wall_times(doc):
@@ -751,6 +836,30 @@ class TestExitCodes:
         assert re.fullmatch(r"windcast: ToolkitError: prediction worker process \d+ "
                             r"ended with exit code 3\n", err)
         assert not (trained / "dead.csv").exists()
+        assert not list(trained.glob(".tmp-*"))
+        assert_no_child_left()
+
+    def test_a_permutation_importance_worker_that_dies_ends_in_a_windcast_error(
+        self, trained, capsys, monkeypatch
+    ):
+        # four features and two usable CPUs: a child permutes two of them
+        monkeypatch.setattr(windcast._util, "usable_cpus", lambda: 2)
+        here, real = os.getpid(), windcast.model_io.ModelBundle.forecast
+
+        def dying(*args):
+            if os.getpid() != here:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(windcast.model_io.ModelBundle, "forecast", dying)
+        assert run(
+            trained, "explain", "--model", "point_model.json", "--config", "point.json",
+            "--mode", "pfi", "--out", "dead_pfi.json",
+        ) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"windcast: ToolkitError: permutation importance worker process "
+                            r"\d+ ended with exit code 3\n", err)
+        assert not (trained / "dead_pfi.json").exists()
         assert not list(trained.glob(".tmp-*"))
         assert_no_child_left()
 

@@ -1,10 +1,14 @@
 """Tests for CSV ingestion, scaling, window construction and splitting."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import Py310Datetime
 from oracles import row_wise_load_csv
 from synth import write_wind_csv
 from windcast import data
@@ -494,6 +498,60 @@ class TestCanonicalTimestamps:
         # text (19) and the check's 4,096-row scratch (about 0.4 MB); a
         # whole-column int64 array of the 14 digits would add 112
         assert peak < 180 * n, peak
+
+
+Z_TEXTS = [
+    date + sep + time + z
+    for date in ("2021-01-01", "20210101", "2021-13-01")
+    for sep in ("T", " ", "")
+    for time in ("", "00", "00:15", "00:15:00", "001500", "00:15:00.5", "00:15:00.123456",
+                 "24:00:00", "00:15:00+01:00")
+    for z in ("Z", "z", "ZZ")
+]
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text).isoformat()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestZSuffix:
+    """A trailing Z reads as +00:00 on every Python."""
+
+    def test_this_python_reads_z_as_windcast_does(self):
+        fromisoformat = data.datetime.fromisoformat
+        if parse_outcome(fromisoformat, "2021-01-01T00:00:00Z").startswith("Invalid"):
+            pytest.skip("this Python's fromisoformat rejects Z")
+        for text in Z_TEXTS:
+            want = parse_outcome(fromisoformat, text)
+            assert parse_outcome(data._parse_time, text) == want, text
+
+    def test_a_fromisoformat_that_rejects_z(self, monkeypatch):
+        monkeypatch.setattr(data, "datetime", Py310Datetime)
+        for text in ("2021-01-01T00:15:00Z", "2021-01-01 00:15:00.5Z"):
+            assert "Invalid" in parse_outcome(Py310Datetime.fromisoformat, text)
+        assert parse_outcome(data._parse_time, "2021-01-01T00:15:00Z") == "2021-01-01T00:15:00+00:00"
+        assert parse_outcome(data._parse_time, "2021-01-01 00:15:00.5Z") == (
+            "2021-01-01T00:15:00.500000+00:00")
+        # a Z after a date alone, or one that follows an offset, is rejected
+        # with the error for the text as given
+        for text in ("2021-01-01Z", "2021-01-01T00:15:00+01:00Z", "2021-13-01T00:15:00Z"):
+            assert parse_outcome(data._parse_time, text) == f"Invalid isoformat string: {text!r}"
+
+    def test_z_suffix_tests_pass_where_fromisoformat_rejects_z(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        ids = ["tests/test_data.py::TestBulkReaderMatchesRowWise::test_valid_input[tz_aware]",
+               "tests/test_pipeline.py::test_a_timezone_aware_file_writes_its_isoformat_text"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--py310-fromisoformat", *ids],
+            cwd=root, env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert "7 passed" in proc.stdout
 
 
 class TestScaler:
