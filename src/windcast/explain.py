@@ -71,44 +71,46 @@ def feature_errors(predict, x, y, features, repeats: int, seed: int) -> list[np.
     Every (feature, repeat) pair draws its permutation from a generator
     seeded with [seed, feature, repeat], so a feature's errors do not
     depend on which other features are computed, or where. predict is
-    called on row blocks of at most PFI_BLOCK_ROWS permuted rows, filled
-    in one reused buffer, so a predict whose rows do not depend on each
-    other gives the errors of whole-x calls. predict must not hold onto
-    the array it is handed. x and y are as permutation_importance checks
-    them.
+    called on row blocks of at most PFI_BLOCK_ROWS rows, filled in one
+    reused buffer: each block of x is copied in once per feature, and each
+    repeat writes only its permuted column over it. A predict whose rows
+    do not depend on each other gives the errors of whole-x calls. predict
+    must not hold onto the array it is handed. x and y are as
+    permutation_importance checks them.
     """
     n, d = x.shape
     block = np.empty((min(n, PFI_BLOCK_ROWS), d))
-    pred = np.empty(n)
+    pred = np.empty((repeats, n))
     out = []
     for i in features:
-        errors = np.empty(repeats)
-        for r in range(repeats):
-            perm = np.random.default_rng([seed, i, r]).permutation(n)
-            for lo in range(0, n, PFI_BLOCK_ROWS):
-                rows = block[:min(PFI_BLOCK_ROWS, n - lo)]
-                rows[:] = x[lo:lo + PFI_BLOCK_ROWS]
-                rows[:, i] = x[perm[lo:lo + PFI_BLOCK_ROWS], i]
-                pred[lo:lo + PFI_BLOCK_ROWS] = predict(rows)
-            errors[r] = _mse(y, pred)
-        out.append(errors)
+        columns = [x[np.random.default_rng([seed, i, r]).permutation(n), i]
+                   for r in range(repeats)]
+        for lo in range(0, n, PFI_BLOCK_ROWS):
+            rows = block[:min(PFI_BLOCK_ROWS, n - lo)]
+            rows[:] = x[lo:lo + PFI_BLOCK_ROWS]
+            for r, column in enumerate(columns):
+                rows[:, i] = column[lo:lo + PFI_BLOCK_ROWS]
+                pred[r, lo:lo + PFI_BLOCK_ROWS] = predict(rows)
+        out.append(np.array([_mse(y, p) for p in pred]))
     return out
 
 
 def permutation_importance(
-    predict, x, y, repeats: int = 5, seed: int = 0, feature_names=None,
-    errors=feature_errors,
+    predict, x, y, repeats: int = 5, seed: int = 0, feature_names=None, *,
+    _errors=feature_errors,
 ) -> FeatureImportanceReport:
     """Shuffle each feature column and measure the error increase.
 
-    predict sees x whole once, for the unshuffled error. The errors after
-    permutation come from errors(predict, x, y, range(d), repeats, seed):
-    feature_errors, run in this process, unless the caller passes a
-    function that gives the same answer another way, as
-    pipeline.explain_pfi does to spread the features over forked
-    processes. Nothing here forks, so predict never crosses a fork that
-    its caller did not ask for. e_per_mean and fi_std are each feature's
-    errors' mean and sample standard deviation (0 for one repeat).
+    predict sees x whole once, for the unshuffled error; the errors after
+    permutation are feature_errors's, computed in this process. Nothing
+    here forks, so predict may be any callable. e_per_mean and fi_std are
+    each feature's errors' mean and sample standard deviation (0 for one
+    repeat).
+
+    _errors is not for library callers: pipeline.explain_pfi passes a
+    function that returns feature_errors's answer from forked processes.
+    It calls this function rather than a private copy so that a profiler
+    that wraps permutation_importance by name still times the command.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -127,7 +129,7 @@ def permutation_importance(
     e_ori = _mse(y, np.asarray(predict(x), dtype=float))
     e_per_mean = np.empty(d)
     fi_std = np.empty(d)
-    for i, per in enumerate(errors(predict, x, y, range(d), repeats, seed)):
+    for i, per in enumerate(_errors(predict, x, y, range(d), repeats, seed)):
         e_per_mean[i] = per.mean()
         fi_std[i] = per.std(ddof=1) if repeats > 1 else 0.0
     return FeatureImportanceReport(

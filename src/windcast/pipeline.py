@@ -175,7 +175,7 @@ def explain_pfi(
         repeats=repeats,
         seed=seed,
         feature_names=bundle.feature_names,
-        errors=_forked_feature_errors,
+        _errors=_forked_feature_errors,
     )
     doc = report.to_dict()
     doc["split"] = split

@@ -26,7 +26,9 @@ def pytest_addoption(parser):
 
 class Py310Datetime:
     """datetime as windcast.data uses it, but whose fromisoformat rejects
-    a Z, as Python 3.10's does."""
+    a Z, as Python 3.10's does. It models that rejection only: every text
+    without a Z is read by the running Python's fromisoformat, which on
+    3.11 accepts forms 3.10 rejects, such as a one-digit fraction."""
 
     @staticmethod
     def fromisoformat(text):

@@ -8,6 +8,7 @@ exactly what a derivative check needs).
 
 import csv
 import math
+from datetime import datetime
 from itertools import permutations
 
 import numpy as np
@@ -168,11 +169,25 @@ def weighted_linear_fit(rows, targets, weights):
     return coef
 
 
+def _utc_z_time(text):
+    """datetime.fromisoformat(text), whatever the Python, with a trailing Z
+    read as +00:00: the rewrite is tried first and kept only when it gives
+    a timezone-aware time; otherwise the text is parsed as given."""
+    if text.endswith("Z"):
+        try:
+            stamp = datetime.fromisoformat(text[:-1] + "+00:00")
+        except ValueError:
+            pass
+        else:
+            if stamp.tzinfo is not None:
+                return stamp
+    return datetime.fromisoformat(text)
+
+
 def row_wise_load_csv(path, schema):
     """The csv-module loader that parsed every row in Python: the reference
-    for the bulk reader's arrays, timestamps and error messages. A
-    timestamp is read as windcast reads one, by data._parse_time."""
-    from windcast.data import TimeSeriesFrame, _parse_time
+    for the bulk reader's arrays, timestamps and error messages."""
+    from windcast.data import TimeSeriesFrame
     from windcast.errors import (
         DataError, EmptyDataError, IntegrityError, ParseError, SchemaError,
     )
@@ -198,7 +213,7 @@ def row_wise_load_csv(path, schema):
             if not row:
                 continue
             try:
-                ts = _parse_time(row[idx[schema.timestamp_col]])
+                ts = _utc_z_time(row[idx[schema.timestamp_col]])
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
             try:

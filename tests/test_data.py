@@ -530,10 +530,11 @@ class TestZSuffix:
 
     def test_a_fromisoformat_that_rejects_z(self, monkeypatch):
         monkeypatch.setattr(data, "datetime", Py310Datetime)
-        for text in ("2021-01-01T00:15:00Z", "2021-01-01 00:15:00.5Z"):
+        # 3.10 reads a fraction of 3 or 6 digits only
+        for text in ("2021-01-01T00:15:00Z", "2021-01-01 00:15:00.500Z"):
             assert "Invalid" in parse_outcome(Py310Datetime.fromisoformat, text)
         assert parse_outcome(data._parse_time, "2021-01-01T00:15:00Z") == "2021-01-01T00:15:00+00:00"
-        assert parse_outcome(data._parse_time, "2021-01-01 00:15:00.5Z") == (
+        assert parse_outcome(data._parse_time, "2021-01-01 00:15:00.500Z") == (
             "2021-01-01T00:15:00.500000+00:00")
         # a Z after a date alone, or one that follows an offset, is rejected
         # with the error for the text as given
