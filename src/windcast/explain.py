@@ -73,10 +73,11 @@ def feature_errors(predict, x, y, features, repeats: int, seed: int) -> list[np.
     depend on which other features are computed, or where. predict is
     called on row blocks of at most PFI_BLOCK_ROWS rows, filled in one
     reused buffer: each block of x is copied in once per feature, and each
-    repeat writes only its permuted column over it. A predict whose rows
-    do not depend on each other gives the errors of whole-x calls. predict
-    must not hold onto the array it is handed. x and y are as
-    permutation_importance checks them.
+    repeat writes only its permuted column over it, so one feature's
+    permuted columns and forecasts, (repeats, n) each, are held at once.
+    A predict whose rows do not depend on each other gives the errors of
+    whole-x calls. predict must not hold onto the array it is handed. x
+    and y are as permutation_importance checks them.
     """
     n, d = x.shape
     block = np.empty((min(n, PFI_BLOCK_ROWS), d))
