@@ -60,21 +60,20 @@ def load_csv(path: str, schema: CsvSchema) -> TimeSeriesFrame:
 
     Rejects missing columns, unparsable or non-finite cells (with the
     offending row number), timestamps that mix timezone-aware and naive
-    values, duplicate timestamps and text that is not UTF-8.
+    values, duplicate timestamps and text that is not UTF-8; a leading
+    byte-order mark is skipped.
 
-    The columns are read in bulk by numpy's C reader, which converts
-    numbers with the same routine as ``float()`` and splits cells like the
-    csv module. A file whose timestamps are all canonical naive
-    ``YYYY-MM-DDTHH:MM:SS`` text in strictly increasing order is read in
-    one pass, its timestamp cells checked by numpy and kept as they are,
-    which is their isoformat() text; any other file is read again and its
-    cells parsed with datetime.fromisoformat, a trailing Z read as +00:00
-    on every Python, sorted and checked for duplicates. When numpy's
-    reader rejects the file, a row-by-row walk with the csv module finds
-    the first bad row and names it.
+    numpy's C reader reads the columns once (_read_table names the files
+    it reads twice), converting numbers with the same routine as
+    ``float()`` and splitting cells like the csv module. Timestamps that
+    are all canonical naive ``YYYY-MM-DDTHH:MM:SS`` text in strictly
+    increasing order are checked by numpy and kept as they are, their
+    isoformat() text; any others are parsed by _parse_time, sorted and
+    checked for duplicates. When the reader rejects the file, a row-by-row
+    walk with the csv module finds the first bad row and names it.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from None
     with fh:
@@ -94,15 +93,15 @@ def _read_header(fh, path: str) -> list[str]:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _read_cells(fh, usecols, dtype, ndmin: int) -> np.ndarray:
-    """The given columns of the rest of the file, one read by numpy's C
-    reader; a `#` is cell text, not a comment."""
+def _read_cells(fh, usecols: list[int], fields: list) -> np.ndarray:
+    """The given columns of the rest of the file as a structured array of
+    the given fields, one read by numpy's C reader; a `#` is cell text."""
     with warnings.catch_warnings():
         # loadtxt warns on a file without data rows, which the caller rejects
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(
-            fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-            usecols=usecols, ndmin=ndmin,
+            fh, dtype=np.dtype(fields), delimiter=",", comments=None, quotechar='"',
+            usecols=usecols, ndmin=1,
         )
 
 
@@ -114,28 +113,27 @@ def _load_columns(fh, path: str, schema: CsvSchema) -> TimeSeriesFrame:
     ts_col = header.index(schema.timestamp_col)
     value_cols = [header.index(c) for c in (schema.target_col, *schema.feature_cols)]
 
-    canonical = _read_canonical(fh, path, ts_col, value_cols)
-    if canonical is not None:
-        return _frame(schema, *canonical)
-    fh.seek(0)
-    _read_header(fh, path)
     try:
-        values = _read_cells(fh, value_cols, float, ndmin=2)
-        if len(values) == 0:
+        table, cells = _read_table(fh, path, [ts_col, *value_cols])
+        if len(table) == 0:
             raise EmptyDataError(f"{path}: no data rows")
-        fh.seek(0)
-        _read_header(fh, path)
-        cells = _read_cells(fh, ts_col, object, ndmin=1).tolist()
-        stamps = list(map(_parse_time, cells))
-        if not np.isfinite(values).all():
+        columns = [table[name].copy() for name in table.dtype.names[1:]]
+        if not all(np.isfinite(col).all() for col in columns):
             raise ValueError("non-finite value")
-        if not all(map(operator.lt, stamps, stamps[1:])):
-            order = sorted(range(len(stamps)), key=stamps.__getitem__)
-            stamps = [stamps[i] for i in order]
-            values = values[order]
-            for a, b in zip(stamps, stamps[1:]):
-                if a == b:
-                    raise IntegrityError(f"{path}: duplicate timestamp {a.isoformat()}")
+        text = None if cells is None else _canonical_text(cells)
+        if text is None:
+            stamps = table["stamp"]
+            if cells is not None:  # numpy's bytes field holds a character as its Latin-1 byte
+                stamps = [cell.decode("latin-1") for cell in stamps.tolist()]
+            stamps = list(map(_parse_time, stamps))
+            if not all(map(operator.lt, stamps, stamps[1:])):
+                order = sorted(range(len(stamps)), key=stamps.__getitem__)
+                stamps = [stamps[i] for i in order]
+                columns = [col[order] for col in columns]
+                for a, b in zip(stamps, stamps[1:]):
+                    if a == b:
+                        raise IntegrityError(f"{path}: duplicate timestamp {a.isoformat()}")
+            text = np.array([stamp.isoformat() for stamp in stamps], dtype=bytes)
     except UnicodeDecodeError:  # a ValueError, but no row walk can name a row for it
         raise
     except (ValueError, TypeError) as exc:
@@ -146,29 +144,17 @@ def _load_columns(fh, path: str, schema: CsvSchema) -> TimeSeriesFrame:
         _raise_first_bad_row(reader, path, ts_col, value_cols)
         # the walk found every row good, so report what numpy's reader said
         raise ParseError(f"{path}: {exc}") from None
-
-    text = np.array([stamp.isoformat() for stamp in stamps], dtype=bytes)
-    return _frame(schema, text, [col.copy() for col in values.T])
-
-
-def _frame(schema: CsvSchema, stamps: np.ndarray, columns: list) -> TimeSeriesFrame:
-    """The frame of the schema's columns, target first. Each column is an
-    array of its own, so dropping one frees its memory."""
-    target, *features = columns
-    return TimeSeriesFrame(
-        timestamps=stamps,
-        target=target,
-        target_name=schema.target_col,
-        features=dict(zip(schema.feature_cols, features)),
-    )
+    # each column is an array of its own, so dropping one frees its memory
+    features = dict(zip(schema.feature_cols, columns[1:]))
+    return TimeSeriesFrame(text, columns[0], schema.target_col, features)
 
 
-# The canonical fast path. A timestamp cell is read into a _CELL_BYTES-wide
-# bytes field, which pads shorter text with NUL bytes and truncates longer
-# text, so a cell that fills every byte may have been cut. Canonical text
-# is YYYY-MM-DDTHH:MM:SS, _ISO_CHARS bytes. The tables are built without
-# numpy arithmetic: each numpy routine a command runs first adds its code
-# pages to the command's resident memory.
+# A timestamp cell is read into a _CELL_BYTES-wide bytes field, which pads
+# shorter text with NUL bytes, drops a cell's trailing NULs and truncates
+# longer text, so a cell that fills every byte may have been cut.
+# Canonical text is YYYY-MM-DDTHH:MM:SS, _ISO_CHARS bytes. The tables are
+# built without numpy arithmetic: each numpy routine a command runs first
+# adds its code pages to the command's resident memory.
 _CELL_BYTES = 32
 _ISO_CHARS = 19
 _CHECK_ROWS = 4096  # cells checked per block, so the check's arrays stay small
@@ -190,32 +176,29 @@ _MONTH_DAYS = np.frombuffer(_days_by_month(False) + _days_by_month(True),
                             dtype=np.uint8).reshape(2, 256)
 
 
-def _read_canonical(fh, path: str, ts_col: int, value_cols: list[int]):
-    """(timestamp text, value columns) of a file read in one pass, or None
-    unless it has data rows, every value is finite, every timestamp cell is
-    canonical and the timestamps strictly increase.
-
-    None leaves the file to the general path, which accepts every file
-    accepted here and reads it to the same frame. A file with a NUL byte
-    goes there too: the bytes field would drop a cell's trailing NULs."""
-    if _has_nul(path):
-        return None
-    fields = [("stamp", f"S{_CELL_BYTES}")] + [(f"v{j}", float) for j in range(len(value_cols))]
-    try:
-        table = _read_cells(fh, [ts_col, *value_cols], np.dtype(fields), ndmin=1)
-    except UnicodeDecodeError:
-        raise
-    except (ValueError, TypeError):  # e.g. a bad number, or a cell bytes cannot hold
-        return None
-    if len(table) == 0:
-        return None
-    columns = [table[name].copy() for name, _ in fields[1:]]
-    if not all(np.isfinite(col).all() for col in columns):
-        return None
-    # the stamp field is each record's first _CELL_BYTES bytes
-    cells = table.view(np.uint8).reshape(len(table), -1)[:, :_CELL_BYTES]
-    stamps = _canonical_text(cells)
-    return None if stamps is None else (stamps, columns)
+def _read_table(fh, path: str, usecols: list[int]):
+    """(table, cells): the rest of the file as a structured array, each
+    row's timestamp cell in field "stamp" and values in v0, v1, ...; and
+    the cells' (n, _CELL_BYTES) uint8 rows where a bytes field holds them
+    all, else None. The file is read again, cells as str objects, if it has
+    a NUL byte, or if the bytes read fails (e.g. on a bad number or a
+    character outside Latin-1) or fills a cell, which it may have cut."""
+    values = [(f"v{j}", float) for j in range(len(usecols) - 1)]
+    if not _has_nul(path):
+        try:
+            table = _read_cells(fh, usecols, [("stamp", f"S{_CELL_BYTES}"), *values])
+        except UnicodeDecodeError:
+            raise
+        except (ValueError, TypeError):
+            pass
+        else:
+            # the stamp field is each record's first _CELL_BYTES bytes
+            cells = table.view(np.uint8).reshape(len(table), table.itemsize)[:, :_CELL_BYTES]
+            if not cells[:, -1].any():
+                return table, cells
+        fh.seek(0)
+        _read_header(fh, path)
+    return _read_cells(fh, usecols, [("stamp", object), *values]), None
 
 
 def _has_nul(path: str) -> bool:
@@ -262,15 +245,16 @@ def _canonical(block: np.ndarray) -> np.ndarray:
 
 
 def _parse_time(text: str) -> datetime:
-    """datetime.fromisoformat(text), but with a trailing Z read as +00:00
-    on every Python: 3.11 reads it so, 3.10 rejects it. A text that
-    fromisoformat rejects, with and without the rewrite, raises its
-    ValueError for the text as given; so does a Z after a date alone,
-    which 3.11 rejects but would read as naive once rewritten."""
+    """datetime.fromisoformat(text), but with a trailing Z after a digit
+    read as +00:00 on every Python: 3.11 reads it so, 3.10 rejects it.
+    (3.10 skips any one character before an offset, so it would read a
+    rewritten ...ZZ.) A text that fromisoformat rejects, with and without
+    the rewrite, raises its ValueError for the text as given; so does a Z
+    after a date alone, which 3.11 rejects but reads as naive rewritten."""
     try:
         return datetime.fromisoformat(text)
     except ValueError:
-        if text.endswith("Z"):
+        if text.endswith("Z") and text[-2:-1].isdigit():
             with contextlib.suppress(ValueError):
                 stamp = datetime.fromisoformat(text[:-1] + "+00:00")
                 if stamp.tzinfo is not None:

@@ -4,6 +4,7 @@ process is left, stands in for Python 3.10's fromisoformat on request
 prints one pass/fail line per criterion at the end of the run."""
 
 import os
+import re
 from datetime import datetime
 
 import pytest
@@ -26,15 +27,16 @@ def pytest_addoption(parser):
 
 class Py310Datetime:
     """datetime as windcast.data uses it, but whose fromisoformat rejects
-    a Z, as Python 3.10's does. It models that rejection only: every text
-    without a Z is read by the running Python's fromisoformat, which on
-    3.11 accepts forms 3.10 rejects, such as a one-digit fraction."""
+    a trailing Z and skips any one character between a digit and an
+    offset's sign, as Python 3.10's does. It models those two rules only:
+    the rest is read by the running Python's fromisoformat, which on 3.11
+    accepts forms 3.10 rejects, such as a one-digit fraction."""
 
     @staticmethod
     def fromisoformat(text):
-        if "Z" in text:
+        if text.endswith("Z"):
             raise ValueError(f"Invalid isoformat string: {text!r}")
-        return datetime.fromisoformat(text)
+        return datetime.fromisoformat(re.sub(r"(?<=\d)[^\d.](?=[+-])", "", text, count=1))
 
 
 @pytest.fixture(autouse=True)

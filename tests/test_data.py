@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, scaling, window construction and splitting."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -326,9 +327,9 @@ def quarter_hours(n):
 
 QUARTER_HOURS = quarter_hours(12)
 
-# Files at the edge of the canonical fast path, most of them left to the
-# general path; each loads as that path and the row-wise reference load it,
-# or fails with their message.
+# Files at the edge of the canonical check, most of them left to the
+# per-row parse; each loads as the loader with that check off and the
+# row-wise reference load it, or fails with their message.
 EDGE_CSVS = {
     "space_separator": canonical_csv(["2021-01-01 00:00:00", "2021-01-01 00:15:00"]),
     "zero_fraction": canonical_csv(["2021-01-01T00:00:00.000000", "2021-01-01T00:15:00"]),
@@ -374,9 +375,9 @@ def text_outcome(path):
 
 
 def general_outcome(monkeypatch, path):
-    """text_outcome with the canonical fast path turned off."""
+    """text_outcome with the canonical check turned off."""
     with monkeypatch.context() as patch:
-        patch.setattr(data, "_read_canonical", lambda *args: None)
+        patch.setattr(data, "_canonical_text", lambda *args: None)
         return text_outcome(path)
 
 
@@ -446,6 +447,26 @@ class TestCanonicalTimestamps:
         with pytest.raises(ParseError, match="row 2: bad timestamp"):
             load_csv(path, SCHEMA)
 
+    @pytest.mark.parametrize("name, reads", [
+        ("canonical", 1), ("space_separator", 1), ("utc_offset", 1), ("tz_aware", 1),
+        ("32_chars", 2), ("non_latin1_separator", 2), ("trailing_nul", 1),
+    ])
+    def test_reads_per_file(self, tmp_path, monkeypatch, name, reads):
+        # a second read only where the bytes field cannot hold the cells: a
+        # cell that fills it or that it rejects; a NUL skips the bytes read
+        texts = {**EDGE_CSVS, "canonical": canonical_csv(QUARTER_HOURS),
+                 "tz_aware": VALID_CSVS["tz_aware"]}
+        path = write_bytes(tmp_path / "a.csv", texts[name])
+        read_cells, calls = data._read_cells, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return read_cells(*args, **kwargs)
+
+        monkeypatch.setattr(data, "_read_cells", counted)
+        text_outcome(path)
+        assert len(calls) == reads
+
     def test_block_check_matches_fromisoformat(self):
         from datetime import datetime
 
@@ -500,6 +521,26 @@ class TestCanonicalTimestamps:
         assert peak < 180 * n, peak
 
 
+BOM_CSVS = {
+    "canonical": canonical_csv(QUARTER_HOURS),
+    "quoted": VALID_CSVS["quoted"],
+    "tz_aware": VALID_CSVS["tz_aware"],
+    "32_chars": EDGE_CSVS["32_chars"],
+    "duplicate": EDGE_CSVS["duplicate"],
+    "bad_number": MALFORMED_CSVS["bad_number"],
+    "header_only": MALFORMED_CSVS["header_only"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOM_CSVS))
+def test_a_byte_order_mark_is_skipped(tmp_path, name):
+    # Excel's "CSV UTF-8" export starts a file with one
+    path = tmp_path / "a.csv"
+    want = text_outcome(write_bytes(path, BOM_CSVS[name]))
+    path.write_bytes(b"\xef\xbb\xbf" + BOM_CSVS[name].encode("utf-8"))
+    assert text_outcome(str(path)) == want
+
+
 Z_TEXTS = [
     date + sep + time + z
     for date in ("2021-01-01", "20210101", "2021-13-01")
@@ -537,9 +578,23 @@ class TestZSuffix:
         assert parse_outcome(data._parse_time, "2021-01-01 00:15:00.500Z") == (
             "2021-01-01T00:15:00.500000+00:00")
         # a Z after a date alone, or one that follows an offset, is rejected
-        # with the error for the text as given
-        for text in ("2021-01-01Z", "2021-01-01T00:15:00+01:00Z", "2021-13-01T00:15:00Z"):
+        # with the error for the text as given; so is a Z after no digit,
+        # which 3.10, skipping one character before an offset, would read
+        # once rewritten
+        assert parse_outcome(Py310Datetime.fromisoformat, "2021-01-01T00:15:00Q+00:00") == (
+            "2021-01-01T00:15:00+00:00")
+        for text in ("2021-01-01Z", "2021-01-01T00:15:00+01:00Z", "2021-13-01T00:15:00Z",
+                     "2021-01-01T00:15:00ZZ", "2021-01-01T00:15:00 Z", "2021-01-01T00:15:00.5:Z"):
             assert parse_outcome(data._parse_time, text) == f"Invalid isoformat string: {text!r}"
+
+    def test_the_310_stand_in_accepts_nothing_this_python_rejects(self, monkeypatch):
+        if parse_outcome(data.datetime.fromisoformat, "2021-01-01T00:00:00Z").startswith("Invalid"):
+            pytest.skip("this Python's fromisoformat rejects Z")
+        here = {text: parse_outcome(data._parse_time, text) for text in Z_TEXTS}
+        monkeypatch.setattr(data, "datetime", Py310Datetime)
+        for text in Z_TEXTS:
+            with contextlib.suppress(ValueError):
+                assert data._parse_time(text).isoformat() == here[text], text
 
     def test_z_suffix_tests_pass_where_fromisoformat_rejects_z(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
