@@ -250,7 +250,10 @@ def _parse_time(text: str) -> datetime:
     (3.10 skips any one character before an offset, so it would read a
     rewritten ...ZZ.) A text that fromisoformat rejects, with and without
     the rewrite, raises its ValueError for the text as given; so does a Z
-    after a date alone, which 3.11 rejects but reads as naive rewritten."""
+    after a date alone, which 3.11 rejects but reads as naive rewritten,
+    and a Z before an offset's sign, which 3.11 rejects but 3.10 skips."""
+    if "Z+" in text or "Z-" in text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
     try:
         return datetime.fromisoformat(text)
     except ValueError:

@@ -79,6 +79,12 @@ class DivergenceError(ToolkitError):
     exit_code = 4
 
 
+class NonFiniteForecastError(ToolkitError):
+    """A model whose finite parameters forecast an overflowing value."""
+
+    exit_code = 4
+
+
 class RankDeficiencyError(ToolkitError):
     """Singular normal equations; advise a positive ridge penalty."""
 

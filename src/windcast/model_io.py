@@ -20,7 +20,7 @@ import numpy as np
 
 from ._util import read_json, write_json
 from .data import Scaler
-from .errors import SchemaError
+from .errors import NonFiniteForecastError, SchemaError
 from .network import Architecture, Loss, Network, infer, predict_quantiles
 
 FORMAT_NAME = "windcast-model"
@@ -65,12 +65,22 @@ class ModelBundle:
     def forecast(self, x) -> tuple[np.ndarray, np.ndarray]:
         """The scaled (n, k) forecast of x's rows, sorted per row for a quantile
         model, and its point column: the one output or the level nearest 0.5.
-        Every command forecasts here, on network.infer's fixed blocks."""
+        Every command forecasts here, on network.infer's fixed blocks; a
+        forecast that is not finite raises NonFiniteForecastError."""
         levels = self.quantile_levels
+        with np.errstate(over="ignore", invalid="ignore"):
+            if levels:
+                values = predict_quantiles(self.network, x, levels).values
+            else:
+                values = infer(self.network, x)
+        if not np.isfinite(values).all():
+            bad = float(values[~np.isfinite(values)][0])
+            raise NonFiniteForecastError(
+                f"the model forecasts {bad!r}, not a finite value: its parameters "
+                "overflow float64 arithmetic"
+            )
         if not levels:
-            values = infer(self.network, x)
             return values, values[:, 0]
-        values = predict_quantiles(self.network, x, levels).values
         return values, values[:, int(np.argmin(np.abs(np.subtract(levels, 0.5))))]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _util
+from . import _shortest, _util
 from .config import DataConfig, RunConfig
 from .data import (
     CsvSchema,
@@ -297,16 +297,13 @@ def predictions_csv(bundle: ModelBundle, frame: TimeSeriesFrame, rows, x) -> str
     """One block of prediction CSV lines: for each frame row in rows, its
     timestamp, its actual target and the forecast of its sample in x, in
     original units. The timestamp is the frame's isoformat() text, written
-    as it is stored."""
+    as it is stored, and each value is written as repr writes it, the
+    shortest text that reads back as the same double."""
     scaled, _ = bundle.forecast(x)
     table = np.column_stack(
         [frame.target[rows], invert_column(bundle.scaler, bundle.target_name, scaled)]
     )
-    # repr of a Python float is the shortest round-trip form. The block is
-    # formatted column by column, so no Python code runs per row.
-    timestamps = frame.timestamps[rows].astype(str).tolist()
-    columns = [map(repr, col) for col in table.T.tolist()]
-    return "\n".join(map(",".join, zip(timestamps, *columns))) + "\n"
+    return _shortest.csv_rows(frame.timestamps[rows], table)
 
 
 def _split_hash(subset: SupervisedSet) -> str:

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -1072,6 +1073,26 @@ class TestExitCodes:
         }
         (workdir / "diverge.json").write_text(json.dumps(cfg))
         assert run(workdir, "train", "--config", "diverge.json", "--out", "d.json") == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("predict",), ("evaluate",), ("explain", "--mode", "pfi"), ("explain", "--mode", "lime"),
+    ])
+    def test_an_overflowing_forecast_is_exit_four(self, trained, capsys, argv):
+        # finite parameters, so load_model accepts them, whose forecast overflows
+        doc = json.loads((trained / "quantile_model.json").read_text())
+        doc["weights"] = [[[1e200] * len(row) for row in w] for w in doc["weights"]]
+        doc["biases"] = [[1e200] * len(b) for b in doc["biases"]]
+        (trained / "overflow_model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(trained, *argv, "--model", "overflow_model.json",
+                       "--config", "quantile.json", "--out", "overflow.out") == 4
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: NonFiniteForecastError: the model forecasts inf")
+        assert "Traceback" not in err
+        assert not (trained / "overflow.out").exists()
+        assert not list(trained.glob(".tmp-*"))
 
     @pytest.mark.parametrize("argv", [
         ("train", "--config", "point.json"),

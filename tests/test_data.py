@@ -583,8 +583,14 @@ class TestZSuffix:
         # once rewritten
         assert parse_outcome(Py310Datetime.fromisoformat, "2021-01-01T00:15:00Q+00:00") == (
             "2021-01-01T00:15:00+00:00")
+        # a Z before an offset, which 3.10 skips as it skips the Q above, is
+        # rejected as 3.11 rejects it
+        for text in ("2021-01-01T00:15:00Z+00:00", "2021-01-01T00:15:00Z-05:00"):
+            assert parse_outcome(Py310Datetime.fromisoformat, text) == (
+                "2021-01-01T00:15:00" + text[-6:])
         for text in ("2021-01-01Z", "2021-01-01T00:15:00+01:00Z", "2021-13-01T00:15:00Z",
-                     "2021-01-01T00:15:00ZZ", "2021-01-01T00:15:00 Z", "2021-01-01T00:15:00.5:Z"):
+                     "2021-01-01T00:15:00ZZ", "2021-01-01T00:15:00 Z", "2021-01-01T00:15:00.5:Z",
+                     "2021-01-01T00:15:00Z+00:00", "2021-01-01T00:15:00Z-05:00"):
             assert parse_outcome(data._parse_time, text) == f"Invalid isoformat string: {text!r}"
 
     def test_the_310_stand_in_accepts_nothing_this_python_rejects(self, monkeypatch):
