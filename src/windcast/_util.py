@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import pickle
 import signal
@@ -12,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import DataError, SchemaError, ToolkitError
+from .errors import DataError, NonFiniteReportError, SchemaError, ToolkitError
 
 
 def usable_cpus() -> int:
@@ -174,9 +175,29 @@ def dump_json(obj) -> str:
 
     json uses float.__repr__, the shortest string that parses back to the
     same IEEE-754 double, so dump -> load is bit-exact for finite values.
-    Non-finite values are rejected rather than written as bare tokens.
+    A non-finite value raises NonFiniteReportError naming its key path
+    rather than being written as a bare token.
     """
-    return json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    plain = jsonable(obj)
+    try:
+        return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # allow_nan=False refuses a nan or an infinity
+        path, value = next((p, v) for p, v in _floats(plain, "") if not math.isfinite(v))
+        raise NonFiniteReportError(
+            f"the value at {path} is {value!r}, not a finite number") from None
+
+
+def _floats(obj, path: str):
+    """(key path, value) of each float in obj, a tree of dicts and lists,
+    in the order dump_json writes them."""
+    if isinstance(obj, float):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _floats(obj[key], f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _floats(value, f"{path}[{i}]")
 
 
 @contextlib.contextmanager

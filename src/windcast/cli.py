@@ -12,6 +12,7 @@ status is then 143.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -163,12 +164,16 @@ def cmd_explain(args) -> int:
             bundle, prepared, instance_index=args.instance_index, lime=lime_cfg
         )
         title = f"contributions for test instance {args.instance_index}"
-    atomic_write_text(args.out, dump_json(report))
-    print(f"report written to {args.out}")
+    # both texts, then both temp files, before either file is replaced
+    outputs = [(args.out, dump_json(report), "report")]
     if args.svg_out:
         svg = render_bar_chart(report["feature_names"], report["values"], title)
-        atomic_write_text(args.svg_out, svg)
-        print(f"chart written to {args.svg_out}")
+        outputs.append((args.svg_out, svg, "chart"))
+    with contextlib.ExitStack() as stack:
+        for path, text, _ in outputs:
+            stack.enter_context(atomic_writer(path)).write(text)
+    for path, _, what in outputs:
+        print(f"{what} written to {path}")
     return 0
 
 

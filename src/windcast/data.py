@@ -8,7 +8,6 @@ either lag-window samples (autoregressive mode) or feature-aligned samples
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import operator
@@ -68,9 +67,9 @@ def load_csv(path: str, schema: CsvSchema) -> TimeSeriesFrame:
     ``float()`` and splitting cells like the csv module. Timestamps that
     are all canonical naive ``YYYY-MM-DDTHH:MM:SS`` text in strictly
     increasing order are checked by numpy and kept as they are, their
-    isoformat() text; any others are parsed by _parse_time, sorted and
-    checked for duplicates. When the reader rejects the file, a row-by-row
-    walk with the csv module finds the first bad row and names it.
+    isoformat() text; any others are parsed by datetime.fromisoformat,
+    sorted and checked for duplicates. If the reader rejects the file, a
+    row-by-row walk with the csv module names the first bad row.
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
@@ -125,7 +124,7 @@ def _load_columns(fh, path: str, schema: CsvSchema) -> TimeSeriesFrame:
             stamps = table["stamp"]
             if cells is not None:  # numpy's bytes field holds a character as its Latin-1 byte
                 stamps = [cell.decode("latin-1") for cell in stamps.tolist()]
-            stamps = list(map(_parse_time, stamps))
+            stamps = list(map(datetime.fromisoformat, stamps))
             if not all(map(operator.lt, stamps, stamps[1:])):
                 order = sorted(range(len(stamps)), key=stamps.__getitem__)
                 stamps = [stamps[i] for i in order]
@@ -244,27 +243,6 @@ def _canonical(block: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _parse_time(text: str) -> datetime:
-    """datetime.fromisoformat(text), but with a trailing Z after a digit
-    read as +00:00 on every Python: 3.11 reads it so, 3.10 rejects it.
-    (3.10 skips any one character before an offset, so it would read a
-    rewritten ...ZZ.) A text that fromisoformat rejects, with and without
-    the rewrite, raises its ValueError for the text as given; so does a Z
-    after a date alone, which 3.11 rejects but reads as naive rewritten,
-    and a Z before an offset's sign, which 3.11 rejects but 3.10 skips."""
-    if "Z+" in text or "Z-" in text:
-        raise ValueError(f"Invalid isoformat string: {text!r}")
-    try:
-        return datetime.fromisoformat(text)
-    except ValueError:
-        if text.endswith("Z") and text[-2:-1].isdigit():
-            with contextlib.suppress(ValueError):
-                stamp = datetime.fromisoformat(text[:-1] + "+00:00")
-                if stamp.tzinfo is not None:
-                    return stamp
-        raise
-
-
 def _number(cell: str) -> float:
     """float(), less the spellings numpy's reader rejects: underscores
     between digits and non-ASCII digits."""
@@ -282,7 +260,7 @@ def _raise_first_bad_row(reader, path: str, ts_col: int, value_cols: list[int]) 
             if not row:
                 continue
             try:
-                ts = _parse_time(row[ts_col])
+                ts = datetime.fromisoformat(row[ts_col])
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
             try:

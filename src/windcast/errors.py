@@ -85,6 +85,12 @@ class NonFiniteForecastError(ToolkitError):
     exit_code = 4
 
 
+class NonFiniteReportError(ToolkitError):
+    """A report value that is nan or infinite, which JSON cannot hold."""
+
+    exit_code = 4
+
+
 class RankDeficiencyError(ToolkitError):
     """Singular normal equations; advise a positive ridge penalty."""
 

@@ -32,7 +32,7 @@ from .data import (
     make_lag_windows,
     make_nwp_set,
 )
-from .errors import DivergenceError, SchemaError
+from .errors import DivergenceError, NonFiniteForecastError, SchemaError
 from .explain import LimeConfig, feature_errors, fit_lime, permutation_importance
 from .metrics import deterministic_report, probabilistic_report
 from .model_io import ModelBundle
@@ -298,11 +298,19 @@ def predictions_csv(bundle: ModelBundle, frame: TimeSeriesFrame, rows, x) -> str
     timestamp, its actual target and the forecast of its sample in x, in
     original units. The timestamp is the frame's isoformat() text, written
     as it is stored, and each value is written as repr writes it, the
-    shortest text that reads back as the same double."""
+    shortest text that reads back as the same double. A forecast that
+    overflows on its way back to original units raises
+    NonFiniteForecastError."""
     scaled, _ = bundle.forecast(x)
-    table = np.column_stack(
-        [frame.target[rows], invert_column(bundle.scaler, bundle.target_name, scaled)]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = invert_column(bundle.scaler, bundle.target_name, scaled)
+    if not np.isfinite(values).all():
+        bad = float(values[~np.isfinite(values)][0])
+        raise NonFiniteForecastError(
+            f"the model forecasts {bad!r} in {bundle.target_name!r} units, not a finite "
+            "value: its scaler's bounds overflow float64 arithmetic"
+        )
+    table = np.column_stack([frame.target[rows], values])
     return _shortest.csv_rows(frame.timestamps[rows], table)
 
 

@@ -169,21 +169,6 @@ def weighted_linear_fit(rows, targets, weights):
     return coef
 
 
-def _utc_z_time(text):
-    """datetime.fromisoformat(text), whatever the Python, with a trailing Z
-    read as +00:00: the rewrite is tried first and kept only when it gives
-    a timezone-aware time; otherwise the text is parsed as given."""
-    if text.endswith("Z"):
-        try:
-            stamp = datetime.fromisoformat(text[:-1] + "+00:00")
-        except ValueError:
-            pass
-        else:
-            if stamp.tzinfo is not None:
-                return stamp
-    return datetime.fromisoformat(text)
-
-
 def row_wise_load_csv(path, schema):
     """The csv-module loader that parsed every row in Python: the reference
     for the bulk reader's arrays, timestamps and error messages."""
@@ -213,7 +198,7 @@ def row_wise_load_csv(path, schema):
             if not row:
                 continue
             try:
-                ts = _utc_z_time(row[idx[schema.timestamp_col]])
+                ts = datetime.fromisoformat(row[idx[schema.timestamp_col]])
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}: row {lineno}: bad timestamp ({exc})") from None
             try:

@@ -24,7 +24,7 @@ from windcast._util import atomic_write_text, dump_json
 from windcast.cli import main
 from windcast.config import load_config
 from windcast.data import invert_column
-from windcast.errors import DataError, ToolkitError
+from windcast.errors import DataError, NonFiniteReportError, ToolkitError
 from windcast.explain import LimeConfig
 from windcast.metrics import deterministic_report
 from windcast.model_io import load_model
@@ -1092,6 +1092,40 @@ class TestExitCodes:
         assert err.startswith("windcast: NonFiniteForecastError: the model forecasts inf")
         assert "Traceback" not in err
         assert not (trained / "overflow.out").exists()
+        assert not list(trained.glob(".tmp-*"))
+
+    @pytest.mark.parametrize("argv, where", [
+        # scaled forecasts of 1e300 pass the forecast check; their squares overflow
+        (("evaluate", "--model", "huge_forecast_model.json"), "nrmse is inf"),
+        # a kernel this narrow gives every perturbed row a weight of 0
+        (("explain", "--model", "quantile_model.json", "--mode", "lime",
+          "--kernel-width", "1e-200"), "coefficients[0] is nan"),
+    ])
+    def test_a_non_finite_report_value_is_exit_four(self, trained, capsys, argv, where):
+        doc = json.loads((trained / "quantile_model.json").read_text())
+        doc["biases"][-1] = [1e300] * len(doc["biases"][-1])
+        (trained / "huge_forecast_model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(trained, *argv, "--config", "quantile.json", "--out", "non_finite.json") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"windcast: NonFiniteReportError: the value at {where}, ")
+        assert "Traceback" not in err
+        assert not (trained / "non_finite.json").exists()
+        assert not list(trained.glob(".tmp-*"))
+
+    def test_a_non_finite_value_is_named_by_its_key_path(self):
+        report = {"b": 1.0, "a": {"z": [0.0, np.float64(np.inf)], "y": [[1.0, float("nan")]]}}
+        with pytest.raises(NonFiniteReportError, match=r"at a\.y\[0\]\[1\] is nan,"):
+            dump_json(report)
+
+    def test_a_chart_that_cannot_be_written_leaves_the_report_as_it_was(self, trained, capsys):
+        (trained / "kept.json").write_bytes(b"kept bytes\n")
+        assert run(trained, "explain", "--model", "point_model.json", "--config", "point.json",
+                   "--out", "kept.json", "--svg-out", os.path.join("no_such_dir", "x.svg")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("windcast: DataError: cannot write no_such_dir")
+        assert "Traceback" not in err
+        assert (trained / "kept.json").read_bytes() == b"kept bytes\n"
         assert not list(trained.glob(".tmp-*"))
 
     @pytest.mark.parametrize("argv", [

@@ -1,15 +1,10 @@
 """Tests for CSV ingestion, scaling, window construction and splitting."""
 
-import contextlib
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import Py310Datetime
 from oracles import row_wise_load_csv
 from synth import write_wind_csv
 from windcast import data
@@ -410,8 +405,7 @@ class TestCanonicalTimestamps:
         try:
             want = row_wise_load_csv(path, SCHEMA)
         except Exception as exc:
-            if name != "trailing_nul":  # csv before Python 3.11 rejects a NUL
-                assert load_outcome(load_csv, path) == (type(exc), str(exc))
+            assert load_outcome(load_csv, path) == (type(exc), str(exc))
         else:
             assert_same_frame(load_csv(path, SCHEMA), want)
 
@@ -423,10 +417,7 @@ class TestCanonicalTimestamps:
             raise AssertionError("the row-by-row walk ran on a valid file")
 
         path = write_bytes(tmp_path / "a.csv", EDGE_CSVS["non_latin1_separator"])
-        try:
-            want = row_wise_load_csv(path, SCHEMA)
-        except ParseError:
-            pytest.skip("this Python's fromisoformat rejects the separator")
+        want = row_wise_load_csv(path, SCHEMA)
         monkeypatch.setattr(data, "_raise_first_bad_row", row_walk)
         assert_same_frame(load_csv(path, SCHEMA), want)
 
@@ -539,81 +530,6 @@ def test_a_byte_order_mark_is_skipped(tmp_path, name):
     want = text_outcome(write_bytes(path, BOM_CSVS[name]))
     path.write_bytes(b"\xef\xbb\xbf" + BOM_CSVS[name].encode("utf-8"))
     assert text_outcome(str(path)) == want
-
-
-Z_TEXTS = [
-    date + sep + time + z
-    for date in ("2021-01-01", "20210101", "2021-13-01")
-    for sep in ("T", " ", "")
-    for time in ("", "00", "00:15", "00:15:00", "001500", "00:15:00.5", "00:15:00.123456",
-                 "24:00:00", "00:15:00+01:00")
-    for z in ("Z", "z", "ZZ")
-]
-
-
-def parse_outcome(parse, text):
-    try:
-        return parse(text).isoformat()
-    except ValueError as exc:
-        return str(exc)
-
-
-class TestZSuffix:
-    """A trailing Z reads as +00:00 on every Python."""
-
-    def test_this_python_reads_z_as_windcast_does(self):
-        fromisoformat = data.datetime.fromisoformat
-        if parse_outcome(fromisoformat, "2021-01-01T00:00:00Z").startswith("Invalid"):
-            pytest.skip("this Python's fromisoformat rejects Z")
-        for text in Z_TEXTS:
-            want = parse_outcome(fromisoformat, text)
-            assert parse_outcome(data._parse_time, text) == want, text
-
-    def test_a_fromisoformat_that_rejects_z(self, monkeypatch):
-        monkeypatch.setattr(data, "datetime", Py310Datetime)
-        # 3.10 reads a fraction of 3 or 6 digits only
-        for text in ("2021-01-01T00:15:00Z", "2021-01-01 00:15:00.500Z"):
-            assert "Invalid" in parse_outcome(Py310Datetime.fromisoformat, text)
-        assert parse_outcome(data._parse_time, "2021-01-01T00:15:00Z") == "2021-01-01T00:15:00+00:00"
-        assert parse_outcome(data._parse_time, "2021-01-01 00:15:00.500Z") == (
-            "2021-01-01T00:15:00.500000+00:00")
-        # a Z after a date alone, or one that follows an offset, is rejected
-        # with the error for the text as given; so is a Z after no digit,
-        # which 3.10, skipping one character before an offset, would read
-        # once rewritten
-        assert parse_outcome(Py310Datetime.fromisoformat, "2021-01-01T00:15:00Q+00:00") == (
-            "2021-01-01T00:15:00+00:00")
-        # a Z before an offset, which 3.10 skips as it skips the Q above, is
-        # rejected as 3.11 rejects it
-        for text in ("2021-01-01T00:15:00Z+00:00", "2021-01-01T00:15:00Z-05:00"):
-            assert parse_outcome(Py310Datetime.fromisoformat, text) == (
-                "2021-01-01T00:15:00" + text[-6:])
-        for text in ("2021-01-01Z", "2021-01-01T00:15:00+01:00Z", "2021-13-01T00:15:00Z",
-                     "2021-01-01T00:15:00ZZ", "2021-01-01T00:15:00 Z", "2021-01-01T00:15:00.5:Z",
-                     "2021-01-01T00:15:00Z+00:00", "2021-01-01T00:15:00Z-05:00"):
-            assert parse_outcome(data._parse_time, text) == f"Invalid isoformat string: {text!r}"
-
-    def test_the_310_stand_in_accepts_nothing_this_python_rejects(self, monkeypatch):
-        if parse_outcome(data.datetime.fromisoformat, "2021-01-01T00:00:00Z").startswith("Invalid"):
-            pytest.skip("this Python's fromisoformat rejects Z")
-        here = {text: parse_outcome(data._parse_time, text) for text in Z_TEXTS}
-        monkeypatch.setattr(data, "datetime", Py310Datetime)
-        for text in Z_TEXTS:
-            with contextlib.suppress(ValueError):
-                assert data._parse_time(text).isoformat() == here[text], text
-
-    def test_z_suffix_tests_pass_where_fromisoformat_rejects_z(self):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        ids = ["tests/test_data.py::TestBulkReaderMatchesRowWise::test_valid_input[tz_aware]",
-               "tests/test_pipeline.py::test_a_timezone_aware_file_writes_its_isoformat_text"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "--py310-fromisoformat", *ids],
-            cwd=root, env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stdout
-        assert "7 passed" in proc.stdout
 
 
 class TestScaler:

@@ -5,6 +5,7 @@ without being written into."""
 import json
 import os
 import tracemalloc
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -238,6 +239,32 @@ def test_a_failing_block_ends_every_worker(cpus, monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         write_predictions(fh, bundle, prepared)
     assert len(fh.writes) == 2  # the header and the first block
+    assert_no_child_left()
+
+
+def test_a_forecast_that_overflows_in_original_units_is_exit_four(
+    two_block_run, cpus, capsys
+):
+    # scaled forecasts of 1e300 pass the model's own check, and overflow
+    # when the scaler maps them back to original units
+    doc = json.loads((two_block_run / "model.json").read_text())
+    doc["biases"][-1] = [1e300] * len(doc["biases"][-1])
+    doc["scaler"]["power"] = [0.0, 1e10]
+    (two_block_run / "huge_model.json").write_text(json.dumps(doc))
+    cwd = os.getcwd()
+    os.chdir(two_block_run)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["predict", "--model", "huge_model.json", "--config", "run.json",
+                         "--out", "huge.csv"]) == 4
+    finally:
+        os.chdir(cwd)
+    err = capsys.readouterr().err
+    assert err.startswith("windcast: NonFiniteForecastError: the model forecasts inf in 'power'")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (two_block_run / "huge.csv").exists()
+    assert not list(two_block_run.glob(".tmp-*"))
     assert_no_child_left()
 
 
