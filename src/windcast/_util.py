@@ -4,12 +4,13 @@ forked child processes a command spreads its work over."""
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
 import pickle
 import signal
-import tempfile
+import stat
 
 import numpy as np
 
@@ -126,6 +127,28 @@ def forked(what: str, serve, cap: int, here: bool = False):
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
+@contextlib.contextmanager
+def forked_map(what: str, fn, items, here: bool = False, cap: int | None = None):
+    """Yield an iterator of fn(item) for each of items, a sequence, in
+    item order, computed over forked processes (see forked; cap defaults
+    to len(items)) and consumed inside the with block.
+
+    Of n processes, process j computes items j, j + n, ... Where here is
+    set this process is process 0, and computes its items as the iterator
+    reaches them; with no child, every item is computed here. Leaving the
+    block before the iterator ends kills every child.
+    """
+
+    def serve(i, n, _):
+        return map(fn, items[i + here::n + here])
+
+    cap = len(items) if cap is None else cap
+    with forked(what, serve, cap, here) as workers:
+        sources = [None] * here + workers or [None]  # None: this process
+        yield (fn(item) if source is None else source.receive()
+               for item, source in zip(items, itertools.cycle(sources)))
+
+
 def _serve(serve, i: int, commands: int, answers: int, mask, others) -> None:
     """A forked child's whole life: see forked."""
     code = 1
@@ -206,16 +229,21 @@ def atomic_writer(path: str):
 
     The file is a temp file in path's directory, moved into place with
     os.replace, so readers never observe a partially written file even if
-    the process dies mid-write. On any failure the temp file is removed
-    and path keeps what it held; a write the file system refuses (a
-    missing directory, no permission, a full disk) raises DataError
-    naming the path.
+    the process dies mid-write. It takes the mode open(path, "w") would
+    leave: an existing path's, else 0o666 less the umask. On any failure
+    the temp file is removed and path keeps what it held; a write the file
+    system refuses (a missing directory, no permission, a full disk)
+    raises DataError naming the path.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        name = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:

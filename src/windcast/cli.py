@@ -19,9 +19,10 @@ import sys
 
 from ._util import atomic_write_text, atomic_writer, dump_json
 from .config import load_config
-from .errors import ToolkitError, UsageError
+from .errors import SchemaError, ToolkitError, UsageError
 from .explain import LimeConfig, render_bar_chart
 from .model_io import load_model, save_model
+from .network import MAX_BENCHMARK_SEEDS, MAX_LIME_SAMPLES, MAX_PFI_REPEATS
 from .pipeline import (
     build_dataset,
     evaluate_bundle,
@@ -45,6 +46,13 @@ def _seed(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"a seed must be an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    """SchemaError naming flag where value is above cap: checked before any
+    file is read, so a size no run could hold fails fast."""
+    if value > cap:
+        raise SchemaError(f"{flag} {value:,} is above the cap of {cap:,}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,6 +152,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    _check_cap("--repeats", args.repeats, MAX_PFI_REPEATS)
+    _check_cap("--lime-samples", args.lime_samples, MAX_LIME_SAMPLES)
     bundle = load_model(args.model)
     config = load_config(args.config)
     prepared = build_dataset(config, bundle)
@@ -178,6 +188,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    _check_cap("--seeds", args.seeds, MAX_BENCHMARK_SEEDS)
     config = load_config(args.config)
     if args.seed is not None:
         config.training.seed = args.seed

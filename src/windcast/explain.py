@@ -64,54 +64,48 @@ class FeatureImportanceReport:
         }
 
 
-def feature_errors(predict, x, y, features, repeats: int, seed: int) -> list[np.ndarray]:
+def feature_errors(predict, x, y, i: int, repeats: int, seed: int, block, pred) -> np.ndarray:
     """The (repeats,) array of mean squared errors after each permutation
-    of each feature in features, in order.
+    of feature i.
 
     Every (feature, repeat) pair draws its permutation from a generator
-    seeded with [seed, feature, repeat], so a feature's errors do not
-    depend on which other features are computed, or where. predict is
-    called on row blocks of at most PFI_BLOCK_ROWS rows, filled in one
-    reused buffer: each block of x is copied in once per feature, and each
-    repeat writes only its permuted column over it, so one feature's
-    permuted columns and forecasts, (repeats, n) each, are held at once.
-    A predict whose rows do not depend on each other gives the errors of
-    whole-x calls. predict must not hold onto the array it is handed. x
-    and y are as permutation_importance checks them.
+    seeded with [seed, i, repeat], so a feature's errors do not depend on
+    which other features are computed, or where. predict is called on row
+    blocks of at most PFI_BLOCK_ROWS rows, filled in block, a
+    (min(n, PFI_BLOCK_ROWS), d) buffer: each block of x is copied in once,
+    and each repeat writes only its permuted column over it. The forecasts
+    go to pred, a (repeats, n) buffer, so one feature's permuted columns
+    and forecasts are held at once. A predict whose rows do not depend on
+    each other gives the errors of whole-x calls. predict must not hold
+    onto the array it is handed. x and y are as permutation_importance
+    checks them.
     """
-    n, d = x.shape
-    block = np.empty((min(n, PFI_BLOCK_ROWS), d))
-    pred = np.empty((repeats, n))
-    out = []
-    for i in features:
-        columns = [x[np.random.default_rng([seed, i, r]).permutation(n), i]
-                   for r in range(repeats)]
-        for lo in range(0, n, PFI_BLOCK_ROWS):
-            rows = block[:min(PFI_BLOCK_ROWS, n - lo)]
-            rows[:] = x[lo:lo + PFI_BLOCK_ROWS]
-            for r, column in enumerate(columns):
-                rows[:, i] = column[lo:lo + PFI_BLOCK_ROWS]
-                pred[r, lo:lo + PFI_BLOCK_ROWS] = predict(rows)
-        out.append(np.array([_mse(y, p) for p in pred]))
-    return out
+    n = len(x)
+    columns = [x[np.random.default_rng([seed, i, r]).permutation(n), i] for r in range(repeats)]
+    for lo in range(0, n, PFI_BLOCK_ROWS):
+        rows = block[:min(PFI_BLOCK_ROWS, n - lo)]
+        rows[:] = x[lo:lo + PFI_BLOCK_ROWS]
+        for r, column in enumerate(columns):
+            rows[:, i] = column[lo:lo + PFI_BLOCK_ROWS]
+            pred[r, lo:lo + PFI_BLOCK_ROWS] = predict(rows)
+    return np.array([_mse(y, p) for p in pred])
 
 
 def permutation_importance(
-    predict, x, y, repeats: int = 5, seed: int = 0, feature_names=None, *,
-    _errors=feature_errors,
+    predict, x, y, repeats: int = 5, seed: int = 0, feature_names=None, *, _map=map,
 ) -> FeatureImportanceReport:
     """Shuffle each feature column and measure the error increase.
 
     predict sees x whole once, for the unshuffled error; the errors after
-    permutation are feature_errors's, computed in this process. Nothing
-    here forks, so predict may be any callable. e_per_mean and fi_std are
-    each feature's errors' mean and sample standard deviation (0 for one
-    repeat).
+    permutation are feature_errors's, each process reusing one pair of
+    buffers for its features. Nothing here forks, so predict may be any
+    callable. e_per_mean and fi_std are each feature's errors' mean and
+    sample standard deviation (0 for one repeat).
 
-    _errors is not for library callers: pipeline.explain_pfi passes a
-    function that returns feature_errors's answer from forked processes.
-    It calls this function rather than a private copy so that a profiler
-    that wraps permutation_importance by name still times the command.
+    _map is not for library callers: pipeline.explain_pfi passes one that
+    maps the features over forked processes. It calls this function
+    rather than a private copy so that a profiler that wraps
+    permutation_importance by name still times the command.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -128,9 +122,11 @@ def permutation_importance(
         raise ShapeError(f"{len(feature_names)} names for {d} features")
 
     e_ori = _mse(y, np.asarray(predict(x), dtype=float))
+    block, pred = np.empty((min(n, PFI_BLOCK_ROWS), d)), np.empty((repeats, n))
     e_per_mean = np.empty(d)
     fi_std = np.empty(d)
-    for i, per in enumerate(_errors(predict, x, y, range(d), repeats, seed)):
+    errors = _map(lambda i: feature_errors(predict, x, y, i, repeats, seed, block, pred), range(d))
+    for i, per in enumerate(errors):
         e_per_mean[i] = per.mean()
         fi_std[i] = per.std(ddof=1) if repeats > 1 else 0.0
     return FeatureImportanceReport(

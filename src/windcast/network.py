@@ -26,7 +26,8 @@ batch's mean, so a pass can sum blocks into the batch's loss and gradient
 
 An architecture holds at most MAX_PARAMETERS parameters and at most
 MAX_LAYER_WIDTH units per layer, checked from its layer sizes before any
-array is allocated.
+array is allocated. The MAX_ constants after them cap the sizes the CLI's
+flags set, which it checks before it reads any file.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ training holds several (parameters, gradients, optimizer moments)."""
 MAX_LAYER_WIDTH = 8192
 """Cap on any one layer's units, inputs included: a 4,096-row training block
 holds three float64 arrays per hidden layer, 768 MiB at this width."""
+MAX_PFI_REPEATS = 1000
+"""Cap on explain --repeats: permutation importance holds one feature's
+permuted columns and forecasts, 16 bytes per repeat and row, 16 MB per
+thousand rows at this cap."""
+MAX_LIME_SAMPLES = 100_000
+"""Cap on explain --lime-samples: the surrogate's design matrices hold 8
+bytes per sample and input, 39 MB each for 48 inputs at this cap."""
+MAX_BENCHMARK_SEEDS = 1000
+"""Cap on benchmark --seeds: each seed trains two networks."""
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 

@@ -51,6 +51,7 @@ block order, so the bytes equal those of a pass run in one process.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -371,17 +372,28 @@ class _BlockWorkers:
     PIPE_BUF bytes, which an empty pipe takes at once. A block of rows
     that are not C-ordered is copied into the workspace of the process
     that runs it. Where no worker could be forked the parent claims every
-    block. A worker that dies fails the pass; close ends every worker.
+    block. A worker that dies fails the pass.
     """
 
     @classmethod
-    def start(cls, stack: Network, x, y, loss: Loss) -> "_BlockWorkers | None":
-        """Workers for the full-batch passes of stack on (x, y), or None
-        where this process does them alone (see _ways)."""
+    @contextlib.contextmanager
+    def started(cls, stack: Network, x, y, loss: Loss):
+        """Workers for the full-batch passes of stack on (x, y), ended and
+        reaped when the with block ends, or None where this process does
+        them alone (see _ways)."""
         ways = _ways(len(x), stack.flat.shape)
-        return cls(stack, x, y, loss, ways) if _util.children(ways, here=True) else None
+        if not _util.children(ways, here=True):
+            yield None
+            return
+        workers = cls(stack, x, y, loss)
+        try:
+            with _util.forked("training", workers._serve, ways, here=True) as workers.children:
+                yield workers
+        finally:
+            os.close(workers.claims_r)
+            os.close(workers.claims_w)
 
-    def __init__(self, stack: Network, x, y, loss: Loss, ways: int):
+    def __init__(self, stack: Network, x, y, loss: Loss):
         import mmap
         import select
 
@@ -399,13 +411,6 @@ class _BlockWorkers:
         self.claims = b"".join(lo.to_bytes(8, "little") for lo in range(0, self.blocks, self.step))
         self.claims_r, self.claims_w = os.pipe()
         os.set_blocking(self.claims_r, False)
-        self.forks = _util.forked("training", self._serve, ways, here=True)
-        try:
-            self.workers = self.forks.__enter__()
-        except BaseException:
-            os.close(self.claims_r)
-            os.close(self.claims_w)
-            raise
 
     def _serve(self, i: int, n: int, commands: int):
         """A worker's answers: a pass per command byte, until the pipe ends."""
@@ -436,11 +441,11 @@ class _BlockWorkers:
         """_train_pass's result for stack, its blocks shared with the workers."""
         self.params[...] = stack.flat
         os.write(self.claims_w, self.claims)
-        for worker in self.workers:
-            worker.send(b"g" if want_grad else b"l")
+        for child in self.children:
+            child.send(b"g" if want_grad else b"l")
         self._run_blocks(stack, work, want_grad)
-        for worker in self.workers:
-            worker.receive()
+        for child in self.children:
+            child.receive()
         total = self.losses[0]
         for value in self.losses[1:]:
             total = total + value
@@ -449,12 +454,6 @@ class _BlockWorkers:
             for grads in self.grads[1:]:
                 work.grads.flat += grads
         return total / self.entries, work.grads if want_grad else None
-
-    def close(self) -> None:
-        """End every worker and reap it."""
-        self.forks.__exit__(None, None, None)
-        os.close(self.claims_r)
-        os.close(self.claims_w)
 
 
 STACK_BYTES = 32 * 2**20
@@ -607,10 +606,9 @@ def train_seeds(
         for lo in range(0, n, batch_size)
     ]
     work, grads = Workspace(stack, min(step_rows, TRAIN_ROWS)), None
-    workers = None
-    try:
-        if full_batch and epochs:
-            workers = _BlockWorkers.start(stack, train_x, train_set.y, loss)
+    blocked = full_batch and epochs > 0
+    with (_BlockWorkers.started(stack, train_x, train_set.y, loss) if blocked
+          else contextlib.nullcontext()) as workers:
         for epoch in range(1, epochs + 1):
             lr = optimizer.learning_rate(epoch)
             diverged: dict[int, int] = {}
@@ -660,8 +658,5 @@ def train_seeds(
                     ended.append(s)
             if len(ended) == len(nets):
                 break
-    finally:
-        if workers is not None:
-            workers.close()
     return results
 

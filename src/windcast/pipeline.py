@@ -33,7 +33,7 @@ from .data import (
     make_nwp_set,
 )
 from .errors import DivergenceError, NonFiniteForecastError, SchemaError
-from .explain import LimeConfig, feature_errors, fit_lime, permutation_importance
+from .explain import LimeConfig, fit_lime, permutation_importance
 from .metrics import deterministic_report, probabilistic_report
 from .model_io import ModelBundle
 from .network import INFER_ROWS, Network, QuantileForecast, init_network
@@ -135,14 +135,17 @@ def _bundle(config: RunConfig, prepared: PreparedData, net: Network, seed: int,
 
 def evaluate_bundle(bundle: ModelBundle, prepared: PreparedData) -> dict:
     """Test-split metric report; quantile models add probabilistic keys,
-    from the one forecast whose point column the point metrics score."""
+    from the one forecast whose point column the point metrics score. A
+    metric that overflows is reported as it comes out, inf or nan, with no
+    RuntimeWarning: dump_json then ends the command naming it."""
     test = prepared.test
     values, point = bundle.forecast(test.x)
-    report = deterministic_report(test.y, point).to_dict()
-    if bundle.quantile_levels:
-        forecast = QuantileForecast(bundle.quantile_levels, values)
-        doc = probabilistic_report(forecast, test.y).to_dict()
-        report.update((key, doc[key]) for key in ("qs", "crps", "per_pinc"))
+    with np.errstate(all="ignore"):
+        report = deterministic_report(test.y, point).to_dict()
+        if bundle.quantile_levels:
+            forecast = QuantileForecast(bundle.quantile_levels, values)
+            doc = probabilistic_report(forecast, test.y).to_dict()
+            report.update((key, doc[key]) for key in ("qs", "crps", "per_pinc"))
     return report
 
 
@@ -155,47 +158,35 @@ def explain_pfi(
 ) -> dict:
     """permutation_importance's report of the model on the split's rows.
 
-    The features are spread over forked processes, one per usable CPU
-    (_util.forked), this one included: of n processes, process i
-    computes the errors of features i, i + n, ... and this one
-    assembles the report in feature order. Each (feature, repeat) pair
-    draws its own permutation and a row's forecast does not depend on
-    the rows around it, so the bytes do not depend on the route. With
-    one CPU or one feature, or where fork does not exist or fails, the
-    features are done here. A child that dies ends the command with
+    The features are spread over forked processes, this one included
+    (_util.forked_map), and the report is assembled in feature order.
+    Each (feature, repeat) pair draws its own permutation and a row's
+    forecast does not depend on the rows around it, so the bytes do not
+    depend on the route. A child that dies ends the command with
     ToolkitError.
     """
     if split not in ("train", "test"):
         raise SchemaError(f"pfi split must be 'train' or 'test', got {split!r}")
     subset = prepared.test if split == "test" else prepared.train
-    report = permutation_importance(
-        lambda rows: bundle.forecast(rows)[1],
-        subset.x,
-        subset.y,
-        repeats=repeats,
-        seed=seed,
-        feature_names=bundle.feature_names,
-        _errors=_forked_feature_errors,
-    )
+    with np.errstate(all="ignore"):  # as evaluate_bundle; forked children inherit it
+        report = permutation_importance(
+            lambda rows: bundle.forecast(rows)[1],
+            subset.x,
+            subset.y,
+            repeats=repeats,
+            seed=seed,
+            feature_names=bundle.feature_names,
+            _map=_forked_map,
+        )
     doc = report.to_dict()
     doc["split"] = split
     return doc
 
 
-def _forked_feature_errors(predict, x, y, features, repeats: int, seed: int) -> list:
-    """feature_errors's answer, its features spread over forked processes
-    as explain_pfi says."""
-
-    def share(i, n):
-        return feature_errors(predict, x, y, features[i::n], repeats, seed)
-
-    def serve(i, n, _):
-        return [share(i + 1, n + 1)]
-
-    with _util.forked("permutation importance", serve, len(features), here=True) as workers:
-        n = 1 + len(workers)
-        shares = [share(0, n), *(worker.receive() for worker in workers)]
-    return [shares[k % n][k // n] for k in range(len(features))]
+def _forked_map(errors, features) -> list:
+    """list(map(errors, features)), spread as explain_pfi says."""
+    with _util.forked_map("permutation importance", errors, features, here=True) as out:
+        return list(out)
 
 
 def explain_lime(
@@ -211,13 +202,14 @@ def explain_lime(
             f"(0..{len(test) - 1})"
         )
     stats = _column_std(prepared.train.x)
-    explanation = fit_lime(
-        lambda rows: bundle.forecast(rows)[1],
-        test.x[instance_index],
-        stats,
-        lime if lime is not None else LimeConfig(),
-        feature_names=bundle.feature_names,
-    )
+    with np.errstate(all="ignore"):  # as evaluate_bundle
+        explanation = fit_lime(
+            lambda rows: bundle.forecast(rows)[1],
+            test.x[instance_index],
+            stats,
+            lime if lime is not None else LimeConfig(),
+            feature_names=bundle.feature_names,
+        )
     doc = explanation.to_dict()
     doc["instance_index"] = instance_index
     doc["actual"] = float(test.y[instance_index])
@@ -261,28 +253,21 @@ def write_predictions(fh, bundle: ModelBundle, prepared: PreparedData) -> int:
     units, to the text file fh; returns the number of rows written.
 
     The header goes first, then the rows a block of CSV_BLOCK_ROWS at a
-    time, in order. Forked children forecast and format the blocks, one
-    per usable CPU (_util.forked), child i of n taking blocks i, i + n,
-    ...; a child formats its next block once the last is in its pipe, so
-    at most about two blocks per child are in flight. With one CPU or one
-    block, or where fork does not exist or fails, the blocks are done
-    here. Either way each block is predictions_csv's text, and a row's
-    forecast does not depend on the rows around it, so the bytes do not
-    depend on the route. A child that dies ends the write with ToolkitError.
+    time, in order. Forked children forecast and format the blocks
+    (_util.forked_map); a child formats its next block once the last is
+    in its pipe, so at most about two blocks per child are in flight.
+    Either way each block is predictions_csv's text, and a row's forecast
+    does not depend on the rows around it, so the bytes do not depend on
+    the route. A child that dies ends the write with ToolkitError.
     """
     full = prepared.full
     names = [f"q{q:g}" for q in bundle.quantile_levels] or ["prediction"]
     fh.write(",".join(["timestamp", "y_true", *names]) + "\n")
     blocks = (bundle, prepared.raw_frame, full.target_indices, full.x)
     starts = range(0, len(full.target_indices), CSV_BLOCK_ROWS)
-
-    def serve(i, n, _):
-        return (_block_text(blocks, lo) for lo in starts[i::n])
-
-    with _util.forked("prediction", serve, len(starts)) as workers:
-        for k, lo in enumerate(starts):
-            fh.write(workers[k % len(workers)].receive() if workers
-                     else _block_text(blocks, lo))
+    with _util.forked_map("prediction", lambda lo: _block_text(blocks, lo), starts) as texts:
+        for text in texts:
+            fh.write(text)
     return len(full.target_indices)
 
 
@@ -381,12 +366,11 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     training.epochs: training.early_stop_patience is not applied. Failed
     (diverged) runs are recorded but excluded from the medians.
 
-    The arms train in two processes: this one trains the on arm while a
-    forked child (_util.forked) trains the off arm and sends its reports
-    back. They train one after the other here where this process may use
-    one CPU, fork does not exist or fails, or training would share its
-    passes with forked workers of its own (optim.forks_workers). The
-    report does not depend on the route, but for its wall times.
+    The arms train in two processes, this one and a forked child
+    (_util.forked_map), or one after the other here where training would
+    share its passes with forked workers of its own
+    (optim.forks_workers). The report does not depend on the route, but
+    for its wall times.
     """
     if n_seeds < 1:
         raise SchemaError("benchmark needs at least one seed")
@@ -398,16 +382,13 @@ def run_benchmark(config: RunConfig, n_seeds: int) -> dict:
     arch, batch_size = config.model.architecture, config.training.batch_size
     ways = 1 if forks_workers(arch, len(prepared.train), batch_size) else 2
 
-    def serve(i, n, _):
-        return [_benchmark_arm(config, prepared, arms[1], seeds)]
+    def train_arm(strategies):
+        return _benchmark_arm(config, prepared, strategies, seeds)
 
-    with _util.forked("benchmark", serve, ways, here=True) as children:
-        reports = [_benchmark_arm(config, prepared, arm, seeds)
-                   for arm in arms[:2 - len(children)]]
-        reports += [child.receive() for child in children]
-    for arm, arm_reports in zip(("with_strategies", "without_strategies"), reports):
-        for entry, report in zip(runs, arm_reports):
-            entry[arm] = dict(report, split_hash=split_hash)
+    with _util.forked_map("benchmark", train_arm, arms, here=True, cap=ways) as reports:
+        for arm, arm_reports in zip(("with_strategies", "without_strategies"), reports):
+            for entry, report in zip(runs, arm_reports):
+                entry[arm] = dict(report, split_hash=split_hash)
 
     medians = {}
     for arm in ("with_strategies", "without_strategies"):

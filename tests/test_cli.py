@@ -28,7 +28,16 @@ from windcast.errors import DataError, NonFiniteReportError, ToolkitError
 from windcast.explain import LimeConfig
 from windcast.metrics import deterministic_report
 from windcast.model_io import load_model
-from windcast.network import Architecture, Loss, infer, init_network, predict_quantiles
+from windcast.network import (
+    MAX_BENCHMARK_SEEDS,
+    MAX_LIME_SAMPLES,
+    MAX_PFI_REPEATS,
+    Architecture,
+    Loss,
+    infer,
+    init_network,
+    predict_quantiles,
+)
 from windcast.optim import OptimizerConfig, StrategyConfig, train
 from windcast.pipeline import build_dataset, evaluate_bundle, explain_lime
 
@@ -779,6 +788,48 @@ def _sequential_benchmark(config_path, n_seeds):
             "medians": medians, "deltas_pct": deltas}
 
 
+# windcast's CLI as a user runs it, with 1 GiB of address space and every
+# array constructor refused: a flag above its cap exits 2 before any array
+# is built, and a missing check fails fast rather than filling the memory
+CAP_DRIVER = """
+import resource, sys
+import numpy as np, numpy.random
+import windcast.cli
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+def no_arrays(*args, **kwargs):
+    raise AssertionError("an array was built")
+np.empty = np.array = no_arrays
+sys.exit(windcast.cli.main(sys.argv[1:]))
+"""
+
+
+class TestFlagCaps:
+    @pytest.mark.parametrize("argv, flag, cap", [
+        (("explain", "--model", "point_model.json", "--mode", "pfi"), "--repeats",
+         MAX_PFI_REPEATS),
+        (("explain", "--model", "point_model.json", "--mode", "lime"), "--lime-samples",
+         MAX_LIME_SAMPLES),
+        (("benchmark",), "--seeds", MAX_BENCHMARK_SEEDS),
+    ], ids=["repeats", "lime_samples", "seeds"])
+    def test_one_over_the_cap_exits_two_before_any_array(self, trained, argv, flag, cap):
+        src = os.path.dirname(os.path.dirname(windcast._util.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", CAP_DRIVER, *argv, "--config", "point.json",
+             flag, str(cap + 1), "--out", "capped.json"],
+            cwd=trained, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.stderr == f"windcast: SchemaError: {flag} {cap + 1:,} is above the cap of {cap:,}\n"
+        assert proc.returncode == 2
+        assert not (trained / "capped.json").exists()
+
+    @pytest.mark.parametrize("mode, flag, cap", [("pfi", "--repeats", MAX_PFI_REPEATS),
+                                                 ("lime", "--lime-samples", MAX_LIME_SAMPLES)])
+    def test_the_cap_itself_is_accepted(self, trained, mode, flag, cap):
+        assert run(trained, "explain", "--model", "point_model.json", "--config", "point.json",
+                   "--mode", mode, flag, str(cap), "--out", f"at_cap_{mode}.json") == 0
+
+
 class TestExitCodes:
     def test_missing_config_is_usage(self, workdir):
         assert run(workdir, "train", "--config", "missing.json") == 1
@@ -1097,9 +1148,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, where", [
         # scaled forecasts of 1e300 pass the forecast check; their squares overflow
         (("evaluate", "--model", "huge_forecast_model.json"), "nrmse is inf"),
+        # and so do those of the unpermuted error, in this process and in children
+        (("explain", "--model", "huge_forecast_model.json", "--mode", "pfi"), "e_ori is inf"),
         # a kernel this narrow gives every perturbed row a weight of 0
         (("explain", "--model", "quantile_model.json", "--mode", "lime",
           "--kernel-width", "1e-200"), "coefficients[0] is nan"),
+        # perturbations this wide overflow the normal equations
+        (("explain", "--model", "quantile_model.json", "--mode", "lime",
+          "--perturb-scale", "1e308"), "coefficients[0] is nan"),
     ])
     def test_a_non_finite_report_value_is_exit_four(self, trained, capsys, argv, where):
         doc = json.loads((trained / "quantile_model.json").read_text())
