@@ -1,6 +1,8 @@
 """Run configuration: a single versioned JSON document.
 
-Each section parses straight into the type that acts on it:
+Each section parses straight into the type that acts on it. The data,
+optimizer, strategies and training sections are read field by field from
+their dataclasses: each key's default and type are its field's.
 
 * data -> DataConfig (source CSV and featurization mode);
 * model -> ModelConfig: one network.Architecture, its inputs set by the
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import InvalidArchitectureError, SchemaError, UsageError
 from .metrics import DEFAULT_QUANTILE_LEVELS
@@ -65,18 +67,46 @@ def _check_keys(section: str, doc, allowed) -> None:
         raise SchemaError(f"config section {section!r}: unknown keys {sorted(unknown)}")
 
 
-def _typed(section: str, key: str, value, types, allow_none=False):
-    if value is None and allow_none:
+# each annotation a section's dataclass may use, as a string, and the
+# JSON type a value for it is read from
+_TYPES = {"str": str, "bool": bool, "int": int, "int | None": int, "float": (int, float),
+          "tuple[str, ...]": list}
+
+
+def _typed(section: str, key: str, value, annotation: str):
+    """value as a field annotated annotation holds it: an int becomes a
+    float where a float goes, a list of strings a tuple, and a bool is no
+    number."""
+    where = f"config {section}.{key}"
+    if value is None and annotation == "int | None":
         return None
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise SchemaError(f"config {section}.{key}: expected a number, got a boolean")
-    if not isinstance(value, types):
-        raise SchemaError(f"config {section}.{key}: bad type {type(value).__name__}")
+    if annotation == "tuple[str, ...]":
+        if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+            raise SchemaError(f"{where} must be a list of strings")
+        return tuple(value)
+    if isinstance(value, bool) and annotation != "bool":
+        raise SchemaError(f"{where}: expected a number, got a boolean")
+    if not isinstance(value, _TYPES[annotation]):
+        raise SchemaError(f"{where}: bad type {type(value).__name__}")
+    if annotation == "float":
+        try:
+            return float(value)
+        except OverflowError:
+            raise SchemaError(f"{where}: an integer too large for a float") from None
     return value
 
 
-def _number(section: str, key: str, value) -> float:
-    return float(_typed(section, key, value, (int, float)))
+def _section(cls, section: str, doc):
+    """cls built from the config section's keys, one per field: a key
+    left out takes the field's default, and a field without one is
+    required."""
+    declared = fields(cls)
+    _check_keys(section, doc, [f.name for f in declared])
+    for f in declared:
+        if f.name not in doc and f.default is MISSING:
+            raise SchemaError(f"config {section}.{f.name} is required")
+    return cls(**{f.name: _typed(section, f.name, doc[f.name], f.type)
+                  for f in declared if f.name in doc})
 
 
 @dataclass
@@ -89,6 +119,14 @@ class DataConfig:
     lag: int = 48
     horizon: int = 1
     horizon_alignment: int = 0
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("lags", "nwp"):
+            raise SchemaError(f"config data.mode must be 'lags' or 'nwp', got {self.mode!r}")
+        if self.mode == "nwp" and not self.feature_cols:
+            raise SchemaError("config data.feature_cols is required in nwp mode")
+        if self.lag < 1 or self.horizon < 1 or self.horizon_alignment < 0:
+            raise SchemaError("config data: lag/horizon must be >= 1, alignment >= 0")
 
 
 @dataclass
@@ -103,6 +141,18 @@ class TrainingSection:
     batch_size: int | None = None
     early_stop_patience: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise SchemaError("config training.epochs must be >= 1")
+        if self.seed < 0:
+            raise SchemaError("config training.seed must be >= 0")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise SchemaError(
+                "config training.batch_size must be >= 1 (leave it out for full batch)"
+            )
+        if self.early_stop_patience is not None and self.early_stop_patience < 0:
+            raise SchemaError("config training.early_stop_patience must be >= 0")
 
 
 @dataclass
@@ -121,38 +171,6 @@ class RunConfig:
         if os.path.isabs(self.data.path):
             return self.data.path
         return os.path.join(self.base_dir, self.data.path)
-
-
-def _parse_data(doc: dict) -> DataConfig:
-    _check_keys("data", doc, (
-        "path", "timestamp_col", "target_col", "mode", "feature_cols",
-        "lag", "horizon", "horizon_alignment",
-    ))
-    for key in ("path", "timestamp_col", "target_col"):
-        if key not in doc:
-            raise SchemaError(f"config data.{key} is required")
-    feature_cols = doc.get("feature_cols", [])
-    if not isinstance(feature_cols, list) or not all(isinstance(c, str) for c in feature_cols):
-        raise SchemaError("config data.feature_cols must be a list of strings")
-    cfg = DataConfig(
-        path=_typed("data", "path", doc["path"], str),
-        timestamp_col=_typed("data", "timestamp_col", doc["timestamp_col"], str),
-        target_col=_typed("data", "target_col", doc["target_col"], str),
-        mode=doc.get("mode", "lags"),
-        feature_cols=tuple(feature_cols),
-        lag=_typed("data", "lag", doc.get("lag", 48), int),
-        horizon=_typed("data", "horizon", doc.get("horizon", 1), int),
-        horizon_alignment=_typed(
-            "data", "horizon_alignment", doc.get("horizon_alignment", 0), int
-        ),
-    )
-    if cfg.mode not in ("lags", "nwp"):
-        raise SchemaError(f"config data.mode must be 'lags' or 'nwp', got {cfg.mode!r}")
-    if cfg.mode == "nwp" and not cfg.feature_cols:
-        raise SchemaError("config data.feature_cols is required in nwp mode")
-    if cfg.lag < 1 or cfg.horizon < 1 or cfg.horizon_alignment < 0:
-        raise SchemaError("config data: lag/horizon must be >= 1, alignment >= 0")
-    return cfg
 
 
 def _parse_model(doc: dict, n_inputs: int, inputs_key: str) -> ModelConfig:
@@ -183,54 +201,6 @@ def _parse_model(doc: dict, n_inputs: int, inputs_key: str) -> ModelConfig:
     return ModelConfig(arch, loss)
 
 
-def _parse_optimizer(doc: dict) -> OptimizerConfig:
-    _check_keys("optimizer", doc, ("kind", "beta1", "beta2", "epsilon", "fixed_lr"))
-    return OptimizerConfig(
-        kind=doc.get("kind", "adam"),
-        beta1=_number("optimizer", "beta1", doc.get("beta1", 0.9)),
-        beta2=_number("optimizer", "beta2", doc.get("beta2", 0.999)),
-        epsilon=_number("optimizer", "epsilon", doc.get("epsilon", 1e-8)),
-        fixed_lr=_number("optimizer", "fixed_lr", doc.get("fixed_lr", 0.001)),
-    )
-
-
-def _parse_strategies(doc: dict, epochs: int) -> StrategyConfig:
-    _check_keys("strategies", doc, (
-        "centralize", "cosine_lr", "initial_lr", "total_epochs",
-        "noise_tau", "noise_seed",
-    ))
-    total = _typed("strategies", "total_epochs", doc.get("total_epochs"), int, allow_none=True)
-    return StrategyConfig(
-        centralize=_typed("strategies", "centralize", doc.get("centralize", False), bool),
-        cosine_lr=_typed("strategies", "cosine_lr", doc.get("cosine_lr", False), bool),
-        initial_lr=_number("strategies", "initial_lr", doc.get("initial_lr", 0.1)),
-        total_epochs=epochs if total is None else total,
-        noise_tau=_number("strategies", "noise_tau", doc.get("noise_tau", 0.0)),
-        noise_seed=_typed("strategies", "noise_seed", doc.get("noise_seed", 0), int),
-    )
-
-
-def _parse_training(doc: dict) -> TrainingSection:
-    _check_keys("training", doc, ("epochs", "batch_size", "early_stop_patience", "seed"))
-    cfg = TrainingSection(
-        epochs=_typed("training", "epochs", doc.get("epochs", 100), int),
-        batch_size=_typed("training", "batch_size", doc.get("batch_size"), int, allow_none=True),
-        early_stop_patience=_typed(
-            "training", "early_stop_patience", doc.get("early_stop_patience"), int, allow_none=True
-        ),
-        seed=_typed("training", "seed", doc.get("seed", 0), int),
-    )
-    if cfg.epochs < 1:
-        raise SchemaError("config training.epochs must be >= 1")
-    if cfg.seed < 0:
-        raise SchemaError("config training.seed must be >= 0")
-    if cfg.batch_size is not None and cfg.batch_size < 1:
-        raise SchemaError("config training.batch_size must be >= 1 (leave it out for full batch)")
-    if cfg.early_stop_patience is not None and cfg.early_stop_patience < 0:
-        raise SchemaError("config training.early_stop_patience must be >= 0")
-    return cfg
-
-
 def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
     if not isinstance(doc, dict):
         raise SchemaError("config must be a JSON object")
@@ -246,14 +216,17 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
     split = doc.get("split", [0.8, 0.1, 0.1])
     if not isinstance(split, list) or len(split) != 3:
         raise SchemaError("config split must be a list of three ratios")
-    split = tuple(_number("split", str(i), r) for i, r in enumerate(split))
-    data = _parse_data(doc["data"])
+    split = tuple(_typed("split", str(i), r, "float") for i, r in enumerate(split))
+    data = _section(DataConfig, "data", doc["data"])
     lags = data.mode == "lags"
     model = _parse_model(doc.get("model", {}), data.lag if lags else len(data.feature_cols),
                          "data.lag" if lags else "data.feature_cols")
-    optimizer = _parse_optimizer(doc.get("optimizer", {}))
-    training = _parse_training(doc.get("training", {}))
-    strategies = _parse_strategies(doc.get("strategies", {}), training.epochs)
+    optimizer = _section(OptimizerConfig, "optimizer", doc.get("optimizer", {}))
+    training = _section(TrainingSection, "training", doc.get("training", {}))
+    strategies = doc.get("strategies", {})
+    if isinstance(strategies, dict) and strategies.get("total_epochs") is None:
+        strategies = {**strategies, "total_epochs": training.epochs}
+    strategies = _section(StrategyConfig, "strategies", strategies)
     return RunConfig(data, model, optimizer, strategies, training, split, base_dir)
 
 

@@ -92,6 +92,7 @@ class NonFiniteReportError(ToolkitError):
 
 
 class RankDeficiencyError(ToolkitError):
-    """Singular normal equations; advise a positive ridge penalty."""
+    """Surrogate normal equations that cannot be solved: singular (advise
+    a positive ridge penalty), weightless or not finite (name the setting)."""
 
     exit_code = 4

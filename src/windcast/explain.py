@@ -221,11 +221,21 @@ def fit_lime(predict, instance, stats, cfg: LimeConfig, feature_names=None) -> L
     else:
         sq_dist = np.sum((rows - instance) ** 2, axis=1)
         weights = np.exp(-sq_dist / cfg.kernel_width**2)
+        # row 0 is the instance: a fit needs weight on a perturbed row too,
+        # and rows too far apart to measure are perturb_scale's, below
+        if not np.any(weights[1:] > 0.0) and np.isfinite(sq_dist).all():
+            raise RankDeficiencyError(
+                f"kernel_width {cfg.kernel_width} gives every perturbed row a weight of 0"
+            )
 
     design = np.column_stack([np.ones(rows.shape[0]), rows])
     wd = design * weights[:, None]
     normal = design.T @ wd
     rhs = wd.T @ targets
+    if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
+        raise RankDeficiencyError(
+            f"perturb_scale {cfg.perturb_scale} gives normal equations that are not finite"
+        )
     penalty = np.eye(design.shape[1]) * cfg.ridge_lambda
     penalty[0, 0] = 0.0
     if cfg.ridge_lambda == 0.0 and np.linalg.matrix_rank(normal) < design.shape[1]:

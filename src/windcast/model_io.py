@@ -114,7 +114,7 @@ def _numbers(name: str, value) -> np.ndarray:
     """A nested list of finite numbers as a float array."""
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # overflow: an integer too large
         arr = None
     if arr is None or not np.isfinite(arr).all():
         raise SchemaError(f"{name} must hold finite numbers only")

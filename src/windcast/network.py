@@ -442,10 +442,10 @@ def pinball_loss(
     """
     pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
-    q =np.asarray(levels, dtype=float)
+    q = np.asarray(levels, dtype=float)
     if q.ndim != 1 or pred.ndim not in (2, 3) or pred.shape[-1] != q.shape[0]:
         raise ShapeError("pred must be (n, len(levels)) or (S, n, len(levels))")
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
+    if not np.all((0.0 < q) & (q < 1.0)):  # NaN fails this too
         raise ShapeError("quantile levels must lie strictly inside (0, 1)")
     if y.shape != (pred.shape[-2],):
         raise ShapeError(f"target shape {y.shape} != ({pred.shape[-2]},)")
@@ -486,9 +486,9 @@ class Loss:
         if self.kind == "pinball":
             if not levels:
                 raise SchemaError("pinball loss needs at least one quantile level")
-            if any(q <= 0.0 or q >= 1.0 for q in levels):
+            if not all(0.0 < q < 1.0 for q in levels):  # NaN fails this too
                 raise SchemaError("quantile levels must lie strictly inside (0, 1)")
-            if any(b <= a for a, b in zip(levels, levels[1:])):
+            if not all(b > a for a, b in zip(levels, levels[1:])):
                 raise SchemaError("quantile levels must be strictly increasing")
         object.__setattr__(self, "levels", tuple(float(q) for q in levels))
 
@@ -538,7 +538,7 @@ class QuantileForecast:
     def __post_init__(self) -> None:
         self.levels = tuple(float(q) for q in self.levels)
         self.values = np.asarray(self.values, dtype=float)
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+        if not all(b > a for a, b in zip(self.levels, self.levels[1:])):
             raise SchemaError("quantile levels must be strictly increasing")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.levels):
             raise ShapeError(

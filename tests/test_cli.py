@@ -830,6 +830,9 @@ class TestFlagCaps:
                    "--mode", mode, flag, str(cap), "--out", f"at_cap_{mode}.json") == 0
 
 
+HUGE = 10 ** 400  # a JSON integer too large for a float
+
+
 class TestExitCodes:
     def test_missing_config_is_usage(self, workdir):
         assert run(workdir, "train", "--config", "missing.json") == 1
@@ -844,6 +847,57 @@ class TestExitCodes:
                                  "target_col": "power"}, "surprise": 1})
         )
         assert run(workdir, "train", "--config", "extra.json") == 2
+
+    @pytest.mark.parametrize("section, body, key", [
+        ("optimizer", {"fixed_lr": HUGE}, "optimizer.fixed_lr"),
+        ("strategies", {"noise_tau": HUGE}, "strategies.noise_tau"),
+        ("split", [0.8, 0.1, HUGE], "split.2"),
+    ])
+    def test_a_huge_integer_in_a_config_is_schema(self, workdir, capsys, section, body, key):
+        cfg = json.loads((workdir / "point.json").read_text())
+        cfg[section] = {**cfg[section], **body} if section in cfg else body
+        (workdir / "huge.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(workdir, "train", "--config", "huge.json", "--out", "huge_model.json") == 2
+        assert capsys.readouterr().err == (
+            f"windcast: SchemaError: config {key}: an integer too large for a float\n"
+        )
+        assert not (workdir / "huge_model.json").exists()
+
+    @pytest.mark.parametrize("where, key", [
+        (lambda doc: doc["weights"][1][0], "weights[1]"),
+        (lambda doc: doc["scaler"]["power"], "scaler bounds of 'power'"),
+    ])
+    def test_a_huge_integer_in_a_model_file_is_schema(self, trained, capsys, where, key):
+        doc = json.loads((trained / "point_model.json").read_text())
+        where(doc)[0] = HUGE
+        (trained / "huge_int_model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(trained, "evaluate", "--model", "huge_int_model.json", "--config", "point.json",
+                   "--out", "huge_int.json") == 2
+        assert capsys.readouterr().err == (
+            f"windcast: SchemaError: huge_int_model.json: {key} must hold finite numbers only\n"
+        )
+
+    def test_a_nan_quantile_level_in_a_config_is_schema(self, workdir, capsys):
+        cfg = json.loads((workdir / "quantile.json").read_text())
+        cfg["model"]["quantile_levels"] = [0.1, float("nan"), 0.9]
+        (workdir / "nan_levels.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(workdir, "train", "--config", "nan_levels.json", "--out", "nan.json") == 2
+        assert capsys.readouterr().err == (
+            "windcast: SchemaError: quantile levels must lie strictly inside (0, 1)\n"
+        )
+
+    def test_a_nan_quantile_level_in_a_model_file_is_schema(self, trained, capsys):
+        doc = json.loads((trained / "quantile_model.json").read_text())
+        doc["quantile_levels"][1] = float("nan")
+        (trained / "nan_level_model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(trained, "evaluate", "--model", "nan_level_model.json",
+                   "--config", "quantile.json", "--out", "nan_level.json") == 2
+        assert capsys.readouterr().err == ("windcast: SchemaError: nan_level_model.json: "
+                                           "quantile levels must lie strictly inside (0, 1)\n")
 
     def test_a_training_worker_that_dies_ends_in_a_windcast_error(self, workdir, capsys,
                                                                   monkeypatch):
@@ -1150,12 +1204,6 @@ class TestExitCodes:
         (("evaluate", "--model", "huge_forecast_model.json"), "nrmse is inf"),
         # and so do those of the unpermuted error, in this process and in children
         (("explain", "--model", "huge_forecast_model.json", "--mode", "pfi"), "e_ori is inf"),
-        # a kernel this narrow gives every perturbed row a weight of 0
-        (("explain", "--model", "quantile_model.json", "--mode", "lime",
-          "--kernel-width", "1e-200"), "coefficients[0] is nan"),
-        # perturbations this wide overflow the normal equations
-        (("explain", "--model", "quantile_model.json", "--mode", "lime",
-          "--perturb-scale", "1e308"), "coefficients[0] is nan"),
     ])
     def test_a_non_finite_report_value_is_exit_four(self, trained, capsys, argv, where):
         doc = json.loads((trained / "quantile_model.json").read_text())
@@ -1167,6 +1215,22 @@ class TestExitCodes:
         assert err.startswith(f"windcast: NonFiniteReportError: the value at {where}, ")
         assert "Traceback" not in err
         assert not (trained / "non_finite.json").exists()
+        assert not list(trained.glob(".tmp-*"))
+
+    @pytest.mark.parametrize("flag, text", [
+        # a kernel this narrow gives every perturbed row a weight of 0
+        (("--kernel-width", "1e-200"),
+         "kernel_width 1e-200 gives every perturbed row a weight of 0"),
+        # perturbations this wide overflow the normal equations
+        (("--perturb-scale", "1e308"),
+         "perturb_scale 1e+308 gives normal equations that are not finite"),
+    ])
+    def test_a_lime_setting_that_leaves_no_finite_fit_is_named(self, trained, capsys, flag, text):
+        capsys.readouterr()
+        assert run(trained, "explain", "--model", "quantile_model.json", "--mode", "lime", *flag,
+                   "--config", "quantile.json", "--out", "no_fit.json") == 4
+        assert capsys.readouterr().err == f"windcast: RankDeficiencyError: {text}\n"
+        assert not (trained / "no_fit.json").exists()
         assert not list(trained.glob(".tmp-*"))
 
     def test_a_non_finite_value_is_named_by_its_key_path(self):

@@ -439,6 +439,8 @@ class TestLosses:
             pinball_loss(np.zeros((2, 1)), np.zeros(2), (0.0,))
         with pytest.raises(ShapeError):
             pinball_loss(np.zeros((2, 1)), np.zeros(2), (1.0,))
+        with pytest.raises(ShapeError):
+            pinball_loss(np.zeros((2, 1)), np.zeros(2), (float("nan"),))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(EmptyDataError):
@@ -637,6 +639,13 @@ class TestQuantileForecast:
             QuantileForecast(levels=(0.5, 0.5), values=np.zeros((1, 2)))
         with pytest.raises(SchemaError):
             QuantileForecast(levels=(0.2,), values=np.zeros((1, 2)))
+        with pytest.raises(SchemaError, match="strictly increasing"):
+            QuantileForecast(levels=(0.2, float("nan")), values=np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("levels", [(float("nan"),), (0.1, float("nan"), 0.9), (10 ** 400,)])
+    def test_a_loss_rejects_a_level_outside_the_open_interval(self, levels):
+        with pytest.raises(SchemaError, match=r"^quantile levels must lie strictly inside"):
+            Loss("pinball", levels)
 
 
 class TestModelIo:
