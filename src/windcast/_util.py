@@ -178,47 +178,42 @@ def _outcomes(serve, args):
         yield False, exc
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays into plain Python types."""
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
-
-
 def dump_json(obj) -> str:
     """Serialize with sorted keys and round-trip-exact floats.
 
     json uses float.__repr__, the shortest string that parses back to the
-    same IEEE-754 double, so dump -> load is bit-exact for finite values.
-    A non-finite value raises NonFiniteReportError naming its key path
-    rather than being written as a bare token.
+    same IEEE-754 double, so dump -> load is bit-exact for finite values;
+    a np.float64 is a float, and any other numpy value or array is written
+    as the plain value or list its tolist() gives. A non-finite value
+    raises NonFiniteReportError naming its key path rather than being
+    written as a bare token.
     """
-    plain = jsonable(obj)
     try:
-        return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_plain) + "\n"
     except ValueError:  # allow_nan=False refuses a nan or an infinity
-        path, value = next((p, v) for p, v in _floats(plain, "") if not math.isfinite(v))
+        path, value = next((p, v) for p, v in _floats(obj, "") if not math.isfinite(v))
         raise NonFiniteReportError(
             f"the value at {path} is {value!r}, not a finite number") from None
 
 
+def _plain(obj):
+    """json.dumps' hook for what it cannot write itself: a numpy value."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _floats(obj, path: str):
-    """(key path, value) of each float in obj, a tree of dicts and lists,
-    in the order dump_json writes them."""
+    """(key path, value) of each float in obj, a tree of dicts, lists,
+    tuples and numpy values, in the order dump_json writes them."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, float):
         yield path, obj
     elif isinstance(obj, dict):
         for key in sorted(obj):
             yield from _floats(obj[key], f"{path}.{key}" if path else key)
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
             yield from _floats(value, f"{path}[{i}]")
 
@@ -258,10 +253,6 @@ def atomic_writer(path: str):
 def atomic_write_text(path: str, text: str) -> None:
     with atomic_writer(path) as fh:
         fh.write(text)
-
-
-def write_json(path: str, obj) -> None:
-    atomic_write_text(path, dump_json(obj))
 
 
 def read_json(path: str):

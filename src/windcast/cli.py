@@ -22,7 +22,7 @@ from .config import load_config
 from .errors import SchemaError, ToolkitError, UsageError
 from .explain import LimeConfig, render_bar_chart
 from .model_io import load_model, save_model
-from .network import MAX_BENCHMARK_SEEDS, MAX_LIME_SAMPLES, MAX_PFI_REPEATS
+from .network import MAX_BENCHMARK_SEEDS, MAX_LIME_SAMPLES, MAX_LIME_VALUES, MAX_PFI_REPEATS
 from .pipeline import (
     build_dataset,
     evaluate_bundle,
@@ -155,6 +155,12 @@ def cmd_explain(args) -> int:
     _check_cap("--repeats", args.repeats, MAX_PFI_REPEATS)
     _check_cap("--lime-samples", args.lime_samples, MAX_LIME_SAMPLES)
     bundle = load_model(args.model)
+    inputs = bundle.network.architecture.n_inputs
+    values = args.lime_samples * (inputs + 1)  # of one of LIME's design matrices
+    if args.mode == "lime" and values > MAX_LIME_VALUES:
+        raise SchemaError(f"--lime-samples {args.lime_samples:,} for a model of {inputs:,} "
+                          f"inputs gives {values:,} design values, above the cap of "
+                          f"{MAX_LIME_VALUES:,}")
     config = load_config(args.config)
     prepared = build_dataset(config, bundle)
     if args.mode == "pfi":

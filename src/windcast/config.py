@@ -224,9 +224,13 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
     optimizer = _section(OptimizerConfig, "optimizer", doc.get("optimizer", {}))
     training = _section(TrainingSection, "training", doc.get("training", {}))
     strategies = doc.get("strategies", {})
+    horizon = ("strategies", "total_epochs")
     if isinstance(strategies, dict) and strategies.get("total_epochs") is None:
         strategies = {**strategies, "total_epochs": training.epochs}
+        horizon = ("training", "epochs")
     strategies = _section(StrategyConfig, "strategies", strategies)
+    if strategies.cosine_lr:  # the schedule divides by its horizon as a float
+        _typed(*horizon, strategies.total_epochs, "float")
     return RunConfig(data, model, optimizer, strategies, training, split, base_dir)
 
 

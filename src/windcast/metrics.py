@@ -66,20 +66,10 @@ def nrmse(y, yhat) -> float:
     return float(np.sqrt(np.mean((yhat - y) ** 2)))
 
 
-@dataclass(frozen=True)
-class DeterministicReport:
-    r2: float
-    nmae: float
-    nrmse: float
-    n: int
-
-    def to_dict(self) -> dict:
-        return {"r2": self.r2, "nmae": self.nmae, "nrmse": self.nrmse, "n": self.n}
-
-
-def deterministic_report(y, yhat) -> DeterministicReport:
+def deterministic_report(y, yhat) -> dict:
+    """r2, nmae, nrmse and the number of observations n."""
     y, yhat = _paired(y, yhat)
-    return DeterministicReport(r2(y, yhat), nmae(y, yhat), nrmse(y, yhat), int(y.size))
+    return {"r2": r2(y, yhat), "nmae": nmae(y, yhat), "nrmse": nrmse(y, yhat), "n": int(y.size)}
 
 
 def quantile_score(forecast: QuantileForecast, y) -> float:
@@ -161,26 +151,15 @@ def interval_metrics(intervals: IntervalForecast, y) -> dict:
     }
 
 
-@dataclass
-class ProbabilisticReport:
-    qs: float
-    crps: float
-    per_pinc: dict
-
-    def to_dict(self) -> dict:
-        doc = {"qs": self.qs, "crps": self.crps, "per_pinc": {}}
-        for pinc, block in self.per_pinc.items():
-            doc["per_pinc"][str(int(round(pinc * 100)))] = dict(block)
-        return doc
-
-
-def probabilistic_report(
-    forecast: QuantileForecast, y, pincs=DEFAULT_PINCS
-) -> ProbabilisticReport:
-    qs = quantile_score(forecast, y)
-    crps = crps_from_quantiles(forecast, y)
-    per_pinc = {
-        pinc: interval_metrics(interval_from_quantiles(forecast, pinc), y)
-        for pinc in pincs
+def probabilistic_report(forecast: QuantileForecast, y, pincs=DEFAULT_PINCS) -> dict:
+    """qs, crps and per_pinc: each pinc's interval_metrics, keyed by its
+    percentage ("80" for 0.80)."""
+    return {
+        "qs": quantile_score(forecast, y),
+        "crps": crps_from_quantiles(forecast, y),
+        "per_pinc": {
+            str(int(round(pinc * 100))):
+                interval_metrics(interval_from_quantiles(forecast, pinc), y)
+            for pinc in pincs
+        },
     }
-    return ProbabilisticReport(qs, crps, per_pinc)

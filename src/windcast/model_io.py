@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import read_json, write_json
+from ._util import atomic_write_text, dump_json, read_json
 from .data import Scaler
 from .errors import NonFiniteForecastError, SchemaError
 from .network import Architecture, Loss, Network, infer, predict_quantiles
@@ -107,7 +107,7 @@ def save_model(path: str, bundle: ModelBundle) -> None:
     }
     if bundle.horizon_alignment:
         doc["horizon_alignment"] = bundle.horizon_alignment
-    write_json(path, doc)
+    atomic_write_text(path, dump_json(doc))
 
 
 def _numbers(name: str, value) -> np.ndarray:

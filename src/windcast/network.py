@@ -53,8 +53,12 @@ MAX_PFI_REPEATS = 1000
 permuted columns and forecasts, 16 bytes per repeat and row, 16 MB per
 thousand rows at this cap."""
 MAX_LIME_SAMPLES = 100_000
-"""Cap on explain --lime-samples: the surrogate's design matrices hold 8
-bytes per sample and input, 39 MB each for 48 inputs at this cap."""
+"""Cap on explain --lime-samples, checked before any file is read; a
+model's inputs narrow it further (MAX_LIME_VALUES)."""
+MAX_LIME_VALUES = 4_900_000
+"""Cap on explain --lime-samples times the model's inputs plus one: the
+values of one of the surrogate's design matrices, 39 MB each, which is
+MAX_LIME_SAMPLES at 48 inputs."""
 MAX_BENCHMARK_SEEDS = 1000
 """Cap on benchmark --seeds: each seed trains two networks."""
 OUTPUT_ACTIVATIONS = ("identity", "sigmoid")

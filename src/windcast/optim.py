@@ -154,7 +154,12 @@ def cosine_lr(t: float, alpha0: float, total_epochs: int) -> float:
         raise ScheduleOverflowError(
             f"epoch {t} is past the planned horizon {total_epochs}"
         )
-    return alpha0 * (1.0 + math.cos(math.pi * t / total_epochs)) / 2.0
+    try:
+        phase = math.pi * t / total_epochs
+    except OverflowError:  # an integer horizon too large for a float
+        raise ScheduleOverflowError(
+            "the schedule horizon total_epochs is too large for a float") from None
+    return alpha0 * (1.0 + math.cos(phase)) / 2.0
 
 
 def _parameter_name(k: int) -> str:

@@ -141,11 +141,10 @@ def evaluate_bundle(bundle: ModelBundle, prepared: PreparedData) -> dict:
     test = prepared.test
     values, point = bundle.forecast(test.x)
     with np.errstate(all="ignore"):
-        report = deterministic_report(test.y, point).to_dict()
+        report = deterministic_report(test.y, point)
         if bundle.quantile_levels:
             forecast = QuantileForecast(bundle.quantile_levels, values)
-            doc = probabilistic_report(forecast, test.y).to_dict()
-            report.update((key, doc[key]) for key in ("qs", "crps", "per_pinc"))
+            report.update(probabilistic_report(forecast, test.y))
     return report
 
 
@@ -342,7 +341,7 @@ def _benchmark_arm(config, prepared, strategies, seeds) -> list[dict]:
                 continue
             bundle = _bundle(config, prepared, net, run_seed, len(result))
             _, yhat = bundle.forecast(prepared.test.x)
-            report = deterministic_report(prepared.test.y, yhat).to_dict()
+            report = deterministic_report(prepared.test.y, yhat)
             val_losses = [row[3] for row in result.rows if row[3] is not None]
             report["wall_time_s"] = wall
             report["epochs_run"] = len(result)

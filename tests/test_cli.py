@@ -23,14 +23,16 @@ import windcast.pipeline
 from windcast._util import atomic_write_text, dump_json
 from windcast.cli import main
 from windcast.config import load_config
-from windcast.data import invert_column
+from windcast.data import Scaler, invert_column
 from windcast.errors import DataError, NonFiniteReportError, ToolkitError
 from windcast.explain import LimeConfig
 from windcast.metrics import deterministic_report
-from windcast.model_io import load_model
+from windcast.model_io import ModelBundle, load_model, save_model
 from windcast.network import (
     MAX_BENCHMARK_SEEDS,
+    MAX_LAYER_WIDTH,
     MAX_LIME_SAMPLES,
+    MAX_LIME_VALUES,
     MAX_PFI_REPEATS,
     Architecture,
     Loss,
@@ -768,7 +770,7 @@ def _sequential_benchmark(config_path, n_seeds):
             net, trace = train(init_network(arch, seed), prepared.train, prepared.val,
                                opt_config, strategies, Loss(), config.training.epochs,
                                batch_size=config.training.batch_size)
-            report = deterministic_report(test.y, infer(net, test.x)[:, 0]).to_dict()
+            report = deterministic_report(test.y, infer(net, test.x)[:, 0])
             report["epochs_run"] = len(trace)
             report["best_val_epoch"] = int(np.argmin([row[3] for row in trace.rows])) + 1
             report["split_hash"] = split_hash
@@ -829,6 +831,29 @@ class TestFlagCaps:
         assert run(trained, "explain", "--model", "point_model.json", "--config", "point.json",
                    "--mode", mode, flag, str(cap), "--out", f"at_cap_{mode}.json") == 0
 
+    @pytest.mark.parametrize("samples", [MAX_LIME_SAMPLES, 599])
+    def test_lime_samples_over_a_wide_models_bound_exit_two_before_the_config(self, workdir,
+                                                                               capsys, samples):
+        """samples x (inputs + 1), one design matrix, is bounded once the
+        model is read: a config that cannot be read is not reached."""
+        inputs = MAX_LAYER_WIDTH
+        assert MAX_LIME_VALUES // (inputs + 1) == 598
+        bundle = ModelBundle(init_network(Architecture((inputs, 1, 1)), 0),
+                             Scaler({"power": (0.0, 1.0)}), "power",
+                             tuple(f"lag_{i}" for i in range(inputs)), lag=inputs)
+        save_model(str(workdir / "wide_model.json"), bundle)
+        capsys.readouterr()
+        assert run(workdir, "explain", "--model", "wide_model.json", "--config", "missing.json",
+                   "--mode", "lime", "--lime-samples", str(samples), "--out", "wide.json") == 2
+        assert capsys.readouterr().err == (
+            f"windcast: SchemaError: --lime-samples {samples:,} for a model of 8,192 inputs "
+            f"gives {samples * 8193:,} design values, above the cap of 4,900,000\n")
+        # 598 samples pass the bound and go on to the config
+        assert run(workdir, "explain", "--model", "wide_model.json", "--config", "missing.json",
+                   "--mode", "lime", "--lime-samples", "598", "--out", "wide.json") == 1
+        assert "cannot read config missing.json" in capsys.readouterr().err
+        assert not (workdir / "wide.json").exists()
+
 
 HUGE = 10 ** 400  # a JSON integer too large for a float
 
@@ -852,6 +877,9 @@ class TestExitCodes:
         ("optimizer", {"fixed_lr": HUGE}, "optimizer.fixed_lr"),
         ("strategies", {"noise_tau": HUGE}, "strategies.noise_tau"),
         ("split", [0.8, 0.1, HUGE], "split.2"),
+        # the cosine schedule divides by its horizon, total_epochs or else epochs, as a float
+        ("training", {"epochs": HUGE}, "training.epochs"),
+        ("strategies", {"total_epochs": HUGE}, "strategies.total_epochs"),
     ])
     def test_a_huge_integer_in_a_config_is_schema(self, workdir, capsys, section, body, key):
         cfg = json.loads((workdir / "point.json").read_text())
@@ -863,6 +891,29 @@ class TestExitCodes:
             f"windcast: SchemaError: config {key}: an integer too large for a float\n"
         )
         assert not (workdir / "huge_model.json").exists()
+
+    def test_huge_epochs_and_seed_train_without_the_cosine_schedule(self, workdir):
+        cfg = json.loads((workdir / "point.json").read_text())
+        cfg["strategies"]["cosine_lr"] = False
+        cfg["training"] = {"epochs": HUGE, "seed": HUGE, "early_stop_patience": 0}
+        (workdir / "huge_no_cosine.json").write_text(json.dumps(cfg))
+        assert run(workdir, "train", "--config", "huge_no_cosine.json",
+                   "--out", "huge_no_cosine_model.json") == 0
+        assert load_model(str(workdir / "huge_no_cosine_model.json")).metadata["seed"] == HUGE
+
+    def test_huge_epochs_end_the_benchmark_whose_arm_takes_the_cosine_schedule(self, workdir,
+                                                                               capsys):
+        cfg = json.loads((workdir / "point.json").read_text())
+        cfg["strategies"]["cosine_lr"] = False
+        cfg["training"]["epochs"] = HUGE
+        (workdir / "huge_benchmark.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(workdir, "benchmark", "--config", "huge_benchmark.json", "--seeds", "2",
+                   "--out", "huge_benchmark_out.json") == 2
+        assert capsys.readouterr().err == ("windcast: ScheduleOverflowError: the schedule "
+                                           "horizon total_epochs is too large for a float\n")
+        assert not (workdir / "huge_benchmark_out.json").exists()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("where, key", [
         (lambda doc: doc["weights"][1][0], "weights[1]"),

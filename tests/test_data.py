@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, scaling, window construction and splitting."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from windcast.data import (
 )
 from windcast.errors import (
     DataError,
+    ToolkitError,
     EmptyDataError,
     InsufficientDataError,
     IntegrityError,
@@ -726,3 +728,31 @@ def _supervised(n):
     x = np.arange(2 * n, dtype=float).reshape(n, 2)
     y = np.arange(n, dtype=float)
     return SupervisedSet(x, y, ("a", "b"))
+
+
+# what a mutation inserts into a CSV's bytes, or puts in place of some
+CSV_TOKENS = [b"\x00", b"\xff", "\ufeff".encode(), b'"', b"#", b"\r\n", b"nan", b"1e999",
+              b"1_0", "\u0663".encode(), b"9" * 400, b"7" * 200_000]
+
+
+def test_csv_fuzz_ends_in_a_frame_or_an_exit_code(tmp_path):
+    source = tmp_path / "source.csv"
+    write_wind_csv(str(source), n_rows=40, seed=7)
+    text = source.read_bytes()
+    schema = CsvSchema("timestamp", "power", ("WS10", "WD10", "WS100", "WD100"))
+    target = tmp_path / "mutated.csv"
+    rng = random.Random(20242)
+    for case in range(1000):
+        mutated = text
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(mutated) + 1)
+            cut = at + rng.choice((0, 1, rng.randint(1, 12)))  # 0: insert, else replace
+            token = b"" if rng.random() < 0.2 else rng.choice(CSV_TOKENS)  # b"": delete
+            mutated = mutated[:at] + token + mutated[cut:]
+        target.write_bytes(mutated)
+        try:
+            load_csv(str(target), schema)
+        except ToolkitError as exc:
+            assert exc.exit_code in (1, 2, 3), f"case {case}: {exc!r}"
+        except Exception as exc:
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")

@@ -66,8 +66,7 @@ class TestDeterministic:
             assert nrmse(y, yhat) >= nmae(y, yhat)
 
     def test_report_fields(self):
-        rep = deterministic_report([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
-        doc = rep.to_dict()
+        doc = deterministic_report([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
         assert set(doc) == {"r2", "nmae", "nrmse", "n"}
         assert doc["r2"] == 0.5
         assert doc["n"] == 3
@@ -225,8 +224,7 @@ class TestProbabilisticReport:
         rng = np.random.default_rng(17)
         base = np.sort(rng.normal(size=(30, 21)), axis=1)
         fc = QuantileForecast(levels=DEFAULT_QUANTILE_LEVELS, values=base)
-        rep = probabilistic_report(fc, rng.normal(size=30))
-        doc = rep.to_dict()
+        doc = probabilistic_report(fc, rng.normal(size=30))
         assert set(doc["per_pinc"]) == {"80", "90", "95"}
         for block in doc["per_pinc"].values():
             assert set(block) == {"picp", "ace", "pinaw", "winkler"}

@@ -7,13 +7,15 @@ and a quantile model 2 -> 3 -> 3 (tanh, seed 12, pinball at levels
 0.1/0.5/0.9), both with a three-column scaler.
 """
 
+import copy
 import json
 import os
+import random
 
 import numpy as np
 import pytest
 
-from windcast.errors import SchemaError
+from windcast.errors import SchemaError, ToolkitError
 from windcast.model_io import load_model, save_model
 from windcast.network import Loss, init_network
 
@@ -164,3 +166,52 @@ def test_layer_width_cap_checked_before_any_array(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "array", no_arrays)
     monkeypatch.setattr(np, "empty", no_arrays)
     _rejected(path, "3,333,333 units in one layer, above the cap of 8,192")
+
+
+# what a mutation puts in a value's place
+VALUES = [None, True, False, 1, -1, 0, 10 ** 400, float("nan"), float("inf"), float("-inf"),
+          "", [], {}, [[1.0, [2.0]], 3.0]]
+
+
+def _places(node, path=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield path
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    for key, value in node.items() if isinstance(node, dict) else ():
+        yield from _places(value, path + (key,))
+
+
+def _mutated(doc, rng):
+    """doc with one to three values deleted, or replaced by one of VALUES."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_places(doc)))
+        if not path:
+            return copy.deepcopy(rng.choice(VALUES))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if rng.random() < 0.3:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(rng.choice(VALUES))
+    return doc
+
+
+def test_model_file_fuzz_ends_in_a_model_or_an_exit_code(tmp_path):
+    rng = random.Random(20241)
+    docs = []
+    for path, _ in GOLDEN.values():
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    target = str(tmp_path / "model.json")
+    for case in range(1500):
+        with open(target, "w", encoding="utf-8") as fh:
+            json.dump(_mutated(rng.choice(docs), rng), fh)
+        try:
+            load_model(target)
+        except ToolkitError as exc:
+            assert exc.exit_code in (1, 2, 3), f"case {case}: {exc!r}"
+        except Exception as exc:
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")

@@ -1,14 +1,15 @@
 """_util's shared helpers: forked_map's ordered map over forked processes,
-and the file modes atomic_writer leaves."""
+dump_json's text of numpy values, and the file modes atomic_writer leaves."""
 
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from windcast import _util
-from windcast._util import atomic_write_text
-from windcast.errors import ToolkitError
+from windcast._util import atomic_write_text, dump_json
+from windcast.errors import NonFiniteReportError, ToolkitError
 
 from conftest import assert_no_child_left, fork_fails_after, open_descriptors
 
@@ -107,6 +108,51 @@ class TestForkedMap:
                         raise RuntimeError("consumer")
         assert_no_child_left()
         assert open_descriptors() == fds
+
+
+class TestDumpJson:
+    """dump_json writes numpy values as the plain values they hold: a
+    float64 as float.__repr__ writes it, a float32 as the double it
+    widens to, an array or a tuple as a list."""
+
+    @pytest.mark.parametrize("value, text", [
+        (np.float64(0.1), "0.1"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.int64(7), "7"),
+        (np.uint8(255), "255"),
+        (np.int32(-3), "-3"),
+        (np.array([1.0, 0.1]), "[\n  1.0,\n  0.1\n]"),
+        (np.array([0.5], dtype=np.float32), "[\n  0.5\n]"),
+        (np.array([], dtype=float), "[]"),
+        (np.array([[1, 2], [3, 4]]), "[\n  [\n    1,\n    2\n  ],\n  [\n    3,\n    4\n  ]\n]"),
+        ((1, np.float64(2.5)), "[\n  1,\n  2.5\n]"),
+        ({"b": (np.int64(1),), "a": {"z": np.array([0.25]), "y": [np.float32(1.5), (2, 3.0)]}},
+         '{\n  "a": {\n    "y": [\n      1.5,\n      [\n        2,\n        3.0\n      ]\n    ],\n'
+         '    "z": [\n      0.25\n    ]\n  },\n  "b": [\n    1\n  ]\n}'),
+    ], ids=["float64", "float32", "int64", "uint8", "int32", "array", "float32_array",
+            "empty_array", "2d_array", "tuple", "nested"])
+    def test_text(self, value, text):
+        assert dump_json(value) == text + "\n"
+
+    @pytest.mark.parametrize("value, text", [
+        (np.array(2.5), "2.5"),
+        ({"a": np.array(3)}, '{\n  "a": 3\n}'),
+        (np.bool_(True), "true"),
+    ], ids=["0d", "0d_in_dict", "bool_"])
+    def test_zero_dimensional_arrays_and_numpy_bools_are_their_values(self, value, text):
+        assert dump_json(value) == text + "\n"
+
+    @pytest.mark.parametrize("report, where", [
+        ({"a": np.array([1.0, np.nan])}, "a[1] is nan"),
+        ({"t": (1.0, float("inf"))}, "t[1] is inf"),
+        ({"m": np.array([[0.0, 1.0], [-np.inf, 2.0]])}, "m[1][0] is -inf"),
+        ({"s": np.float32("nan")}, "s is nan"),
+        ({"x": [(0.0,), {"k": (np.array([np.nan]),)}]}, "x[1].k[0][0] is nan"),
+    ], ids=["array", "tuple", "2d_array", "float32", "nested"])
+    def test_a_non_finite_value_in_an_array_or_a_tuple_is_named(self, report, where):
+        with pytest.raises(NonFiniteReportError) as caught:
+            dump_json(report)
+        assert str(caught.value) == f"the value at {where}, not a finite number"
 
 
 class TestFileModes:
