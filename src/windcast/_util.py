@@ -4,6 +4,7 @@ forked child processes a command spreads its work over."""
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ import os
 import pickle
 import signal
 import stat
+import sys
 
 import numpy as np
 
@@ -87,12 +89,13 @@ def forked(what: str, serve, cap: int, here: bool = False):
     never returns into the caller; an answer it cannot send ends it with
     exit code 1. When the block ends, every child not yet reaped is killed
     and reaped. SIGINT and SIGTERM wait while children are forked and
-    ended, so that none outlives this process unknown to it.
+    ended, so that none outlives this process unknown to it. On Linux a
+    child also gets SIGKILL when this process dies, even by SIGKILL.
     """
     if not (n := children(cap, here)):
         yield []
         return
-    made = []
+    made, parent = [], os.getpid()
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, _ENDING)
     try:
         for i in range(n):
@@ -108,7 +111,7 @@ def forked(what: str, serve, cap: int, here: bool = False):
             command_r, command_w, answer_r, answer_w = fds
             if pid == 0:
                 others = [fd for c in made for fd in (c.commands, c.answers.fileno())]
-                _serve(serve, i, command_r, answer_w, mask, [command_w, answer_r, *others])
+                _serve(serve, i, command_r, answer_w, mask, [command_w, answer_r, *others], parent)
             os.close(command_r)
             os.close(answer_w)
             made.append(Child(what, pid, command_w, answer_r))
@@ -149,10 +152,19 @@ def forked_map(what: str, fn, items, here: bool = False, cap: int | None = None)
                for item, source in zip(items, itertools.cycle(sources)))
 
 
-def _serve(serve, i: int, commands: int, answers: int, mask, others) -> None:
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _serve(serve, i: int, commands: int, answers: int, mask, others, parent: int) -> None:
     """A forked child's whole life: see forked."""
     code = 1
     try:
+        if sys.platform.startswith("linux"):
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # the parent died before prctl took effect
+            return
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)

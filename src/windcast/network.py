@@ -367,10 +367,28 @@ def backward(net: Network, cache: dict, dloss_dpred: np.ndarray, *,
             grad = _activate_grad(zs[k], acts[k + 1], kind)
             dz = np.multiply(da, grad, out=None if k == last else da)
         np.matmul(dz.swapaxes(-1, -2), acts[k], out=grads[2 * k])
-        dz.sum(axis=-2, out=grads[2 * k + 1])
+        _row_sum(dz, grads[2 * k + 1])
         if k > 0:
             da = _times_weights(dz, net.weights[k], None if das is None else das[k - 1])
     return grads
+
+
+def _row_sum(dz: np.ndarray, out: np.ndarray) -> None:
+    """dz.sum(axis=-2, out=out), bit for bit. Where dz is more than one
+    column wide and its rows lie in ascending memory order, each one
+    unit-strided, numpy's sum adds them one short row at a time, and
+    einsum adds the same rows in the same order, from 0.0, several times
+    faster. numpy sums other layouts in other orders (a lone column
+    pairwise, reversed rows from the end), so they keep sum. einsum adds
+    x + acc, not acc + x, which can flip the sign bit of a NaN; a finite
+    result had only finite terms, so only a result that is not finite is
+    summed again."""
+    width, item = dz.shape[-1], dz.itemsize
+    if width > 1 and dz.strides[-1] == item and dz.strides[-2] >= width * item:
+        np.einsum("...ij->...j", dz, out=out)
+        if np.isfinite(out).all():
+            return
+    dz.sum(axis=-2, out=out)
 
 
 def _times_weights(dz: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -46,7 +46,9 @@ A full-batch pass of more than one block uses every CPU the process may
 run on: forked workers and the training process claim blocks from a
 shared pipe as each becomes free and leave every block's loss sum and
 gradient in shared memory, and the training process adds them up in
-block order, so the bytes equal those of a pass run in one process.
+block order, so the bytes equal those of a pass run in one process. A
+pass after an optimizer step carries the epoch's validation loss as one
+more claim, so no process waits while another validates.
 """
 
 from __future__ import annotations
@@ -333,20 +335,28 @@ def _train_block(stack: Network, x, y, loss: Loss, work: Workspace, entries: int
     return value
 
 
+def _validation(slices, x, y, loss: Loss, skip=()) -> list:
+    """Each slice's loss on the validation rows (x, y), run alone, or None
+    for the slices in skip."""
+    return [None if s in skip else loss.value(forward(net, x), y) for s, net in enumerate(slices)]
+
+
 def _train_pass(stack: Network, x, y, loss: Loss, work: Workspace, want_grad: bool = True,
-                workers: "_BlockWorkers | None" = None):
+                workers: "_BlockWorkers | None" = None, validate: bool = False):
     """The loss of stack on (x, y), per slice, and unless want_grad is
     False its gradient (work.grads, else None), from forward, loss and
-    backward run on each block of TRAIN_ROWS rows in turn.
+    backward run on each block of TRAIN_ROWS rows in turn, and a third
+    value: None, or the validation losses the workers computed.
 
     Each block adds its sum to the loss and its gradient to the gradient,
     in order; the loss is divided by the batch's entry count at the end.
     A batch of one block is passed on as it is, not sliced. workers,
     started on the same x and y, share the blocks out and give the same
-    bytes.
+    bytes; where validate is set they also give every slice's
+    _validation, which is otherwise left to the caller.
     """
     if workers is not None:
-        return workers.run(stack, work, want_grad)
+        return workers.run(stack, work, want_grad, validate)
     n = len(x)
     entries = n * loss.n_outputs
     blocks = [(x, y)] if n <= TRAIN_ROWS else [
@@ -358,7 +368,7 @@ def _train_pass(stack: Network, x, y, loss: Loss, work: Workspace, want_grad: bo
         total = total + value if i else value
         if want_grad and i:
             work.grads.flat += work.block_grads.flat
-    return total / entries, work.grads if want_grad else None
+    return total / entries, work.grads if want_grad else None, None
 
 
 class _BlockWorkers:
@@ -373,47 +383,52 @@ class _BlockWorkers:
     answers. The parent adds the slots up in block order, as _train_pass
     does, so a descheduled process delays a pass by at most one claim and
     the sums are bit for bit those of one process. A claim is the first of
-    `step` blocks, so that a pass's claims fit in one write of at most
-    PIPE_BUF bytes, which an empty pipe takes at once. A block of rows
-    that are not C-ordered is copied into the workspace of the process
-    that runs it. Where no worker could be forked the parent claims every
-    block. A worker that dies fails the pass.
+    `step` blocks. A pass that validates writes one more claim first, the
+    number of blocks, and the process that takes it leaves every slice's
+    _validation in shared memory; `step` keeps a slot for it, so that a
+    pass's claims fit in one write of at most PIPE_BUF bytes, which an
+    empty pipe takes at once. A block of rows that are not C-ordered is
+    copied into the workspace of the process that runs it. A worker that
+    dies fails the pass.
     """
 
     @classmethod
     @contextlib.contextmanager
-    def started(cls, stack: Network, x, y, loss: Loss):
-        """Workers for the full-batch passes of stack on (x, y), ended and
-        reaped when the with block ends, or None where this process does
-        them alone (see _ways)."""
+    def started(cls, stack: Network, x, y, loss: Loss, val):
+        """Workers for the full-batch passes of stack on (x, y), and for
+        its validation on val, (x, y) or None, ended and reaped when the
+        with block ends, or None where this process does them alone: where
+        _ways plans no worker, or no worker could be forked."""
         ways = _ways(len(x), stack.flat.shape)
         if not _util.children(ways, here=True):
             yield None
             return
-        workers = cls(stack, x, y, loss)
+        workers = cls(stack, x, y, loss, val)
         try:
             with _util.forked("training", workers._serve, ways, here=True) as workers.children:
-                yield workers
+                yield workers if workers.children else None
         finally:
             os.close(workers.claims_r)
             os.close(workers.claims_w)
 
-    def __init__(self, stack: Network, x, y, loss: Loss):
+    def __init__(self, stack: Network, x, y, loss: Loss, val):
         import mmap
         import select
 
-        self.x, self.y, self.loss, self.rows = x, y, loss, TRAIN_ROWS
+        self.x, self.y, self.loss, self.val, self.rows = x, y, loss, val, TRAIN_ROWS
         self.blocks = -(-len(x) // self.rows)
         self.entries = len(x) * loss.n_outputs
         s, p = stack.flat.shape
-        shared = mmap.mmap(-1, 8 * (s * p + self.blocks * s * (1 + p)))
+        shared = mmap.mmap(-1, 8 * (s * p + self.blocks * s * (1 + p) + s))
         floats = np.frombuffer(shared, np.float64)
         self.params = floats[:s * p].reshape(s, p)
         self.losses = floats[s * p:s * p + self.blocks * s].reshape(self.blocks, s)
-        self.grads = floats[s * p + self.blocks * s:].reshape(self.blocks, s, p)
+        self.grads = floats[s * p + self.blocks * s:-s].reshape(self.blocks, s, p)
+        self.val_losses = floats[-s:]
         self.architecture = stack.architecture
-        self.step = -(-self.blocks // (select.PIPE_BUF // 8))
+        self.step = -(-self.blocks // (select.PIPE_BUF // 8 - 1))
         self.claims = b"".join(lo.to_bytes(8, "little") for lo in range(0, self.blocks, self.step))
+        self.validation_claim = self.blocks.to_bytes(8, "little")
         self.claims_r, self.claims_w = os.pipe()
         os.set_blocking(self.claims_r, False)
 
@@ -428,12 +443,16 @@ class _BlockWorkers:
                 yield b"d"
 
     def _run_blocks(self, net: Network, work: Workspace, want_grad: bool) -> None:
-        """Claim blocks and run them, until every claim is taken."""
+        """Claim blocks, and the validation, and run them until every claim
+        is taken."""
         while True:
             try:
                 lo = int.from_bytes(os.read(self.claims_r, 8), "little")
             except BlockingIOError:
                 return
+            if lo == self.blocks:
+                self.val_losses[:] = _validation(unstack_network(net), *self.val, self.loss)
+                continue
             for b in range(lo, min(lo + self.step, self.blocks)):
                 rows = slice(b * self.rows, (b + 1) * self.rows)
                 grads = work.block_grads if want_grad else None
@@ -442,10 +461,11 @@ class _BlockWorkers:
                 if want_grad:
                     self.grads[b] = grads.flat
 
-    def run(self, stack: Network, work: Workspace, want_grad: bool):
-        """_train_pass's result for stack, its blocks shared with the workers."""
+    def run(self, stack: Network, work: Workspace, want_grad: bool, validate: bool):
+        """_train_pass's result for stack, its blocks, and its validation
+        where validate is set, shared with the workers."""
         self.params[...] = stack.flat
-        os.write(self.claims_w, self.claims)
+        os.write(self.claims_w, self.validation_claim + self.claims if validate else self.claims)
         for child in self.children:
             child.send(b"g" if want_grad else b"l")
         self._run_blocks(stack, work, want_grad)
@@ -458,7 +478,8 @@ class _BlockWorkers:
             work.grads.flat[...] = self.grads[0]
             for grads in self.grads[1:]:
                 work.grads.flat += grads
-        return total / self.entries, work.grads if want_grad else None
+        return (total / self.entries, work.grads if want_grad else None,
+                self.val_losses.tolist() if validate else None)
 
 
 STACK_BYTES = 32 * 2**20
@@ -568,9 +589,12 @@ def train_seeds(
     differentiates (same parameters, same rows), so it runs once and gives
     both epoch e's train_loss and epoch e+1's gradient: E epochs cost
     E + 1 training-set passes instead of 2E; a pass of several blocks
-    shares them with forked workers, one per other usable CPU. With
-    minibatches, and for the validation loss, each network is evaluated on
-    its own, unblocked, after the epoch's updates.
+    shares them with forked workers, one per other usable CPU, and the pass
+    after each step also carries the epoch's validation as one more claim.
+    With minibatches, and for the validation loss, each network is
+    evaluated on its own, unblocked, after the epoch's updates, by one
+    helper under the training pass's floating-point error settings,
+    whichever process runs it.
     """
     if epochs < 0:
         raise SchemaError("epochs must be >= 0")
@@ -612,7 +636,8 @@ def train_seeds(
     ]
     work, grads = Workspace(stack, min(step_rows, TRAIN_ROWS)), None
     blocked = full_batch and epochs > 0
-    with (_BlockWorkers.started(stack, train_x, train_set.y, loss) if blocked
+    val = (val_x, val_set.y) if has_val else None
+    with (_BlockWorkers.started(stack, train_x, train_set.y, loss, val) if blocked
           else contextlib.nullcontext()) as workers:
         for epoch in range(1, epochs + 1):
             lr = optimizer.learning_rate(epoch)
@@ -622,26 +647,32 @@ def train_seeds(
             with np.errstate(over="ignore", invalid="ignore"):
                 for x, y in batches:
                     if grads is None:  # else the last full-batch pass left this epoch's
-                        _, grads = _train_pass(stack, x, y, loss, work, workers=workers)
+                        _, grads, _ = _train_pass(stack, x, y, loss, work, workers=workers)
                     if ended:  # a diverged slice's rows would never settle in centralization
                         grads.flat[ended] = 0.0
                     for s, k in optimizer.step(stack.params, grads, epoch).items():
                         diverged.setdefault(s, k)
                     grads = None
                 if full_batch:
-                    train_losses, grads = _train_pass(stack, train_x, train_set.y, loss,
-                                                      work, epoch < epochs, workers)
+                    train_losses, grads, val_losses = _train_pass(
+                        stack, train_x, train_set.y, loss, work, epoch < epochs, workers, has_val)
                 else:
                     train_losses = [
                         None if s in diverged or s in ended
                         else loss.value(forward(net, train_x), train_set.y)
                         for s, net in enumerate(slices)
                     ]
+                    val_losses = None
+                failed = {s for s in range(len(nets)) if s not in ended
+                          and (s in diverged or not math.isfinite(train_losses[s]))}
+                if val_losses is None:
+                    val_losses = (_validation(slices, val_x, val_set.y, loss, {*ended, *failed})
+                                  if has_val else [None] * len(nets))
 
             for s, net in enumerate(slices):
                 if s in ended:
                     continue
-                if s in diverged or not math.isfinite(train_losses[s]):
+                if s in failed:
                     cause = (f"non-finite gradient in {_parameter_name(diverged[s])}"
                              if s in diverged else f"training loss is {float(train_losses[s])}")
                     rows = results[s].rows
@@ -650,7 +681,7 @@ def train_seeds(
                     results[s] = DivergenceError(f"epoch {epoch}: {cause}; {last}")
                     ended.append(s)
                     continue
-                val_loss = loss.value(forward(net, val_x), val_set.y) if has_val else None
+                val_loss = val_losses[s]
                 results[s].rows.append((epoch, lr, float(train_losses[s]), val_loss))
                 if early_stop_patience is not None and val_loss < best_val[s]:
                     best_val[s] = val_loss

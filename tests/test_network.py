@@ -616,6 +616,52 @@ class TestBlasOperands:
         assert pred.tobytes() == forward(net, copy).tobytes()
 
 
+FINITE_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300])
+NON_FINITE = np.array([np.inf, -np.inf, np.nan, -np.nan, 1e308, 1e308, -1e308, -1e308])
+
+
+class TestBiasSums:
+    """backward's bias gradients have the bits of dz.sum(axis=-2) in every
+    layout: signed zeros and subnormals, 1e308 pairs whose sum overflows,
+    and infinities and NaNs of both signs, where inf + -inf makes a NaN
+    whose sign an input NaN added the other way round would not keep."""
+
+    @staticmethod
+    def _dpred(rng, lead, n, width, layout):
+        # rows 0..n-1 of a taller buffer, as a workspace hands them out;
+        # the even columns finite, the odd ones not always, and column 0
+        # -0.0 in the first two rows, whose sum from 0.0 is 0.0
+        buf = rng.normal(size=(*lead, n + 5, width))
+        special = rng.random(buf.shape) < 0.05
+        odd = np.arange(width) % 2 == 1
+        buf[special & ~odd] = rng.choice(FINITE_SPECIAL, size=(special & ~odd).sum())
+        pool = np.concatenate([FINITE_SPECIAL, NON_FINITE])
+        buf[special & odd] = rng.choice(pool, size=(special & odd).sum())
+        buf[..., :2, 0] = -0.0
+        dpred = buf[..., :n, :]
+        if layout == "reversed rows":
+            return dpred[..., ::-1, :]
+        if layout == "column-major":
+            return dpred.swapaxes(-1, -2).copy().swapaxes(-1, -2)
+        return dpred
+
+    @pytest.mark.parametrize("layout", ["workspace", "reversed rows", "column-major"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 16, 21, 48])
+    @pytest.mark.parametrize("stack", [None, 1, 3, 10])
+    def test_bias_gradients_are_row_sums_bit_for_bit(self, stack, width, layout):
+        rng = np.random.default_rng([width, stack or 0])
+        nets = [init_network(Architecture((3, width)), s) for s in range(stack or 1)]
+        net = nets[0] if stack is None else stack_networks(nets)
+        lead = () if stack is None else (stack,)
+        for n in (1, 2, 7, 96, 256, 1808, 4096):
+            dpred = self._dpred(rng, lead, n, width, layout)
+            with np.errstate(all="ignore"):
+                _, cache = forward(net, rng.normal(size=(n, 3)), want_cache=True)
+                got = backward(net, cache, dpred)[1]
+                want = dpred.sum(axis=-2)
+            assert _bits(got) == _bits(want), (n, layout)
+
+
 class TestQuantileForecast:
     def test_rows_are_sorted(self):
         arch = Architecture(layer_sizes=(1, 3))

@@ -1039,6 +1039,31 @@ def worker_blocks(monkeypatch):
     return count
 
 
+@pytest.fixture
+def worker_validations(monkeypatch, worker_blocks):
+    """worker_blocks, and a count of the validation claims run in other
+    processes, kept in shared memory. This process pauses before it takes
+    a pass's first claim, the validation, so workers take some."""
+    count = np.frombuffer(mmap.mmap(-1, 8), np.int64)
+    here = os.getpid()
+    real_validation = windcast.optim._validation
+    real_run_blocks = windcast.optim._BlockWorkers._run_blocks
+
+    def counting(*args):
+        if os.getpid() != here:
+            count[0] += 1
+        return real_validation(*args)
+
+    def pausing(self, *args):
+        if os.getpid() == here:
+            time.sleep(0.005)
+        return real_run_blocks(self, *args)
+
+    monkeypatch.setattr(windcast.optim, "_validation", counting)
+    monkeypatch.setattr(windcast.optim._BlockWorkers, "_run_blocks", pausing)
+    return count
+
+
 @contextlib.contextmanager
 def _within(seconds: int):
     """Raise AssertionError where the with block runs longer than seconds."""
@@ -1189,6 +1214,98 @@ class TestBlockWorkers:
         assert self._one_run() == one_cpu
         assert worker_blocks[0] > 0
         assert open_descriptors() == open_fds
+        assert_no_child_left()
+
+    @staticmethod
+    def _validated_run(case):
+        """The trace rows, or the error text, and the network bytes of each
+        network of a full-batch run that validates after every epoch."""
+        loss = LOSSES["pinball" if case == "pinball" else "mse"]
+        train_set, val = _curved_problem()
+        arch = Architecture((4, 6, loss.n_outputs))
+        if case == "lag windows":
+            train_set, val = _window_sets(as_copies=False)
+            arch = Architecture((6, 8, 1))
+        make_net = lambda s: init_network(arch, seed=s)  # noqa: E731
+        seeds, epochs, lr, patience = (2,), 12, 0.01, None
+        if case == "early stopping":
+            epochs, lr, patience = 100, 0.3, 2
+        if case == "one slice diverges":  # seed 3 at once; 2 and 4 stop early
+            make_net, seeds, epochs, lr, patience = _ending_early(arch), (2, 3, 4), 30, 0.05, 2
+        nets = [make_net(s) for s in seeds]
+        results = train_seeds(nets, train_set, val, OptimizerConfig(fixed_lr=lr),
+                              STRATEGIES_ON if patience is None else StrategyConfig(), loss,
+                              epochs, early_stop_patience=patience)
+        return ([str(r) if isinstance(r, DivergenceError) else r.rows for r in results],
+                [net.flat.tobytes() for net in nets])
+
+    # a stack whose ended slices, one of them non-finite, are validated
+    # unread must not warn
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["mse", "pinball", "lag windows", "early stopping",
+                                      "one slice diverges"])
+    def test_validation_claims_give_the_bytes_of_one_process(self, monkeypatch,
+                                                             worker_validations, case):
+        outcomes = {}
+        for cpus in (2, 4, 1):
+            _fake_cpus(monkeypatch, cpus)
+            worker_validations[0] = 0
+            outcomes[cpus] = self._validated_run(case)
+            assert (worker_validations[0] > 0) == (cpus > 1)
+            assert_no_child_left()
+        assert outcomes[1] == outcomes[2] == outcomes[4]
+        rows = outcomes[1][0]
+        assert all(row[3] is not None for r in rows if not isinstance(r, str) for row in r)
+        if case == "early stopping":
+            assert len(rows[0]) < 100
+        if case == "one slice diverges":
+            assert rows[1] == "epoch 1: training loss is inf; no finite train_loss yet"
+            assert len(rows[0]) != len(rows[2])  # ended slices ride along unread
+
+    @pytest.mark.parametrize("pipe_buf", [16, 24])  # room for 1 or 2 claims of blocks
+    def test_validation_fits_the_claims_pipe(self, monkeypatch, worker_validations, pipe_buf):
+        monkeypatch.setattr(select, "PIPE_BUF", pipe_buf)
+        real_write = os.write
+        sizes = []
+
+        def recording(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", recording)
+        outcomes = []
+        for cpus in (2, 1):
+            _fake_cpus(monkeypatch, cpus)
+            outcomes.append(self._validated_run("mse"))
+        assert worker_validations[0] > 0
+        assert outcomes[0] == outcomes[1]
+        # the validation and one claim per step of 3 or 2 of the 3 blocks
+        assert max(sizes) == pipe_buf
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("ending", ["worker exit", "worker killed"])
+    def test_a_worker_lost_while_validating_fails_the_run(self, monkeypatch, worker_validations,
+                                                          ending):
+        _fake_cpus(monkeypatch, 2)
+        here = os.getpid()
+        counting = windcast.optim._validation
+
+        def ending_validation(*args):
+            if ending == "worker exit" and os.getpid() != here:
+                os._exit(7)
+            if ending == "worker killed" and os.getpid() != here:
+                os.kill(os.getpid(), signal.SIGKILL)  # with the validation claim taken
+            return counting(*args)
+
+        monkeypatch.setattr(windcast.optim, "_validation", ending_validation)
+        train_set, val = _curved_problem()
+        code = 7 if ending == "worker exit" else -9
+        with _within(30), pytest.raises(
+            ToolkitError, match=rf"^training worker process \d+ ended with exit code {code}$"
+        ):
+            train(init_network(Architecture((4, 6, 1)), seed=2), train_set, val,
+                  OptimizerConfig(fixed_lr=0.01), StrategyConfig(), Loss(), 6)
+        assert worker_validations[0] == 0  # the worker ended before it ran one
         assert_no_child_left()
 
     def test_minibatches_fork_nothing(self, monkeypatch, worker_blocks):

@@ -2,7 +2,12 @@
 dump_json's text of numpy values, and the file modes atomic_writer leaves."""
 
 import os
+import signal
 import stat
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -108,6 +113,54 @@ class TestForkedMap:
                         raise RuntimeError("consumer")
         assert_no_child_left()
         assert open_descriptors() == fds
+
+
+ORPHANED_CHILD = textwrap.dedent("""
+    import time
+    from windcast import _util
+
+    def serve(i, n, commands):
+        time.sleep(60)
+        yield None
+
+    _util.usable_cpus = lambda: 2
+    with _util.forked("test", serve, 2, here=True) as (child,):
+        print(child.pid, flush=True)
+        time.sleep(60)
+""")
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_a_child_ends_when_its_parent_is_killed():
+    # SIGKILL leaves the parent no with block to end; the kernel ends the
+    # child. It stays a zombie where nothing reaps orphans.
+    src = os.path.dirname(os.path.dirname(_util.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", ORPHANED_CHILD], stdout=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src), text=True)
+    child = None
+    try:
+        child = int(proc.stdout.readline())
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while _running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(child), "the child outlived its killed parent"
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if child is not None and _running(child):
+            os.kill(child, signal.SIGKILL)
 
 
 class TestDumpJson:
