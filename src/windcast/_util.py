@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
 import itertools
 import json
 import math
@@ -245,6 +246,14 @@ def atomic_writer(path: str):
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
+        # refused here, not by os.replace once the file is written, so that a
+        # command that writes two files fails before it replaces either
+        try:
+            if stat.S_ISDIR(os.lstat(path).st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        except FileNotFoundError:
+            if not os.path.basename(path):  # "" or "missing_dir/"
+                raise
         name = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name

@@ -55,6 +55,13 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
         raise SchemaError(f"{flag} {value:,} is above the cap of {cap:,}")
 
 
+def _check_distinct(out: str, flag: str, path: str | None) -> None:
+    """UsageError where path, flag's output, is the file --out names: checked
+    before any file is read, as one output would replace the other."""
+    if path and os.path.realpath(path) == os.path.realpath(out):
+        raise UsageError(f"--out and {flag} name the same file, {path}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="windcast", description="Wind power forecasting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -110,13 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args) -> int:
+    trace_path = args.trace_out or os.path.splitext(args.out)[0] + ".trace.csv"
+    _check_distinct(args.out, "--trace-out", trace_path)
     config = load_config(args.config)
     if args.seed is not None:
         config.training.seed = args.seed
     bundle, trace, _ = train_from_config(config)
-    save_model(args.out, bundle)
-    trace_path = args.trace_out or os.path.splitext(args.out)[0] + ".trace.csv"
-    atomic_write_text(trace_path, trace.to_csv())
+    with atomic_writer(trace_path) as fh:  # replaced last: no model without its trace
+        fh.write(trace.to_csv())
+        save_model(args.out, bundle)
     if trace.rows:
         _, _, train_loss, val_loss = trace.rows[-1]
         val = "n/a" if val_loss is None else repr(val_loss)
@@ -152,6 +161,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    _check_distinct(args.out, "--svg-out", args.svg_out)
     _check_cap("--repeats", args.repeats, MAX_PFI_REPEATS)
     _check_cap("--lime-samples", args.lime_samples, MAX_LIME_SAMPLES)
     bundle = load_model(args.model)

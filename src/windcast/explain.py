@@ -32,38 +32,6 @@ def _mse(y: np.ndarray, pred: np.ndarray) -> float:
     return float(np.mean((y - pred) ** 2))
 
 
-@dataclass
-class FeatureImportanceReport:
-    feature_names: tuple[str, ...]
-    e_ori: float
-    e_per_mean: np.ndarray
-    fi: np.ndarray
-    fi_std: np.ndarray
-    repeats: int
-    seed: int
-
-    def fi_share(self) -> np.ndarray | None:
-        """Each importance as a share of the total; None if total <= 0."""
-        total = float(np.sum(self.fi))
-        if total <= 0.0:
-            return None
-        return self.fi / total
-
-    def to_dict(self) -> dict:
-        share = self.fi_share()
-        return {
-            "kind": "pfi",
-            "feature_names": list(self.feature_names),
-            "values": list(self.fi),
-            "e_ori": self.e_ori,
-            "e_per_mean": list(self.e_per_mean),
-            "fi_std": list(self.fi_std),
-            "fi_share": None if share is None else list(share),
-            "repeats": self.repeats,
-            "seed": self.seed,
-        }
-
-
 def feature_errors(predict, x, y, i: int, repeats: int, seed: int, block, pred) -> np.ndarray:
     """The (repeats,) array of mean squared errors after each permutation
     of feature i.
@@ -93,14 +61,20 @@ def feature_errors(predict, x, y, i: int, repeats: int, seed: int, block, pred) 
 
 def permutation_importance(
     predict, x, y, repeats: int = 5, seed: int = 0, feature_names=None, *, _map=map,
-) -> FeatureImportanceReport:
+) -> dict:
     """Shuffle each feature column and measure the error increase.
 
     predict sees x whole once, for the unshuffled error; the errors after
     permutation are feature_errors's, each process reusing one pair of
     buffers for its features. Nothing here forks, so predict may be any
-    callable. e_per_mean and fi_std are each feature's errors' mean and
-    sample standard deviation (0 for one repeat).
+    callable.
+
+    Returns the report explain --mode pfi writes, less its split: kind
+    "pfi", feature_names, values (each feature's importance, e_per_mean -
+    e_ori), e_ori, e_per_mean and fi_std (each feature's errors' mean and
+    sample standard deviation, 0 for one repeat), fi_share (values as
+    shares of their total, None where the total is <= 0), repeats and
+    seed. The arrays are numpy arrays; _util.dump_json writes them.
 
     _map is not for library callers: pipeline.explain_pfi passes one that
     maps the features over forked processes. It calls this function
@@ -129,15 +103,19 @@ def permutation_importance(
     for i, per in enumerate(errors):
         e_per_mean[i] = per.mean()
         fi_std[i] = per.std(ddof=1) if repeats > 1 else 0.0
-    return FeatureImportanceReport(
-        feature_names=tuple(feature_names),
-        e_ori=e_ori,
-        e_per_mean=e_per_mean,
-        fi=e_per_mean - e_ori,
-        fi_std=fi_std,
-        repeats=repeats,
-        seed=seed,
-    )
+    fi = e_per_mean - e_ori
+    total = float(np.sum(fi))
+    return {
+        "kind": "pfi",
+        "feature_names": list(feature_names),
+        "values": fi,
+        "e_ori": e_ori,
+        "e_per_mean": e_per_mean,
+        "fi_std": fi_std,
+        "fi_share": None if total <= 0.0 else fi / total,
+        "repeats": repeats,
+        "seed": seed,
+    }
 
 
 @dataclass(frozen=True)
@@ -179,39 +157,28 @@ def generate_perturbations(instance, stats, cfg: LimeConfig) -> np.ndarray:
     return rows
 
 
-@dataclass
-class LimeExplanation:
-    feature_names: tuple[str, ...]
-    intercept: float
-    coefficients: np.ndarray
-    contributions: np.ndarray
-    local_prediction: float
-    model_prediction: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "lime",
-            "feature_names": list(self.feature_names),
-            "values": list(self.contributions),
-            "coefficients": list(self.coefficients),
-            "intercept": self.intercept,
-            "local_prediction": self.local_prediction,
-            "model_prediction": self.model_prediction,
-        }
-
-
-def fit_lime(predict, instance, stats, cfg: LimeConfig, feature_names=None) -> LimeExplanation:
+def fit_lime(predict, instance, stats, cfg: LimeConfig, feature_names=None) -> dict:
     """Fit a weighted ridge surrogate to the model around one instance.
 
     Minimizes sum_j w_j * (predict(row_j) - b0 - b . row_j)^2
     + ridge_lambda * ||b||^2 via the normal equations; the intercept is
     not penalized. Weights are exp(-||row - instance||^2 / kernel_width^2),
-    or uniform when kernel_width is None. Contributions are coefficient
-    times instance value, so intercept + sum(contributions) is exactly the
-    surrogate's prediction at the instance.
+    or uniform when kernel_width is None. predict is called once, on the
+    perturbed rows, whose row 0 is the instance.
+
+    Returns the report explain --mode lime writes, less its instance_index
+    and actual: kind "lime", feature_names, values (the contributions,
+    each coefficient times the instance's value), coefficients, intercept,
+    local_prediction (intercept + sum of contributions, the surrogate's
+    prediction at the instance) and model_prediction (predict's value for
+    row 0). The arrays are numpy arrays; _util.dump_json writes them.
     """
     instance = np.asarray(instance, dtype=float)
     rows = generate_perturbations(instance, stats, cfg)
+    if feature_names is None:
+        feature_names = [f"x{i}" for i in range(instance.size)]
+    if len(feature_names) != instance.size:
+        raise ShapeError(f"{len(feature_names)} names for {instance.size} features")
     targets = np.asarray(predict(rows), dtype=float)
     if targets.shape != (rows.shape[0],):
         raise ShapeError("predict must return one value per row")
@@ -248,21 +215,17 @@ def fit_lime(predict, instance, stats, cfg: LimeConfig, feature_names=None) -> L
             "normal equations are singular; set ridge_lambda > 0"
         ) from None
 
-    if feature_names is None:
-        feature_names = tuple(f"x{i}" for i in range(instance.size))
-    if len(feature_names) != instance.size:
-        raise ShapeError(f"{len(feature_names)} names for {instance.size} features")
     intercept = float(beta[0])
-    coefficients = beta[1:]
-    contributions = coefficients * instance
-    return LimeExplanation(
-        feature_names=tuple(feature_names),
-        intercept=intercept,
-        coefficients=coefficients,
-        contributions=contributions,
-        local_prediction=intercept + float(np.sum(contributions)),
-        model_prediction=float(np.asarray(predict(instance[None, :]), dtype=float)[0]),
-    )
+    contributions = beta[1:] * instance
+    return {
+        "kind": "lime",
+        "feature_names": list(feature_names),
+        "values": contributions,
+        "coefficients": beta[1:],
+        "intercept": intercept,
+        "local_prediction": intercept + float(np.sum(contributions)),
+        "model_prediction": float(targets[0]),
+    }
 
 
 def render_bar_chart(names, values, title: str) -> str:

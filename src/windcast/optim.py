@@ -298,24 +298,6 @@ class TrainingTrace:
             lines.append(f"{epoch},{lr!r},{float(train_loss)!r},{val}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "TrainingTrace":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != "epoch,lr,train_loss,val_loss":
-            raise SchemaError("not a training trace file")
-        rows = []
-        for ln in lines[1:]:
-            epoch, lr, train_loss, val_loss = ln.split(",")
-            rows.append(
-                (
-                    int(epoch),
-                    float(lr),
-                    float(train_loss),
-                    None if val_loss == "" else float(val_loss),
-                )
-            )
-        return cls(rows)
-
 
 TRAIN_ROWS = 4096
 """Rows per block of a training pass. For a 4 -> 16 -> 21 quantile network

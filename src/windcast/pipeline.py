@@ -177,9 +177,8 @@ def explain_pfi(
             feature_names=bundle.feature_names,
             _map=_forked_map,
         )
-    doc = report.to_dict()
-    doc["split"] = split
-    return doc
+    report["split"] = split
+    return report
 
 
 def _forked_map(errors, features) -> list:
@@ -202,17 +201,16 @@ def explain_lime(
         )
     stats = _column_std(prepared.train.x)
     with np.errstate(all="ignore"):  # as evaluate_bundle
-        explanation = fit_lime(
+        report = fit_lime(
             lambda rows: bundle.forecast(rows)[1],
             test.x[instance_index],
             stats,
             lime if lime is not None else LimeConfig(),
             feature_names=bundle.feature_names,
         )
-    doc = explanation.to_dict()
-    doc["instance_index"] = instance_index
-    doc["actual"] = float(test.y[instance_index])
-    return doc
+    report["instance_index"] = instance_index
+    report["actual"] = float(test.y[instance_index])
+    return report
 
 
 def _column_std(x: np.ndarray, rows: int = CSV_BLOCK_ROWS) -> np.ndarray:

@@ -245,8 +245,9 @@ def test_criterion_7_pfi_oracle():
         x /= x.std(axis=0)
         y = predict(x)
         report = permutation_importance(predict, x, y, repeats=5, seed=0)
-        assert report.fi[1] == 0.0, f"null feature importance {report.fi[1]!r}"
-        assert report.fi[0] > report.fi[2] > 0.0, f"ordering violated: {report.fi}"
+        fi = report["values"]
+        assert fi[1] == 0.0, f"null feature importance {fi[1]!r}"
+        assert fi[0] > fi[2] > 0.0, f"ordering violated: {fi}"
 
         n, repeats = 6, 200
         small = rng.normal(size=(n, 2))
@@ -258,7 +259,7 @@ def test_criterion_7_pfi_oracle():
         for feature in range(2):
             exact = exhaustive_permutation_errors(predict2, small, y2, feature)
             se = exact.std(ddof=1) / np.sqrt(repeats)
-            gap = abs(sampled.e_per_mean[feature] - exact.mean())
+            gap = abs(sampled["e_per_mean"][feature] - exact.mean())
             assert gap <= 2.0 * se, f"feature {feature}: gap {gap:.3e} > 2 se {2*se:.3e}"
         return "null feature exact zero, exhaustive oracle within 2 se"
 
@@ -273,10 +274,10 @@ def test_criterion_8_lime_exact_recovery():
         instance = np.array([0.25, 1.5, -2.0, 0.75])
         cfg = LimeConfig(n_samples=500, ridge_lambda=0.0, seed=20240)
         explanation = fit_lime(predict, instance, np.ones(4), cfg)
-        coef_err = float(np.abs(explanation.coefficients - coef).max())
+        coef_err = float(np.abs(explanation["coefficients"] - coef).max())
         assert coef_err < 1e-6, f"coefficient error {coef_err:.2e}"
-        assert abs(explanation.intercept - intercept) < 1e-6
-        reconstruction = explanation.intercept + float(np.sum(explanation.contributions))
+        assert abs(explanation["intercept"] - intercept) < 1e-6
+        reconstruction = explanation["intercept"] + float(np.sum(explanation["values"]))
         model_value = float(predict(instance[None, :])[0])
         assert abs(reconstruction - model_value) < 1e-6
         return f"coef err {coef_err:.1e}, reconstruction gap {abs(reconstruction - model_value):.1e}"

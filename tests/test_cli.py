@@ -25,7 +25,7 @@ from windcast.cli import main
 from windcast.config import load_config
 from windcast.data import Scaler, invert_column
 from windcast.errors import DataError, NonFiniteReportError, ToolkitError
-from windcast.explain import LimeConfig
+from windcast.explain import LimeConfig, fit_lime, permutation_importance
 from windcast.metrics import deterministic_report
 from windcast.model_io import ModelBundle, load_model, save_model
 from windcast.network import (
@@ -283,6 +283,49 @@ class TestOneForecast:
             for i in range(len(prepared.test))
         ]
         assert [cells[0] for cells in _csv_cells(bundle, explained)] == tail
+
+
+class TestLibraryReports:
+    """permutation_importance and fit_lime, given what explain gives them,
+    return the reports it writes; LIME's model_prediction, the forecast of
+    its cloud's row 0, is the forecast of the instance alone."""
+
+    @staticmethod
+    def _model(root):
+        bundle = load_model(str(root / "model.json"))
+        return bundle, build_dataset(load_config(str(root / "run.json")), bundle)
+
+    def test_pfi_report_is_the_commands(self, one_forecast):
+        assert run(one_forecast, "explain", "--model", "model.json", "--config", "run.json",
+                   "--mode", "pfi", "--repeats", "3", "--seed", "4", "--out", "pfi.json") == 0
+        bundle, prepared = self._model(one_forecast)
+        report = permutation_importance(lambda rows: bundle.forecast(rows)[1], prepared.test.x,
+                                        prepared.test.y, repeats=3, seed=4,
+                                        feature_names=bundle.feature_names)
+        report["split"] = "test"
+        assert dump_json(report) == (one_forecast / "pfi.json").read_text()
+
+    def test_lime_report_is_the_commands(self, one_forecast):
+        assert run(one_forecast, "explain", "--model", "model.json", "--config", "run.json",
+                   "--mode", "lime", "--instance-index", "3", "--seed", "5",
+                   "--lime-samples", "300", "--out", "lime.json") == 0
+        bundle, prepared = self._model(one_forecast)
+        report = fit_lime(lambda rows: bundle.forecast(rows)[1], prepared.test.x[3],
+                          prepared.train.x.std(axis=0), LimeConfig(n_samples=300, seed=5),
+                          feature_names=bundle.feature_names)
+        report.update(instance_index=3, actual=float(prepared.test.y[3]))
+        assert dump_json(report) == (one_forecast / "lime.json").read_text()
+
+    @pytest.mark.parametrize("n_samples", [None, 1000, 1025, 5000])
+    def test_lime_model_prediction_is_the_forecast_of_the_instance_alone(self, one_forecast,
+                                                                         n_samples):
+        bundle, prepared = self._model(one_forecast)
+        test = prepared.test
+        lime = LimeConfig(n_samples=n_samples or test.x.shape[1] + 2)  # None: the least
+        for i in range(0, len(test), 7):
+            explained = explain_lime(bundle, prepared, i, lime)["model_prediction"]
+            alone = bundle.forecast(test.x[i][None])[1][0]
+            assert np.float64(explained).tobytes() == alone.tobytes(), i
 
 
 class TestEvaluate:
@@ -856,6 +899,8 @@ class TestFlagCaps:
 
 
 HUGE = 10 ** 400  # a JSON integer too large for a float
+# output paths no file can be written to: a directory, too long a name, a missing directory
+UNWRITABLE = ("a_dir", "x" * 300, os.path.join("no_such_dir", "x"))
 
 
 class TestExitCodes:
@@ -1299,6 +1344,21 @@ class TestExitCodes:
         assert (trained / "kept.json").read_bytes() == b"kept bytes\n"
         assert not list(trained.glob(".tmp-*"))
 
+    @pytest.mark.parametrize("argv, other", [
+        *((("train", "--config", "point.json", "--out", "lone.json", "--trace-out", bad),
+           "lone.json") for bad in UNWRITABLE),
+        *((("explain", "--model", "point_model.json", "--config", "point.json",
+            "--svg-out", "lone.svg", "--out", bad), "lone.svg") for bad in ("", *UNWRITABLE)),
+    ])
+    def test_an_output_that_cannot_be_written_leaves_no_other(self, trained, capsys, argv,
+                                                              other):
+        (trained / "a_dir").mkdir(exist_ok=True)
+        (trained / other).unlink(missing_ok=True)
+        assert run(trained, *argv) == 3
+        assert capsys.readouterr().err.startswith("windcast: DataError: cannot write ")
+        assert not (trained / other).exists()
+        assert not list(trained.glob(".tmp-*")) and not list(trained.parent.glob(".tmp-*"))
+
     @pytest.mark.parametrize("argv", [
         ("train", "--config", "point.json"),
         ("benchmark", "--config", "point.json", "--seeds", "1"),
@@ -1317,6 +1377,20 @@ class TestExitCodes:
         with pytest.raises(DataError, match="cannot write"):
             atomic_write_text(str(tmp_path / "taken"), "text")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--config", "point.json", "--out", "same.json", "--trace-out", "same.json"),
+        ("explain", "--model", "point_model.json", "--config", "point.json",
+         "--out", "b.json", "--svg-out", "b.json"),
+        ("explain", "--model", "point_model.json", "--config", "point.json",
+         "--out", "b.json", "--svg-out", "./b.json"),
+    ], ids=["train", "explain", "explain-dot"])
+    def test_two_outputs_that_name_one_file_are_usage(self, trained, capsys, argv):
+        assert run(trained, *argv) == 1
+        flag, path = argv[-2:]
+        assert capsys.readouterr().err == (
+            f"windcast: UsageError: --out and {flag} name the same file, {path}\n")
+        assert not (trained / path).exists()
 
     def test_bad_flag_is_usage(self, workdir, capsys):
         assert run(workdir, "train", "--no-such-flag") == 1

@@ -1,6 +1,8 @@
 """Tests for permutation importance, the local linear surrogate and the
 SVG bar chart renderer."""
 
+import os
+import re
 import tracemalloc
 from xml.etree import ElementTree
 
@@ -46,14 +48,14 @@ class TestPermutationImportance:
         x = standardized_columns(500, 3, seed=1)
         y = linear_predict(x) + np.random.default_rng(2).normal(0, 0.1, 500)
         report = permutation_importance(linear_predict, x, y, repeats=5, seed=0)
-        assert report.fi[1] == 0.0
-        assert report.fi_std[1] == 0.0
+        assert report["values"][1] == 0.0
+        assert report["fi_std"][1] == 0.0
 
     def test_importance_ordering(self):
         x = standardized_columns(500, 3, seed=3)
         y = linear_predict(x)
         report = permutation_importance(linear_predict, x, y, repeats=5, seed=0)
-        assert report.fi[0] > report.fi[2] > 0.0
+        assert report["values"][0] > report["values"][2] > 0.0
 
     def test_matches_exhaustive_oracle(self):
         n, repeats = 6, 200
@@ -64,54 +66,57 @@ class TestPermutationImportance:
         for feature in range(2):
             exact = exhaustive_permutation_errors(predict, x, y, feature)
             se = exact.std(ddof=1) / np.sqrt(repeats)
-            assert abs(report.e_per_mean[feature] - exact.mean()) <= 2.0 * se
+            assert abs(report["e_per_mean"][feature] - exact.mean()) <= 2.0 * se
 
     def test_deterministic_under_seed(self):
         x = standardized_columns(40, 3, seed=7)
         y = linear_predict(x)
         a = permutation_importance(linear_predict, x, y, repeats=3, seed=9)
         b = permutation_importance(linear_predict, x, y, repeats=3, seed=9)
-        np.testing.assert_array_equal(a.fi, b.fi)
-        np.testing.assert_array_equal(a.fi_std, b.fi_std)
+        np.testing.assert_array_equal(a["values"], b["values"])
+        np.testing.assert_array_equal(a["fi_std"], b["fi_std"])
 
     def test_seed_changes_draws(self):
         x = standardized_columns(40, 3, seed=7)
         y = linear_predict(x) + np.random.default_rng(0).normal(0, 0.2, 40)
         a = permutation_importance(linear_predict, x, y, repeats=3, seed=1)
         b = permutation_importance(linear_predict, x, y, repeats=3, seed=2)
-        assert np.any(a.e_per_mean != b.e_per_mean)
+        assert np.any(a["e_per_mean"] != b["e_per_mean"])
 
     def test_e_ori_is_plain_mse(self):
         x = standardized_columns(30, 3, seed=13)
         y = linear_predict(x) + 0.5
         report = permutation_importance(linear_predict, x, y, repeats=2, seed=0)
-        np.testing.assert_allclose(report.e_ori, mse(y, linear_predict(x)), rtol=1e-15)
+        np.testing.assert_allclose(report["e_ori"], mse(y, linear_predict(x)), rtol=1e-15)
 
     def test_single_repeat_has_zero_std(self):
         x = standardized_columns(20, 2, seed=15)
         y = x[:, 0].copy()
         report = permutation_importance(lambda r: r[:, 0], x, y, repeats=1, seed=0)
-        np.testing.assert_array_equal(report.fi_std, 0.0)
+        np.testing.assert_array_equal(report["fi_std"], 0.0)
 
     def test_fi_share_sums_to_one(self):
         x = standardized_columns(200, 3, seed=17)
         y = linear_predict(x)
         report = permutation_importance(linear_predict, x, y, repeats=4, seed=0)
-        share = report.fi_share()
+        share = report["fi_share"]
         np.testing.assert_allclose(share.sum(), 1.0, rtol=1e-12)
+        assert share.tobytes() == (report["values"] / np.sum(report["values"])).tobytes()
 
     def test_fi_share_none_for_constant_predictor(self):
         x = standardized_columns(50, 2, seed=19)
         y = np.zeros(50)
         report = permutation_importance(lambda r: np.zeros(len(r)), x, y, repeats=2, seed=0)
-        assert report.fi_share() is None
+        assert report["fi_share"] is None
 
     def test_report_dict_keys(self):
         x = standardized_columns(30, 2, seed=21)
         y = x[:, 0].copy()
         doc = permutation_importance(
             lambda r: r[:, 0], x, y, repeats=2, seed=0, feature_names=("ws", "wd")
-        ).to_dict()
+        )
+        assert list(doc) == ["kind", "feature_names", "values", "e_ori", "e_per_mean",
+                             "fi_std", "fi_share", "repeats", "seed"]
         assert doc["kind"] == "pfi"
         assert doc["feature_names"] == ["ws", "wd"]
         assert len(doc["values"]) == 2
@@ -129,8 +134,8 @@ class TestPermutationImportance:
 
         report = permutation_importance(predict, x, y, repeats=3, seed=4)
         errors = whole_permutation_errors(linear_predict, x, y, repeats=3, seed=4)
-        assert report.e_per_mean.tobytes() == errors.mean(axis=1).tobytes()
-        assert report.fi_std.tobytes() == errors.std(axis=1, ddof=1).tobytes()
+        assert report["e_per_mean"].tobytes() == errors.mean(axis=1).tobytes()
+        assert report["fi_std"].tobytes() == errors.std(axis=1, ddof=1).tobytes()
         assert sizes[0] == n and max(sizes[1:]) == min(n, 16)
         assert len(sizes) == 1 + 3 * 3 * -(-n // 16)
 
@@ -209,9 +214,9 @@ class TestLime:
         stats = np.ones(3)
         cfg = LimeConfig(n_samples=400, ridge_lambda=0.0, seed=5)
         exp = fit_lime(predict, instance, stats, cfg)
-        np.testing.assert_allclose(exp.coefficients, coef, atol=1e-6)
-        np.testing.assert_allclose(exp.intercept, 0.75, atol=1e-6)
-        np.testing.assert_allclose(exp.local_prediction, exp.model_prediction, atol=1e-6)
+        np.testing.assert_allclose(exp["coefficients"], coef, atol=1e-6)
+        np.testing.assert_allclose(exp["intercept"], 0.75, atol=1e-6)
+        np.testing.assert_allclose(exp["local_prediction"], exp["model_prediction"], atol=1e-6)
 
     def test_recovers_linear_model_gaussian_kernel(self):
         coef = np.array([1.0, 4.0])
@@ -219,16 +224,16 @@ class TestLime:
         instance = np.array([0.3, -0.8])
         cfg = LimeConfig(n_samples=400, ridge_lambda=0.0, kernel_width=0.5, seed=6)
         exp = fit_lime(predict, instance, np.ones(2), cfg)
-        np.testing.assert_allclose(exp.coefficients, coef, atol=1e-6)
-        np.testing.assert_allclose(exp.local_prediction, exp.model_prediction, atol=1e-6)
+        np.testing.assert_allclose(exp["coefficients"], coef, atol=1e-6)
+        np.testing.assert_allclose(exp["local_prediction"], exp["model_prediction"], atol=1e-6)
 
     def test_bookkeeping_identity_exact(self):
         predict = lambda rows: np.sin(rows[:, 0]) + rows[:, 1] ** 2
         instance = np.array([0.4, 1.1])
         cfg = LimeConfig(n_samples=300, seed=7)
         exp = fit_lime(predict, instance, np.ones(2), cfg)
-        assert exp.local_prediction == exp.intercept + float(np.sum(exp.contributions))
-        np.testing.assert_array_equal(exp.contributions, exp.coefficients * instance)
+        assert exp["local_prediction"] == exp["intercept"] + float(np.sum(exp["values"]))
+        np.testing.assert_array_equal(exp["values"], exp["coefficients"] * instance)
 
     def test_matches_weighted_least_squares_oracle(self):
         predict = lambda rows: np.tanh(rows[:, 0]) - 0.5 * rows[:, 1] * rows[:, 0]
@@ -240,15 +245,15 @@ class TestLime:
         targets = predict(rows)
         weights = np.exp(-np.sum((rows - instance) ** 2, axis=1) / cfg.kernel_width**2)
         beta = weighted_linear_fit(rows, targets, weights)
-        np.testing.assert_allclose(exp.intercept, beta[0], rtol=1e-8)
-        np.testing.assert_allclose(exp.coefficients, beta[1:], rtol=1e-8)
+        np.testing.assert_allclose(exp["intercept"], beta[0], rtol=1e-8)
+        np.testing.assert_allclose(exp["coefficients"], beta[1:], rtol=1e-8)
 
     def test_constant_predictor(self):
         predict = lambda rows: np.full(len(rows), 4.25)
         cfg = LimeConfig(n_samples=300, seed=9)
         exp = fit_lime(predict, np.array([1.0, 2.0]), np.ones(2), cfg)
-        np.testing.assert_allclose(exp.coefficients, 0.0, atol=1e-8)
-        np.testing.assert_allclose(exp.intercept, 4.25, rtol=1e-10)
+        np.testing.assert_allclose(exp["coefficients"], 0.0, atol=1e-8)
+        np.testing.assert_allclose(exp["intercept"], 4.25, rtol=1e-10)
 
     def test_collinear_design_without_ridge_raises(self):
         predict = lambda rows: rows[:, 0] * 2.0
@@ -266,23 +271,40 @@ class TestLime:
         stats = np.array([1.0, 0.0])
         cfg = LimeConfig(n_samples=50, ridge_lambda=1e-6, seed=10)
         exp = fit_lime(predict, instance, stats, cfg)
-        np.testing.assert_allclose(exp.coefficients[0], 2.0, rtol=1e-4)
+        np.testing.assert_allclose(exp["coefficients"][0], 2.0, rtol=1e-4)
 
     def test_deterministic_under_seed(self):
         predict = lambda rows: rows[:, 0] ** 2
         cfg = LimeConfig(n_samples=200, seed=12)
         a = fit_lime(predict, np.array([0.5]), np.ones(1), cfg)
         b = fit_lime(predict, np.array([0.5]), np.ones(1), cfg)
-        np.testing.assert_array_equal(a.coefficients, b.coefficients)
-        assert a.intercept == b.intercept
+        np.testing.assert_array_equal(a["coefficients"], b["coefficients"])
+        assert a["intercept"] == b["intercept"]
+
+    def test_names_are_checked_before_the_one_call_to_predict(self):
+        calls = []
+
+        def predict(rows):
+            calls.append(rows.copy())
+            return rows[:, 0] * 2.0
+
+        instance, cfg = np.array([1.5, 2.0]), LimeConfig(n_samples=50, seed=14)
+        with pytest.raises(ShapeError):
+            fit_lime(predict, instance, np.ones(2), cfg, feature_names=("ws",))
+        assert calls == []
+        doc = fit_lime(predict, instance, np.ones(2), cfg)
+        assert len(calls) == 1 and len(calls[0]) == 50
+        np.testing.assert_array_equal(calls[0][0], instance)
+        assert doc["model_prediction"] == 3.0
 
     def test_dict_keys(self):
         predict = lambda rows: rows[:, 0]
         cfg = LimeConfig(n_samples=100, seed=13)
-        doc = fit_lime(predict, np.array([1.0]), np.ones(1), cfg, feature_names=("ws",)).to_dict()
+        doc = fit_lime(predict, np.array([1.0]), np.ones(1), cfg, feature_names=("ws",))
+        assert list(doc) == ["kind", "feature_names", "values", "coefficients", "intercept",
+                             "local_prediction", "model_prediction"]
         assert doc["kind"] == "lime"
         assert doc["feature_names"] == ["ws"]
-        assert set(doc) >= {"values", "coefficients", "intercept", "local_prediction"}
 
 
 class TestBarChart:
@@ -317,3 +339,12 @@ class TestBarChart:
         assert texts[1::2] == names
         # a plain name keeps its bytes
         assert 'text-anchor="end">WS10</text>' in svg
+
+
+def test_readme_library_use_runs_as_written(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Library use\n")[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("['x0', 'x1', 'x2', 'x3'] [")

@@ -355,15 +355,10 @@ class TestTrainingTrace:
             (1, 0.1, 0.123456789123456789, 0.5),
             (2, 0.05, 3.14e-12, None),
         ]
-        trace = TrainingTrace(rows)
-        again = TrainingTrace.from_csv(trace.to_csv())
-        assert len(again) == 2
-        for (e1, l1, t1, v1), (e2, l2, t2, v2) in zip(trace.rows, again.rows):
-            assert e1 == e2 and l1 == l2 and t1 == t2 and v1 == v2
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(SchemaError):
-            TrainingTrace.from_csv("not,a,trace\n1,2,3\n")
+        lines = TrainingTrace(rows).to_csv().splitlines()
+        assert lines[0] == "epoch,lr,train_loss,val_loss" and len(lines) == 3
+        for row, line in zip(rows, lines[1:]):
+            assert [float(cell) if cell else None for cell in line.split(",")] == list(row)
 
 
 def _linear_problem(seed=105):
